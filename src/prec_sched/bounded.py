@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvariantViolationError, SchedulingError, ValidationError
 from .instance import Instance, Job, Schedule, is_feasible, schedule_cost
@@ -66,9 +66,6 @@ class Guess:
 
     jobs: tuple[int, ...]
     starts: tuple[Fraction, ...]
-
-    def start_of(self, j: int) -> Fraction:
-        return self.starts[self.jobs.index(j)]
 
     def to_dict(self) -> dict:
         return {
@@ -394,6 +391,7 @@ def solve_bounded(
     budget: Optional[int] = None,
     n_guess: int = N_GUESS,
     trace_hook: Optional[Callable] = None,
+    warm: Iterable[Iterable[int]] = (),
 ) -> BoundedResult:
     """Best LP-then-list-schedule result over a stream of guesses.
 
@@ -416,6 +414,10 @@ def solve_bounded(
     trace_hook : callable, optional
         Called with (guess, adjusted_instance, LpLsRun) for every guess
         that produced a schedule; used by tests to audit traces.
+    warm : iterable of job subsets
+        Warm-start cut subsets passed to every guess's LP (see solve_lp).
+        Every guess gets the same set, so results do not depend on the
+        order guesses run in.
 
     Returns
     -------
@@ -447,6 +449,7 @@ def solve_bounded(
         ]
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    warm = tuple(warm)
 
     def attempt(item):
         g, rounded = item
@@ -455,7 +458,7 @@ def solve_bounded(
                 adjusted = adjust_release_times(instance, g)
             else:
                 adjusted = adjust_release_times_typed(rounded, g, eps)
-            run = lp_ls(adjusted)
+            run = lp_ls(adjusted, warm=warm)
         except InvariantViolationError:
             raise
         except SchedulingError as exc:

@@ -110,13 +110,18 @@ def build_grid(epsilon, b: float, cmax: float) -> IntervalGrid:
 
 @dataclass(frozen=True)
 class SubInstance:
-    """One bounded subproblem: parent jobs `jobs`, floor L = 3 t_i."""
+    """One bounded subproblem: parent jobs `jobs`, floor L = 3 t_i.
+
+    `warm` holds the subsets of the parent LP's cuts, restricted to the
+    block and renumbered to block ids, for warm-starting the block's LPs.
+    """
 
     jobs: tuple[int, ...]
     index: int
     floor: float
     beta: float
     instance: Instance
+    warm: tuple[tuple[int, ...], ...] = ()
 
 
 def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> list[SubInstance]:
@@ -127,6 +132,11 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
     is restricted to the group (restriction of a transitive relation is
     transitive). Precedence across groups always points forward because
     the LP orders C along precedence; violated means a bug upstream.
+
+    Each group also carries the parent LP's cut subsets restricted to it,
+    renumbered to block ids, nonempty, deduplicated and sorted: every
+    subset inequality holds for every schedule, so they are valid cuts
+    for the block's LPs once make_cut recomputes their rhs.
     """
     groups: dict[int, list[int]] = {}
     for j, c in enumerate(lp.completion):
@@ -151,7 +161,11 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
         prec = frozenset(
             (back[j], back[k]) for j, k in instance.prec if j in back and k in back
         )
-        subs.append(SubInstance(ids, i, floor, beta, Instance(jobs, prec)))
+        warm = {tuple(back[j] for j in cut.jobs if j in back) for cut in lp.cuts}
+        warm.discard(())
+        subs.append(
+            SubInstance(ids, i, floor, beta, Instance(jobs, prec), tuple(sorted(warm)))
+        )
     return subs
 
 
@@ -230,6 +244,7 @@ def _solve_partition(
             mode=bounded_mode,
             budget=budget,
             trace_hook=trace_hook,
+            warm=sub.warm,
         )
         tight = tighten(res.schedule, sub.instance)
         lo = min(tight.start)

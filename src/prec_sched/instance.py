@@ -9,6 +9,14 @@ Release times are integers on input but may become fractional internally
 (interval floors and guess-based adjustments lift them), so they are
 stored as plain numbers. Processing times stay integral except in the
 rounded instances produced by the fast bounded mode.
+
+Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
+MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts
+have right-hand sides up to about half the horizon squared, and the
+cutting-plane loop certifies them to an absolute 1e-7 in double
+precision; at a horizon of 10^4 the largest rhs (5e7) is still spaced
+7.5e-9 apart, while from about 3 * 10^4, or from weights of about 10^8,
+the loop measurably stops converging.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from .errors import CycleError, InfeasibleScheduleError, ValidationError
 from .util import decimal_str
 
 REL_TOL = 1e-9
+MAX_HORIZON = 10**4
+MAX_WEIGHT = 10**6
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,9 @@ class ValidationReport:
 def validate(instance: Instance) -> ValidationReport:
     """Report every violated structural invariant; empty report iff well-formed.
 
-    Checked: field ranges (p >= 1, r >= 0, w >= 0), precedence indices in
-    range, irreflexivity, acyclicity (with witness), and transitive closure.
+    Checked: field ranges (p >= 1, r >= 0, 0 <= w <= MAX_WEIGHT), the
+    horizon max r + sum p against MAX_HORIZON, precedence indices in range,
+    irreflexivity, acyclicity (with witness), and transitive closure.
     """
     findings: list[str] = []
     n = instance.n
@@ -162,6 +173,13 @@ def validate(instance: Instance) -> ValidationReport:
             findings.append(f"job {i}: negative release time {job.r}")
         if job.w < 0:
             findings.append(f"job {i}: negative weight {job.w}")
+        elif job.w > MAX_WEIGHT:
+            findings.append(f"job {i}: weight {job.w} exceeds {MAX_WEIGHT}; scale the weights down")
+    if instance.time_scale > MAX_HORIZON:
+        findings.append(
+            f"horizon max r + sum p = {instance.time_scale:g} exceeds {MAX_HORIZON}; "
+            "use a coarser time unit"
+        )
 
     in_range = True
     for j, k in sorted(instance.prec):
@@ -292,10 +310,13 @@ def tighten(schedule: Schedule, instance: Instance, tol: float | None = None) ->
 def load_instance(source, normalize: bool = False) -> Instance:
     """Parse the instance JSON format, close the precedence relation, validate.
 
-    source may be a path, a file object, or an already-parsed dict. Job ids
-    are array positions; "prec" pairs need not be transitively closed.
+    source may be a path, a file object, or an already-parsed document. Job
+    ids are array positions; "prec" pairs need not be transitively closed.
+    A document that is not an object with a "jobs" array of objects with
+    integer fields p, r, w, and an optional "prec" array of integer pairs,
+    raises ValidationError, as does any finding of validate.
     """
-    if isinstance(source, dict):
+    if isinstance(source, (dict, list)):
         doc = source
     elif hasattr(source, "read"):
         doc = json.load(source)
@@ -303,22 +324,66 @@ def load_instance(source, normalize: bool = False) -> Instance:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
 
+    if not isinstance(doc, dict):
+        raise ValidationError([f"instance must be a JSON object, got {_json_type(doc)}"])
+    if "jobs" not in doc:
+        raise ValidationError(["instance has no 'jobs' array"])
+    records = doc["jobs"]
+    if not isinstance(records, (list, tuple)):
+        raise ValidationError([f"'jobs' must be an array, got {_json_type(records)}"])
+    pairs = doc.get("prec", [])
+    if not isinstance(pairs, (list, tuple)):
+        raise ValidationError([f"'prec' must be an array of pairs, got {_json_type(pairs)}"])
+
     findings = []
     jobs = []
-    for i, rec in enumerate(doc.get("jobs", [])):
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            findings.append(f"job {i}: must be an object with fields p, r, w, got {_shown(rec)}")
+            continue
         trip = []
         for field in ("p", "r", "w"):
             v = rec.get(field)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 findings.append(f"job {i}: field '{field}' must be an integer, got {v!r}")
                 v = 0
             trip.append(v)
         jobs.append(tuple(trip))
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))):
+            findings.append(
+                f"precedence entry {i}: must be a pair of integer job ids, got {_shown(pair)}"
+            )
     if findings:
         raise ValidationError(findings)
 
-    instance = make_instance(jobs, [tuple(e) for e in doc.get("prec", [])])
+    instance = make_instance(jobs, [tuple(e) for e in pairs])
     require_valid(instance)
     if normalize:
         instance = normalize_release_times(instance)
     return instance
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _shown(v) -> str:
+    return json.dumps(v, default=repr)
+
+
+_JSON_TYPES = (
+    (bool, "a boolean"),
+    ((int, float), "a number"),
+    (str, "a string"),
+    ((list, tuple), "an array"),
+    (dict, "an object"),
+)
+
+
+def _json_type(v) -> str:
+    """The JSON name of a parsed value's type."""
+    for kind, name in _JSON_TYPES:
+        if isinstance(v, kind):
+            return name
+    return "null" if v is None else type(v).__name__

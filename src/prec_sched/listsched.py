@@ -17,6 +17,7 @@ analysis rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .instance import Instance, Schedule, ValidationReport
 from .lp import LpSolution, solve_lp
@@ -133,13 +134,19 @@ class LpLsRun:
     lp: LpSolution
 
 
-def lp_ls(instance: Instance, separation: str = "auto", tau: float | None = None) -> LpLsRun:
+def lp_ls(
+    instance: Instance,
+    separation: str = "auto",
+    tau: float | None = None,
+    warm: Iterable[Iterable[int]] = (),
+) -> LpLsRun:
     """Solve the LP, order jobs by completion time, list-schedule.
 
-    The instance must be validated and release-normalized. Returns the
+    The instance must be validated and release-normalized. `warm` is
+    passed to solve_lp as its warm-start cut subsets. Returns the
     schedule together with the order and the LP solution it came from.
     """
-    kwargs = {"separation": separation}
+    kwargs = {"separation": separation, "warm": warm}
     if tau is not None:
         kwargs["tau"] = tau
     lp = solve_lp(instance, **kwargs)

@@ -6,14 +6,22 @@ Variables are fractional completion times C_j. Two constraint families:
     sum_{j in U} p_j C_j >= r_min(U) p(U) + p(U)^2/2   for every subset U
 
 The subset family is exponential, so we start from all singletons (which
-already force C_j >= r_j + p_j/2) and add violated subsets found by a
-separation oracle until none is violated by more than `tau`. Two oracles
-are provided: an exhaustive one scanning all 2^n - 1 subsets (ground
-truth, n capped) and a fast heuristic that evaluates, for each release
-threshold, every prefix in C-order of the jobs released at or above it.
-The fast oracle is sound (anything it returns is genuinely violated) and
-is cross-validated against the exhaustive one in the test suite rather
-than proven complete.
+already force C_j >= r_j + p_j/2), plus any warm-start subsets the caller
+passes, and add violated subsets found by a separation oracle until none
+is violated by more than `tau`.
+
+The solver separates over prefixes: for each release threshold rho, the
+prefixes in C-order of the jobs released at or above rho. That family is
+complete. Fix rho, let P be the jobs with r_j >= rho, and let
+h(U) = p(U)^2/2 - sum_U p_j (C_j - rho). Take a maximizer U of h with
+h(U) > 0. Removing a member j must not help, so C_j - rho <= p(U) - p_j/2;
+adding a non-member k must not help, so C_k - rho >= p(U) + p_k/2. Every
+member therefore has a strictly smaller C than every non-member: U is a
+prefix of P in C-order (Queyranne's sorting argument, "Structure of a
+simple scheduling polyhedron", Math. Prog. 1993). Taking rho = r_min of
+the most violated subset shows that the prefix family contains a subset
+at least as violated. An exhaustive 2^n oracle is kept as the reference
+the tests cross-check against.
 
 The inner solves delegate to scipy's HiGHS backend, tightened to 1e-9
 feasibility so residual noise on already-added rows stays far below tau.
@@ -24,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -53,12 +62,16 @@ class Cut:
 
 
 def make_cut(instance: Instance, jobs) -> Cut:
-    """Build the subset cut for `jobs` with rhs computed in exact arithmetic."""
-    jobs = tuple(sorted(jobs))
+    """Build the subset cut for the job set `jobs` with rhs computed in
+    exact arithmetic. Repeated ids count once."""
+    jobs = tuple(sorted(set(jobs)))
     if not jobs:
         raise ValueError("cut subset must be nonempty")
+    if not 0 <= jobs[0] <= jobs[-1] < instance.n:
+        raise ValueError(f"cut subset {jobs} names a job outside 0..{instance.n - 1}")
+    # int, float and Fraction compare exactly, so only the minimum is converted
     p_total = Fraction(sum(instance.jobs[j].p for j in jobs))
-    r_min = min(Fraction(instance.jobs[j].r) for j in jobs)
+    r_min = Fraction(min(instance.jobs[j].r for j in jobs))
     return Cut(jobs, r_min * p_total + p_total * p_total / 2)
 
 
@@ -132,25 +145,29 @@ def separate_exhaustive(
 
 
 def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
-    """Heuristic separation over prefix candidates; sound but not proven complete.
+    """Most violated subset cut among the prefix candidates, or None.
 
     For each distinct release value rho, the candidate family consists of
     the prefixes, in C-order, of the jobs with r_j >= rho. Each prefix is
     scored by the true constraint formula (with the prefix's own minimum
     release, not rho), so any cut returned is genuinely violated. The
-    most violated candidate wins; None if none exceeds tau.
+    family is also complete (see the module docstring): the best prefix
+    is as violated as the best of all 2^n - 1 subsets, so None certifies
+    that no subset is violated by more than tau.
+
+    Jobs are sorted by (C_j, j) once; each threshold filters that order.
+    Ties keep the first maximum found, scanning thresholds in ascending
+    order and then prefixes from the shortest.
     """
-    n = instance.n
-    p = [float(job.p) for job in instance.jobs]
-    r = [float(job.r) for job in instance.jobs]
+    jobs = instance.jobs
+    p = [float(job.p) for job in jobs]
+    r = [float(job.r) for job in jobs]
     Cf = [float(c) for c in C]
+    order = sorted(range(instance.n), key=lambda j: (Cf[j], j))
     best_v = tau
-    best: Optional[tuple[int, ...]] = None
-    for rho in sorted({job.r for job in instance.jobs}):
-        pool = sorted(
-            (j for j in range(n) if instance.jobs[j].r >= rho),
-            key=lambda j: (Cf[j], j),
-        )
+    best: Optional[list[int]] = None
+    for rho in sorted({job.r for job in jobs}):
+        pool = [j for j in order if jobs[j].r >= rho]
         ps = 0.0
         pc = 0.0
         rm = math.inf
@@ -162,44 +179,28 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
             v = rm * ps + 0.5 * ps * ps - pc
             if v > best_v:
                 best_v = v
-                best = tuple(pool[:length])
+                best = pool[:length]
     if best is None:
         return None
     return make_cut(instance, best)
 
 
-def _solve_inner(instance: Instance, cuts, strengthen: bool):
-    n = instance.n
-    w = np.array([float(job.w) for job in instance.jobs])
-    rows = []
-    rhs = []
-    for j, k in sorted(instance.prec):
-        row = np.zeros(n)
-        row[j] = 1.0
-        row[k] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for cut in cuts:
-        row = np.zeros(n)
-        for j in cut.jobs:
-            row[j] = -float(instance.jobs[j].p)
-        rows.append(row)
-        rhs.append(-float(cut.rhs))
-    if strengthen:
-        lb = [float(job.r) + float(job.p) for job in instance.jobs]
-    else:
-        lb = [0.0] * n
-    res = linprog(
-        w,
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(rhs) if rhs else None,
-        bounds=list(zip(lb, [None] * n)),
-        method="highs",
-        options=dict(_HIGHS_OPTIONS),
-    )
-    if not res.success:
-        raise SchedulingError(f"inner LP solve failed: {res.message}")
-    return tuple(float(x) for x in res.x), float(res.fun)
+def _precedence_rows(instance: Instance) -> np.ndarray:
+    """One row C_j - C_k <= 0 per precedence pair, in sorted pair order."""
+    pairs = np.array(sorted(instance.prec), dtype=np.intp).reshape(-1, 2)
+    rows = np.zeros((len(pairs), instance.n))
+    at = np.arange(len(pairs))
+    rows[at, pairs[:, 0]] = 1.0
+    rows[at, pairs[:, 1]] = -1.0
+    return rows
+
+
+def _cut_row(p: np.ndarray, cut: Cut) -> np.ndarray:
+    """The cut as an upper-bound row: -sum_{j in U} p_j C_j <= -rhs."""
+    row = np.zeros(len(p))
+    idx = list(cut.jobs)
+    row[idx] = -p[idx]
+    return row
 
 
 def solve_lp(
@@ -208,12 +209,14 @@ def solve_lp(
     separation: str = "auto",
     strengthen: bool = False,
     max_rounds: Optional[int] = None,
+    warm: Iterable[Iterable[int]] = (),
 ) -> LpSolution:
     """Minimize sum w_j C_j over the completion-time polytope via cutting planes.
 
-    Starts from the precedence rows plus all singleton subset cuts, then
-    alternates LP solves with separation until no subset constraint is
-    violated by more than tau.
+    Starts from the precedence rows plus all singleton subset cuts and the
+    `warm` cuts, then alternates LP solves with separation until no subset
+    constraint is violated by more than tau. The constraint rows are built
+    once; each round appends the new cut's row.
 
     Parameters
     ----------
@@ -221,17 +224,25 @@ def solve_lp(
         Validated instance with release times already lifted along the
         precedence order.
     tau : float
-        Separation tolerance; termination certifies no subset violated
-        beyond it (certification is per-oracle: exhaustive scans all
-        subsets, fast scans its candidate family).
+        Separation tolerance. Both oracles are complete, so termination
+        certifies that no subset at all is violated beyond tau.
     separation : {"auto", "exhaustive", "fast"}
-        "auto" picks exhaustive when n <= 18, fast otherwise.
+        "auto" and "fast" use the prefix oracle `separate_fast` at every
+        n. "exhaustive" scans all 2^n - 1 subsets (n <= 18); it is the
+        reference mode and costs O(2^n) per round.
     strengthen : bool
         Additionally impose C_j >= r_j + p_j as variable lower bounds.
         Off by default: the guarantee analysis only relies on the subset
         family, and the extra bounds change which constraints bind.
     max_rounds : int, optional
         Cap on LP solves; default 10 n^2.
+    warm : iterable of job subsets
+        Subsets whose cuts enter the model from the start, for example the
+        cuts that bound a parent LP, renumbered to this instance. Each
+        rhs is computed from this instance's releases by make_cut, so any
+        subset gives a valid cut and the optimum does not change; only the
+        number of rounds does. Duplicates (of each other or of the
+        singletons) are dropped. Warm cuts appear in `LpSolution.cuts`.
 
     Returns
     -------
@@ -247,19 +258,39 @@ def solve_lp(
     if n == 0:
         return LpSolution((), 0.0, (), 0, "none", ())
     if separation == "auto":
-        separation = "exhaustive" if n <= N_EXHAUSTIVE else "fast"
+        separation = "fast"
     if separation not in ("exhaustive", "fast"):
         raise ValueError(f"unknown separation mode {separation!r}")
     sep = separate_exhaustive if separation == "exhaustive" else separate_fast
     if max_rounds is None:
         max_rounds = 10 * n * n
 
-    cuts = [make_cut(instance, (j,)) for j in range(n)]
-    seen = {cut.jobs for cut in cuts}
+    cuts = []
+    seen = set()
+    for subset in chain(((j,) for j in range(n)), warm):
+        cut = make_cut(instance, subset)
+        if cut.jobs not in seen:
+            seen.add(cut.jobs)
+            cuts.append(cut)
+    p = np.array([float(job.p) for job in instance.jobs])
+    w = np.array([float(job.w) for job in instance.jobs])
+    A = np.vstack([_precedence_rows(instance)] + [_cut_row(p, cut) for cut in cuts])
+    b = np.concatenate((np.zeros(len(instance.prec)), [-float(cut.rhs) for cut in cuts]))
+    if strengthen:
+        lb = [float(job.r) + float(job.p) for job in instance.jobs]
+    else:
+        lb = [0.0] * n
+    bounds = list(zip(lb, [None] * n))
+
     z_history = []
     C, z = (), 0.0
     for rounds in range(1, max_rounds + 1):
-        C, z = _solve_inner(instance, cuts, strengthen)
+        res = linprog(
+            w, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=dict(_HIGHS_OPTIONS)
+        )
+        if not res.success:
+            raise SchedulingError(f"inner LP solve failed: {res.message}")
+        C, z = tuple(res.x.tolist()), float(res.fun)
         z_history.append(z)
         cut = sep(C, instance, tau)
         if cut is None:
@@ -272,6 +303,8 @@ def solve_lp(
             )
         cuts.append(cut)
         seen.add(cut.jobs)
+        A = np.vstack((A, _cut_row(p, cut)))
+        b = np.append(b, -float(cut.rhs))
     # one last separation to name the most violated leftover
     leftover = sep(C, instance, tau)
     raise LpIterationLimitError(

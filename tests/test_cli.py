@@ -10,6 +10,7 @@ import pytest
 import prec_sched.cli
 from prec_sched.cli import main
 from prec_sched.errors import InvariantViolationError
+from prec_sched.instance import MAX_HORIZON, MAX_WEIGHT
 
 REFERENCE = {
     "jobs": [{"p": 1, "r": 1, "w": 10}, {"p": 10, "r": 0, "w": 0}],
@@ -266,3 +267,53 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", reference_path, "--epsilon", "1")
         assert code == 3
         assert "internal invariant broken" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([REFERENCE], "must be a JSON object"),
+            ({"jobs": [{"p": 1, "r": 0, "w": 1}], "prec": [[0]]}, "pair of integer job ids"),
+            (
+                {"jobs": [{"p": 1, "r": 0, "w": 1}] * 2, "prec": [["a", "b"]]},
+                "pair of integer job ids",
+            ),
+            ({"prec": []}, "no 'jobs' array"),
+            ({"jobs": {"p": 1, "r": 0, "w": 1}}, "'jobs' must be an array"),
+        ],
+    )
+    def test_malformed_document_is_one_line_input_error(self, capsys, tmp_path, doc, message):
+        code, out, err = run(capsys, "solve", write_doc(tmp_path, doc), "--epsilon", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestMagnitudes:
+    def test_instance_at_the_bound_solves(self, capsys, tmp_path):
+        # horizon max r + sum p is exactly MAX_HORIZON, weight MAX_WEIGHT
+        doc = {
+            "jobs": [
+                {"p": 2000, "r": 4000, "w": MAX_WEIGHT},
+                {"p": 1, "r": 0, "w": 1},
+                {"p": 3999, "r": 10, "w": 7},
+            ],
+            "prec": [[1, 2]],
+        }
+        assert max(j["r"] for j in doc["jobs"]) + sum(j["p"] for j in doc["jobs"]) == MAX_HORIZON
+        code, out, err = run(capsys, "solve", write_doc(tmp_path, doc), "--epsilon", "1")
+        assert code == 0, err
+        assert len(json.loads(out)["start"]) == 3
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            ({"p": 10**12, "r": 0, "w": 1}, "horizon"),
+            ({"p": 1, "r": MAX_HORIZON, "w": 1}, "horizon"),
+            ({"p": 1, "r": 0, "w": MAX_WEIGHT + 1}, "weight"),
+        ],
+    )
+    def test_beyond_the_bound_is_input_error(self, capsys, tmp_path, job, message):
+        code, _, err = run(capsys, "solve", write_doc(tmp_path, {"jobs": [job]}), "--epsilon", "1")
+        assert code == 2
+        assert message in err and err.count("\n") == 1

@@ -258,6 +258,25 @@ class TestJsonInterface:
         with pytest.raises(ValidationError):
             load_instance(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"p": 1, "r": 0, "w": 1}],
+            {"jobs": [{"p": 1, "r": 0, "w": 1}], "prec": [[0]]},
+            {"jobs": [{"p": 1, "r": 0, "w": 1}] * 2, "prec": [["a", "b"]]},
+            {"jobs": [{"p": 1, "r": 0, "w": 1}] * 2, "prec": [[0, 1.0]]},
+            {"jobs": [{"p": 1, "r": 0, "w": 1}], "prec": {"0": 1}},
+            {"prec": []},
+            {"jobs": None},
+            {"jobs": [[1, 0, 1]]},
+        ],
+    )
+    def test_load_rejects_malformed_documents(self, doc):
+        with pytest.raises(ValidationError) as info:
+            load_instance(doc)
+        assert len(info.value.findings) == 1
+        assert "\n" not in str(info.value)
+
     def test_load_normalize_flag(self):
         doc = {
             "jobs": [{"p": 1, "r": 5, "w": 1}, {"p": 1, "r": 0, "w": 1}],

@@ -6,14 +6,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prec_sched.lp
 from prec_sched import (
+    GeneratorConfig,
     LpIterationLimitError,
     LpSolution,
+    build_grid,
     check_lp_lemmas,
     exact_opt,
+    generate,
     make_cut,
     make_instance,
+    normalize_release_times,
+    partition_jobs,
     separate_exhaustive,
     separate_fast,
     solve_lp,
@@ -175,6 +183,119 @@ class TestSeparateFast:
                 hits += 1
                 assert cut_violation_of(cut, C, instance) > TAU_LP * 0.999
         assert hits > 50  # the sweep actually exercised the oracle
+
+
+@st.composite
+def separation_points(draw):
+    """An instance with n <= 12 and a point on a quarter-unit grid, so that
+    every violation is computed exactly and C values often tie. Releases
+    are drawn from a small range that includes 0, so they tie too."""
+    n = draw(st.integers(1, 12))
+    jobs = [
+        (draw(st.integers(1, 6)), draw(st.integers(0, 5)), draw(st.integers(0, 4)))
+        for _ in range(n)
+    ]
+    instance = normalize_release_times(make_instance(jobs))
+    horizon = 4 * (max(j.r for j in instance.jobs) + sum(j.p for j in instance.jobs))
+    point = [draw(st.integers(0, horizon)) / 4 for _ in range(n)]
+    return instance, point
+
+
+class TestPrefixSeparationIsComplete:
+    @settings(max_examples=400, deadline=None)
+    @given(separation_points())
+    def test_prefix_oracle_finds_the_maximum_violation(self, case):
+        instance, point = case
+        fast = separate_fast(point, instance, TAU_LP)
+        exhaustive = separate_exhaustive(point, instance, TAU_LP)
+        assert (fast is None) == (exhaustive is None)
+        if fast is not None:
+            assert cut_violation_of(fast, point, instance) == cut_violation_of(
+                exhaustive, point, instance
+            )
+
+    def test_auto_uses_the_prefix_oracle_at_small_n(self):
+        sol = solve_lp(random_instance(3, 6))
+        assert sol.separation == "fast"
+
+
+def chains_block(seed):
+    """The largest block, with its parent, of a 14-job chains instance
+    split at offset 0 with epsilon 1."""
+    parent = generate(GeneratorConfig(n=14, seed=seed, r_max=56, family="chains"))
+    lp = solve_lp(parent)
+    grid = build_grid(1, 0.0, max(lp.completion))
+    subs = partition_jobs(parent, lp, grid)
+    return parent, lp, max(subs, key=lambda sub: len(sub.jobs))
+
+
+class TestWarmStart:
+    def test_same_value_as_cold_on_blocks(self):
+        checked = 0
+        for seed in range(8):
+            parent = random_instance(seed, 12, r_max=48)
+            lp = solve_lp(parent)
+            for b in (0.0, 1.0, 2.0):
+                grid = build_grid(1, b, max(lp.completion))
+                for sub in partition_jobs(parent, lp, grid):
+                    cold = solve_lp(sub.instance)
+                    warm = solve_lp(sub.instance, warm=sub.warm)
+                    assert warm.value == pytest.approx(cold.value, abs=1e-6)
+                    assert separate_exhaustive(warm.completion, sub.instance) is None
+                    checked += bool(sub.warm)
+        assert checked > 20
+
+    def test_block_subsets_come_from_parent_cuts(self):
+        parent, lp, sub = chains_block(1)
+        back = {j: pos for pos, j in enumerate(sub.jobs)}
+        expected = {
+            tuple(back[j] for j in cut.jobs if j in back) for cut in lp.cuts
+        } - {()}
+        assert sub.warm == tuple(sorted(expected))
+
+    def test_warm_cuts_kept_with_the_blocks_own_rhs(self):
+        parent, lp, sub = chains_block(1)
+        sol = solve_lp(sub.instance, warm=sub.warm)
+        by_jobs = {cut.jobs: cut for cut in sol.cuts}
+        assert set(sub.warm) <= set(by_jobs)
+        assert len(by_jobs) == len(sol.cuts)  # no duplicates
+        lifted = 0
+        for subset in sub.warm:
+            cut = by_jobs[subset]
+            assert cut == make_cut(sub.instance, subset)
+            parent_ids = tuple(sub.jobs[pos] for pos in subset)
+            lifted += cut.rhs != make_cut(parent, parent_ids).rhs
+        assert lifted > 0  # the block's floor lifted some releases
+
+    def test_warm_block_lp_makes_fewer_highs_calls(self, monkeypatch):
+        _, _, sub = chains_block(1)
+        calls = []
+        real = prec_sched.lp.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prec_sched.lp, "linprog", counting)
+        cold = solve_lp(sub.instance)
+        cold_calls = len(calls)
+        calls.clear()
+        warm = solve_lp(sub.instance, warm=sub.warm)
+        assert len(calls) == warm.iterations
+        assert len(calls) < cold_calls
+        assert warm.value == pytest.approx(cold.value, abs=1e-6)
+
+    def test_duplicate_and_repeated_ids_collapse(self):
+        instance = make_instance([(2, 0, 1), (3, 1, 1), (1, 4, 2)])
+        sol = solve_lp(instance, warm=[(0,), (1, 0), (0, 1), (2, 2, 1)])
+        jobs = [cut.jobs for cut in sol.cuts]
+        assert jobs[:5] == [(0,), (1,), (2,), (0, 1), (1, 2)]
+        assert len(set(jobs)) == len(jobs)
+        assert make_cut(instance, (2, 2, 1)).rhs == make_cut(instance, (1, 2)).rhs
+
+    def test_subset_outside_the_instance_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            solve_lp(make_instance([(1, 0, 1)]), warm=[(0, 1)])
 
 
 class TestCheckLpLemmas:
