@@ -34,13 +34,12 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvariantViolationError, SchedulingError, ValidationError
 from .instance import Instance, Job, Schedule, is_feasible, schedule_cost
 from .listsched import LpLsRun, lp_ls
-from .util import parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -102,6 +101,11 @@ def _start_grid(p, eps: Fraction) -> list[Fraction]:
     return out
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"guess budget must be nonnegative, got {budget}")
+
+
 def enumerate_guesses(
     instance: Instance,
     epsilon,
@@ -116,29 +120,23 @@ def enumerate_guesses(
     schedule are skipped and counted in `stats`: a start below the job's
     release time, two early processing intervals overlapping, or ordered
     jobs j preceding k with S'_j + p_j > S'_k. The set size is capped by
-    early_bound(epsilon, beta). `budget` truncates the stream after that
-    many yields.
+    early_bound(epsilon, beta). `budget` (nonnegative) truncates the
+    stream after that many yields; `stats` then counts only up to the
+    last guess yielded.
     """
     eps = to_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    n = instance.n
-    cap = min(early_bound(eps, beta), n)
+    _check_budget(budget)
     if stats is None:
         stats = {}
     stats.update(yielded=0, pruned_release=0, pruned_overlap=0, pruned_prec=0)
+    yield from islice(_guesses(instance, eps, beta, stats), budget)
 
-    budget_left = [budget if budget is not None else -1]
 
-    def spend() -> bool:
-        if budget_left[0] == 0:
-            return False
-        if budget_left[0] > 0:
-            budget_left[0] -= 1
-        return True
-
-    if not spend():
-        return
+def _guesses(instance: Instance, eps: Fraction, beta, stats: dict) -> Iterator[Guess]:
+    n = instance.n
+    cap = min(early_bound(eps, beta), n)
     stats["yielded"] += 1
     yield EMPTY_GUESS
 
@@ -171,21 +169,17 @@ def enumerate_guesses(
                 ):
                     stats["pruned_prec"] += 1
                     continue
-                if not spend():
-                    return
                 stats["yielded"] += 1
                 yield Guess(subset, starts)
 
 
-def _fixpoint_dc(instance: Instance, floor, intervals, max_rounds: Optional[int]):
+def _fixpoint_dc(instance: Instance, floor, intervals):
     """Lift releases to `floor`, then iterate order-consistency and the
     interval-avoidance push to a least fixpoint. Returns new releases."""
     n = instance.n
     r = [max(instance.jobs[j].r, floor[j]) for j in range(n)]
     pairs = sorted(instance.prec)
-    if max_rounds is None:
-        max_rounds = 2 + n * n * max(1, len(intervals))
-    for _ in range(max_rounds):
+    for _ in range(2 + n * n * max(1, len(intervals))):
         changed = False
         for j, k in pairs:
             if r[k] < r[j]:
@@ -216,9 +210,7 @@ def _assert_adjusted(instance: Instance, r, floor, intervals) -> None:
             )
 
 
-def adjust_release_times(
-    instance: Instance, guess: Guess, max_rounds: Optional[int] = None
-) -> Instance:
+def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     """Minimal release lift realizing rules (b)-(e) for this guess.
 
     Rule floors: guessed start for guessed-early jobs, own processing
@@ -234,7 +226,7 @@ def adjust_release_times(
     intervals = [
         (s, s + instance.jobs[j].p) for j, s in zip(guess.jobs, guess.starts)
     ]
-    r = _fixpoint_dc(instance, floor, intervals, max_rounds)
+    r = _fixpoint_dc(instance, floor, intervals)
     _assert_adjusted(instance, r, floor, intervals)
     jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
     return Instance(jobs, instance.prec)
@@ -285,14 +277,22 @@ def enumerate_type_guesses(
     between L and (1+eps)^2 * beta * L can have an early job. For each
     chosen class i, the candidate smallest start runs over multiples of
     eps * (1+eps)^i below (1+eps)^i, pruned below the class's smallest
-    release time. Early processing intervals must not overlap.
+    release time. Early processing intervals must not overlap. `budget`
+    truncates the stream as in enumerate_guesses.
     """
     eps = to_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    _check_budget(budget)
     if stats is None:
         stats = {}
     stats.update(yielded=0, pruned_release=0, pruned_overlap=0)
+    yield from islice(_type_guesses(instance, eps, L, beta, stats), budget)
+
+
+def _type_guesses(
+    instance: Instance, eps: Fraction, L, beta, stats: dict
+) -> Iterator[TypeGuess]:
     types = job_types(instance, eps)
     base = 1 + eps
     Lf = to_fraction(L)
@@ -304,18 +304,6 @@ def enumerate_type_guesses(
         if Lf < size < hi:
             eligible.append(i)
     cap = min(early_bound(eps, beta), len(eligible))
-
-    budget_left = [budget if budget is not None else -1]
-
-    def spend() -> bool:
-        if budget_left[0] == 0:
-            return False
-        if budget_left[0] > 0:
-            budget_left[0] -= 1
-        return True
-
-    if not spend():
-        return
     stats["yielded"] += 1
     yield TypeGuess((), ())
 
@@ -341,15 +329,11 @@ def enumerate_type_guesses(
                 if any(span[k][1] > span[k + 1][0] for k in range(len(span) - 1)):
                     stats["pruned_overlap"] += 1
                     continue
-                if not spend():
-                    return
                 stats["yielded"] += 1
                 yield TypeGuess(chosen, starts)
 
 
-def adjust_release_times_typed(
-    instance: Instance, guess: TypeGuess, epsilon, max_rounds: Optional[int] = None
-) -> Instance:
+def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) -> Instance:
     """Release lift for a class-level guess on a rounded instance.
 
     Jobs of a guessed class get the class's guessed smallest start as a
@@ -366,7 +350,7 @@ def adjust_release_times_typed(
         i = types[j]
         floor.append(early[i] if i in early else Fraction(instance.jobs[j].p))
     intervals = [(s, s + base**i) for i, s in zip(guess.types, guess.starts)]
-    r = _fixpoint_dc(instance, floor, intervals, max_rounds)
+    r = _fixpoint_dc(instance, floor, intervals)
     _assert_adjusted(instance, r, floor, intervals)
     jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
     return Instance(jobs, instance.prec)
@@ -389,7 +373,6 @@ def solve_bounded(
     beta,
     mode: str = "exhaustive",
     budget: Optional[int] = None,
-    n_guess: int = N_GUESS,
     trace_hook: Optional[Callable] = None,
     warm: Iterable[Iterable[int]] = (),
 ) -> BoundedResult:
@@ -405,12 +388,12 @@ def solve_bounded(
     L, beta : rational
         Bounding parameters of the instance.
     mode : {"exhaustive", "typed", "empty-guess"}
-        exhaustive enumerates per-job guesses (n capped at `n_guess`
+        exhaustive enumerates per-job guesses (n capped at N_GUESS
         unless a budget is given); typed rounds processing times up to
         powers of (1+eps) and guesses per size class; empty-guess runs
         the single all-late guess.
     budget : int, optional
-        Truncate the guess stream after this many guesses.
+        Truncate the guess stream after this many guesses; nonnegative.
     trace_hook : callable, optional
         Called with (guess, adjusted_instance, LpLsRun) for every guess
         that produced a schedule; used by tests to audit traces.
@@ -427,6 +410,7 @@ def solve_bounded(
         logged and skipped; if every guess fails, SchedulingError.
     """
     eps = to_fraction(epsilon)
+    _check_budget(budget)
     tol = instance.tol()
     low = min((job.r for job in instance.jobs), default=L)
     if low < L - tol:
@@ -434,9 +418,9 @@ def solve_bounded(
             [f"instance is not bounded by L = {L}: smallest release time is {low}"]
         )
     if mode == "exhaustive":
-        if instance.n > n_guess and budget is None:
+        if instance.n > N_GUESS and budget is None:
             raise ValueError(
-                f"exhaustive guessing is capped at n = {n_guess} jobs; "
+                f"exhaustive guessing is capped at n = {N_GUESS} jobs; "
                 "use typed mode or set a budget"
             )
         work = [(g, None) for g in enumerate_guesses(instance, eps, beta, budget)]
@@ -450,9 +434,9 @@ def solve_bounded(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     warm = tuple(warm)
-
-    def attempt(item):
-        g, rounded = item
+    best = None
+    failed = 0
+    for g, rounded in work:
         try:
             if rounded is None:
                 adjusted = adjust_release_times(instance, g)
@@ -463,7 +447,8 @@ def solve_bounded(
             raise
         except SchedulingError as exc:
             log.warning("guess %s failed: %s", g, exc)
-            return None
+            failed += 1
+            continue
         if trace_hook is not None:
             trace_hook(g, adjusted, run)
         sched = run.schedule
@@ -471,16 +456,9 @@ def solve_bounded(
             raise InvariantViolationError(
                 "schedule from lifted releases is infeasible for the original instance"
             )
-        return schedule_cost(sched, instance), sched, g
-
-    outcomes = parallel_map(attempt, work)
-    best = None
-    failed = 0
-    for out in outcomes:
-        if out is None:
-            failed += 1
-        elif best is None or out[0] < best[0]:
-            best = out
+        cost = schedule_cost(sched, instance)
+        if best is None or cost < best[0]:
+            best = cost, sched, g
     if best is None:
         raise SchedulingError(f"all {len(work)} guesses failed to produce a schedule")
     return BoundedResult(best[1], best[0], len(work), failed, best[2], mode)

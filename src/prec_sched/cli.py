@@ -59,7 +59,6 @@ def _build_parser() -> _Parser:
 
     p = add("lp", "solve the completion-time relaxation")
     p.add_argument("instance")
-    p.add_argument("--separation", choices=("auto", "exhaustive", "fast"), default="auto")
     p.add_argument("--tol", type=float, default=TAU_LP)
 
     p = add("lpls", "LP-ordered list scheduling, no guessing")
@@ -169,7 +168,7 @@ def _dispatch(args) -> int:
         inst = load_instance(args.instance, normalize=True)
 
     if cmd == "lp":
-        sol = solve_lp(inst, tau=args.tol, separation=args.separation)
+        sol = solve_lp(inst, tau=args.tol)
         _emit(
             {
                 "C": [decimal_str(c) for c in sol.completion],

@@ -27,12 +27,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounded import BoundedResult, solve_bounded, to_fraction
+from .bounded import solve_bounded, to_fraction
 from .errors import InvariantViolationError
 from .exact import exact_opt
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
 from .lp import LpSolution, solve_lp
-from .util import parallel_map
 
 EPS_MAX = 3.0 / math.log(3.0)
 TAU_B_REL = 1e-9
@@ -234,8 +233,9 @@ def _solve_partition(
     trace_hook,
 ) -> tuple[Schedule, float, tuple[IntervalOutcome, ...]]:
     tol = instance.tol()
-
-    def solve_one(sub: SubInstance) -> tuple[BoundedResult, Schedule]:
+    start = [0.0] * instance.n
+    outcomes = []
+    for sub in subs:
         res = solve_bounded(
             sub.instance,
             epsilon,
@@ -255,12 +255,6 @@ def _solve_partition(
                 f"block {sub.index} escaped its interval: spans [{lo}, {hi}] "
                 f"vs [{sub.floor}, {ceiling}]"
             )
-        return res, tight
-
-    solved = parallel_map(solve_one, subs)
-    start = [0.0] * instance.n
-    outcomes = []
-    for sub, (res, tight) in zip(subs, solved):
         for pos, j in enumerate(sub.jobs):
             start[j] = tight.start[pos]
         outcomes.append(
@@ -268,7 +262,7 @@ def _solve_partition(
                 sub.index,
                 sub.jobs,
                 sub.floor,
-                3.0 * grid.t(sub.index + 1),
+                ceiling,
                 float(sum(
                     sub.instance.jobs[pos].w * (tight.start[pos] + sub.instance.jobs[pos].p)
                     for pos in range(len(sub.jobs))
@@ -338,7 +332,7 @@ def decompose_and_solve(
         )
         return grid, union, cost, outcomes
 
-    results = parallel_map(evaluate, candidates)
+    results = [evaluate(b) for b in candidates]
     best_at = min(range(len(results)), key=lambda i: (results[i][2], i))
     grid, union, cost, outcomes = results[best_at]
     return DecomposeResult(

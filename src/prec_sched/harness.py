@@ -21,7 +21,7 @@ from .instance import (
     schedule_cost,
 )
 from .listsched import list_schedule_strict, lp_ls
-from .util import canonical_json, parallel_map
+from .util import canonical_json
 
 FAMILIES = ("uniform", "p_le_r", "paper_example", "chains", "antichain")
 
@@ -181,9 +181,7 @@ def bench(configs, epsilons, trials: int) -> dict:
                 generate(replace(config, seed=config.seed + t)) for t in range(trials)
             ]
             opts = PipelineOptions(exact_cap=9, baselines=True)
-            records = parallel_map(
-                lambda inst: run_pipeline(inst, epsilon, opts), instances
-            )
+            records = [run_pipeline(inst, epsilon, opts) for inst in instances]
             row = {
                 "family": config.family,
                 "n": config.n,

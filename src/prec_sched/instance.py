@@ -239,12 +239,10 @@ class Schedule:
         }
 
 
-def feasibility_violations(
-    schedule: Schedule, instance: Instance, tol: float | None = None
-) -> list[str]:
-    """List constraint violations of a schedule, in a deterministic order."""
-    if tol is None:
-        tol = instance.tol()
+def feasibility_violations(schedule: Schedule, instance: Instance) -> list[str]:
+    """List constraint violations of a schedule, in a deterministic order,
+    up to the instance's tolerance."""
+    tol = instance.tol()
     out: list[str] = []
     start = schedule.start
     comp = schedule.completion(instance)
@@ -261,30 +259,27 @@ def feasibility_violations(
     return out
 
 
-def is_feasible(schedule: Schedule, instance: Instance, tol: float | None = None) -> bool:
-    return not feasibility_violations(schedule, instance, tol)
+def is_feasible(schedule: Schedule, instance: Instance) -> bool:
+    return not feasibility_violations(schedule, instance)
 
 
-def schedule_cost(
-    schedule: Schedule, instance: Instance, check: bool = False, tol: float | None = None
-) -> float:
+def schedule_cost(schedule: Schedule, instance: Instance, check: bool = False) -> float:
     """Weighted sum of completion times; optionally verifies feasibility first."""
     if check:
-        violations = feasibility_violations(schedule, instance, tol)
+        violations = feasibility_violations(schedule, instance)
         if violations:
             raise InfeasibleScheduleError(violations[0])
     return sum(job.w * (s + job.p) for s, job in zip(schedule.start, instance.jobs))
 
 
-def tighten(schedule: Schedule, instance: Instance, tol: float | None = None) -> Schedule:
+def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     """Shift jobs left, one at a time, until no single job can start earlier.
 
     Keeps every other start fixed while a job moves, so the result is a
     fixpoint of single-job left shifts; starts never increase and cost
     never increases. Idempotent.
     """
-    if tol is None:
-        tol = instance.tol()
+    tol = instance.tol()
     start = list(schedule.start)
     p = [job.p for job in instance.jobs]
     changed = True

@@ -81,18 +81,16 @@ class LpSolution:
     value: float
     cuts: tuple[Cut, ...]
     iterations: int
-    separation: str
     z_history: tuple[float, ...]
 
 
-def separate_exhaustive(
-    C, instance: Instance, tau: float = TAU_LP, cap: int = N_EXHAUSTIVE
-) -> Optional[Cut]:
+def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
     """Most violated subset cut over all 2^n - 1 subsets, or None.
 
     Subset aggregates (total processing, sum p_j C_j, min release) are
     built incrementally from each mask's lowest set bit, so the scan is
-    O(2^n) with O(2^n) memory. n is capped because of exactly that cost.
+    O(2^n) with O(2^n) memory. n is capped at N_EXHAUSTIVE because of
+    exactly that cost.
 
     Parameters
     ----------
@@ -101,8 +99,6 @@ def separate_exhaustive(
     instance : Instance
     tau : float
         Violation threshold; subsets violated by at most tau are ignored.
-    cap : int
-        Largest n this oracle accepts.
 
     Returns
     -------
@@ -111,9 +107,10 @@ def separate_exhaustive(
         tau, with exact rhs; None otherwise. Ties keep the lowest mask.
     """
     n = instance.n
-    if n > cap:
+    if n > N_EXHAUSTIVE:
         raise ValueError(
-            f"exhaustive separation is capped at n = {cap} (got {n}); use separate_fast"
+            f"exhaustive separation is capped at n = {N_EXHAUSTIVE} (got {n}); "
+            "use separate_fast"
         )
     p = [float(job.p) for job in instance.jobs]
     r = [float(job.r) for job in instance.jobs]
@@ -206,17 +203,16 @@ def _cut_row(p: np.ndarray, cut: Cut) -> np.ndarray:
 def solve_lp(
     instance: Instance,
     tau: float = TAU_LP,
-    separation: str = "auto",
-    strengthen: bool = False,
     max_rounds: Optional[int] = None,
     warm: Iterable[Iterable[int]] = (),
 ) -> LpSolution:
     """Minimize sum w_j C_j over the completion-time polytope via cutting planes.
 
     Starts from the precedence rows plus all singleton subset cuts and the
-    `warm` cuts, then alternates LP solves with separation until no subset
-    constraint is violated by more than tau. The constraint rows are built
-    once; each round appends the new cut's row.
+    `warm` cuts, then alternates LP solves with the prefix oracle
+    `separate_fast` until no subset constraint is violated by more than
+    tau. The constraint rows are built once; each round appends the new
+    cut's row.
 
     Parameters
     ----------
@@ -224,16 +220,9 @@ def solve_lp(
         Validated instance with release times already lifted along the
         precedence order.
     tau : float
-        Separation tolerance. Both oracles are complete, so termination
-        certifies that no subset at all is violated beyond tau.
-    separation : {"auto", "exhaustive", "fast"}
-        "auto" and "fast" use the prefix oracle `separate_fast` at every
-        n. "exhaustive" scans all 2^n - 1 subsets (n <= 18); it is the
-        reference mode and costs O(2^n) per round.
-    strengthen : bool
-        Additionally impose C_j >= r_j + p_j as variable lower bounds.
-        Off by default: the guarantee analysis only relies on the subset
-        family, and the extra bounds change which constraints bind.
+        Separation tolerance, finite and nonnegative. The prefix oracle
+        is complete, so termination certifies that no subset at all is
+        violated beyond tau.
     max_rounds : int, optional
         Cap on LP solves; default 10 n^2.
     warm : iterable of job subsets
@@ -250,18 +239,18 @@ def solve_lp(
 
     Raises
     ------
+    ValueError
+        If tau is negative or not finite.
     LpIterationLimitError
         If the cap is reached, or a cut already in the model is reported
         violated again (numerical trouble); carries the offending cut.
     """
+    # a nan or infinite tau would accept every point as converged
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"LP tolerance tau must be finite and nonnegative, got {tau}")
     n = instance.n
     if n == 0:
-        return LpSolution((), 0.0, (), 0, "none", ())
-    if separation == "auto":
-        separation = "fast"
-    if separation not in ("exhaustive", "fast"):
-        raise ValueError(f"unknown separation mode {separation!r}")
-    sep = separate_exhaustive if separation == "exhaustive" else separate_fast
+        return LpSolution((), 0.0, (), 0, ())
     if max_rounds is None:
         max_rounds = 10 * n * n
 
@@ -276,25 +265,18 @@ def solve_lp(
     w = np.array([float(job.w) for job in instance.jobs])
     A = np.vstack([_precedence_rows(instance)] + [_cut_row(p, cut) for cut in cuts])
     b = np.concatenate((np.zeros(len(instance.prec)), [-float(cut.rhs) for cut in cuts]))
-    if strengthen:
-        lb = [float(job.r) + float(job.p) for job in instance.jobs]
-    else:
-        lb = [0.0] * n
-    bounds = list(zip(lb, [None] * n))
 
     z_history = []
     C, z = (), 0.0
     for rounds in range(1, max_rounds + 1):
-        res = linprog(
-            w, A_ub=A, b_ub=b, bounds=bounds, method="highs", options=dict(_HIGHS_OPTIONS)
-        )
+        res = linprog(w, A_ub=A, b_ub=b, method="highs", options=dict(_HIGHS_OPTIONS))
         if not res.success:
             raise SchedulingError(f"inner LP solve failed: {res.message}")
         C, z = tuple(res.x.tolist()), float(res.fun)
         z_history.append(z)
-        cut = sep(C, instance, tau)
+        cut = separate_fast(C, instance, tau)
         if cut is None:
-            return LpSolution(C, z, tuple(cuts), rounds, separation, tuple(z_history))
+            return LpSolution(C, z, tuple(cuts), rounds, tuple(z_history))
         if cut.jobs in seen:
             raise LpIterationLimitError(
                 f"cut on jobs {cut.jobs} still violated by {cut_violation_of(cut, C, instance):.3e} "
@@ -306,7 +288,7 @@ def solve_lp(
         A = np.vstack((A, _cut_row(p, cut)))
         b = np.append(b, -float(cut.rhs))
     # one last separation to name the most violated leftover
-    leftover = sep(C, instance, tau)
+    leftover = separate_fast(C, instance, tau)
     raise LpIterationLimitError(
         f"cutting-plane loop exceeded {max_rounds} rounds", leftover
     )

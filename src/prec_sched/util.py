@@ -1,46 +1,8 @@
-"""Small shared helpers: parallel map and JSON number formatting."""
+"""Small shared helpers: JSON number formatting."""
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
-_in_pool = threading.local()
-
-
-def worker_count() -> int:
-    """Worker cap for parallel_map, from PREC_SCHED_THREADS (default: 1)."""
-    raw = os.environ.get("PREC_SCHED_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map fn over items, preserving order.
-
-    Uses a thread pool when PREC_SCHED_THREADS > 1. Nested calls (a worker
-    calling parallel_map again) run sequentially to keep the thread count
-    bounded. fn must be pure: results are reduced in input order, so the
-    output is deterministic either way.
-    """
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1 or getattr(_in_pool, "active", False):
-        return [fn(x) for x in items]
-
-    def run(x):
-        _in_pool.active = True
-        try:
-            return fn(x)
-        finally:
-            _in_pool.active = False
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(run, items))
 
 
 def decimal_str(x) -> str:

@@ -107,6 +107,13 @@ class TestEnumerateGuesses:
         assert stats["yielded"] == 3
         assert list(enumerate_guesses(instance, Fraction(1, 4), 4, budget=0)) == []
 
+    def test_negative_budget_rejected(self):
+        instance = random_instance(7, 5, p_max=8, r_max=3)
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            list(enumerate_guesses(instance, Fraction(1, 4), 4, budget=-1))
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            list(enumerate_type_guesses(instance, Fraction(1, 4), 1, 4, budget=-1))
+
     def test_rejects_nonpositive_epsilon(self):
         instance = make_instance([(1, 0, 1)])
         with pytest.raises(ValueError, match="epsilon"):

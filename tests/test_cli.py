@@ -94,9 +94,17 @@ class TestLp:
             assert cut in doc["cuts"]
 
     def test_separation_choice_enforced(self, capsys, reference_path):
-        code, _, err = run(capsys, "lp", reference_path, "--separation", "magic")
+        # prefix separation is the only mode, so the CLI offers no choice
+        code, _, err = run(capsys, "lp", reference_path, "--separation", "fast")
         assert code == 1
-        assert "invalid choice" in err
+        assert "unrecognized arguments: --separation" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, reference_path, tol):
+        code, out, err = run(capsys, "lp", reference_path, "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert "tau must be finite and nonnegative" in err
 
 
 class TestLpLs:
@@ -166,6 +174,19 @@ class TestBounded:
         assert code == 1
         assert "guesses failed" in err
 
+    def test_negative_budget_is_usage_error(self, capsys, tmp_path):
+        # 12 jobs: without a budget, exhaustive mode rejects them by the job cap
+        path = write_doc(tmp_path, {"jobs": [{"p": 1, "r": 2, "w": 1}] * 12, "prec": []})
+        code, out, err = run(
+            capsys,
+            "bounded", path,
+            "--L", "2", "--beta", "21", "--epsilon", "1", "--mode", "exhaustive",
+            "--budget", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "guess budget must be nonnegative, got -1" in err
+
 
 class TestSolve:
     def test_derandomized_reference(self, capsys, reference_path):
@@ -198,6 +219,14 @@ class TestSolve:
             code, _, err = run(capsys, "solve", reference_path, "--epsilon", bad)
             assert code == 1
             assert "epsilon must lie" in err
+
+    def test_negative_budget_is_usage_error(self, capsys, reference_path):
+        code, out, err = run(
+            capsys, "solve", reference_path, "--epsilon", "1", "--budget", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "guess budget must be nonnegative, got -1" in err
 
     def test_epsilon_must_be_rational(self, capsys, reference_path):
         code, _, err = run(capsys, "solve", reference_path, "--epsilon", "tiny")

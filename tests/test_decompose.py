@@ -38,7 +38,7 @@ from .oracles import partition_signature
 def fake_lp(completion):
     """LP stand-in carrying only completion times, for partition tests."""
     c = tuple(float(x) for x in completion)
-    return LpSolution(c, sum(c), (), 0, "none", ())
+    return LpSolution(c, sum(c), (), 0, ())
 
 
 class TestGrids:

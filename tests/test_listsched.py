@@ -90,12 +90,12 @@ class TestListSchedule:
 class TestOrderFromLp:
     def test_sorts_by_completion_with_id_ties(self):
         instance = make_instance([(1, 0, 1)] * 3)
-        sol = LpSolution((2.0, 1.0, 2.0), 5.0, (), 1, "exhaustive", (5.0,))
+        sol = LpSolution((2.0, 1.0, 2.0), 5.0, (), 1, (5.0,))
         assert order_from_lp(sol, instance) == (1, 0, 2)
 
     def test_precedence_beats_float_noise(self):
         instance = make_instance([(1, 0, 1), (1, 0, 1)], [(0, 1)])
-        sol = LpSolution((1.0, 1.0 - 1e-12), 2.0, (), 1, "exhaustive", (2.0,))
+        sol = LpSolution((1.0, 1.0 - 1e-12), 2.0, (), 1, (2.0,))
         assert order_from_lp(sol, instance) == (0, 1)
 
 

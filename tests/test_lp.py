@@ -87,20 +87,6 @@ class TestSolveLp:
             sol = solve_lp(instance)
             assert separate_exhaustive(sol.completion, instance, TAU_LP) is None
 
-    def test_fast_and_exhaustive_agree_on_value(self):
-        for seed in range(15):
-            instance = random_instance(seed, 6)
-            z_ex = solve_lp(instance, separation="exhaustive").value
-            z_fast = solve_lp(instance, separation="fast").value
-            assert z_fast == pytest.approx(z_ex, rel=1e-5, abs=1e-6)
-
-    def test_strengthen_flag_raises_floors(self):
-        instance = make_instance([(4, 1, 1)])
-        plain = solve_lp(instance)
-        strong = solve_lp(instance, strengthen=True)
-        assert plain.completion[0] == pytest.approx(3.0, abs=TOL)
-        assert strong.completion[0] >= 5.0 - TOL
-
     def test_round_cap_raises_with_cut(self):
         instance = random_instance(2, 6)
         with pytest.raises(LpIterationLimitError):
@@ -116,10 +102,6 @@ class TestSolveLp:
         sol = solve_lp(instance)
         assert sol.value == pytest.approx(0.0, abs=TOL)
         assert separate_exhaustive(sol.completion, instance) is None
-
-    def test_unknown_separation_mode(self):
-        with pytest.raises(ValueError, match="separation"):
-            solve_lp(make_instance([(1, 0, 1)]), separation="bogus")
 
 
 class TestSeparateExhaustive:
@@ -214,11 +196,6 @@ class TestPrefixSeparationIsComplete:
                 exhaustive, point, instance
             )
 
-    def test_auto_uses_the_prefix_oracle_at_small_n(self):
-        sol = solve_lp(random_instance(3, 6))
-        assert sol.separation == "fast"
-
-
 def chains_block(seed):
     """The largest block, with its parent, of a 14-job chains instance
     split at offset 0 with epsilon 1."""
@@ -307,7 +284,7 @@ class TestCheckLpLemmas:
 
     def test_below_halfway_bound_flagged(self):
         instance = make_instance([(2, 3, 1)])
-        fake = LpSolution((3.5,), 3.5, (), 1, "exhaustive", (3.5,))
+        fake = LpSolution((3.5,), 3.5, (), 1, (3.5,))
         report = check_lp_lemmas(fake, instance)
         assert any("below" in f for f in report.findings)
 
@@ -320,6 +297,6 @@ class TestCheckLpLemmas:
     def test_subset_bound_violation_flagged(self):
         # total processing 4 but completions below 2 break the subset bound
         instance = make_instance([(2, 0, 1), (2, 0, 1)])
-        fake = LpSolution((1.4, 1.6), 3.0, (), 1, "exhaustive", (3.0,))
+        fake = LpSolution((1.4, 1.6), 3.0, (), 1, (3.0,))
         report = check_lp_lemmas(fake, instance)
         assert any("exceeds" in f for f in report.findings)
