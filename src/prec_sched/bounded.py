@@ -26,6 +26,12 @@ guesses only produce worse candidates, never unsound ones.
 Grid start times are exact rationals: guess identity must not depend on
 float rounding. A fast mode rounds processing times up to powers of
 (1+eps) first and guesses per rounded-size class instead of per job.
+
+Both modes run one guess stream and one lift and differ only in their
+items, keys with a size and a smallest release: jobs (p_j, r_j) in the
+exhaustive mode, which also checks precedence, and the eligible size
+classes ((1+eps)^i, the class's smallest release) in the typed mode,
+where a job's key is its class.
 """
 
 from __future__ import annotations
@@ -93,12 +99,14 @@ EMPTY_GUESS = Guess((), ())
 
 def _start_grid(p, eps: Fraction) -> list[Fraction]:
     # multiples m * eps * p with m * eps < 1, i.e. candidate starts below p
-    out = []
-    m = 0
-    while m * eps < 1:
-        out.append(m * eps * to_fraction(p))
-        m += 1
-    return out
+    return [m * eps * to_fraction(p) for m in range(math.ceil(1 / eps))]
+
+
+def _positive(epsilon) -> Fraction:
+    eps = to_fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    return eps
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -124,60 +132,64 @@ def enumerate_guesses(
     stream after that many yields; `stats` then counts only up to the
     last guess yielded.
     """
-    eps = to_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = _positive(epsilon)
+    items = {j: (job.p, job.r) for j, job in enumerate(instance.jobs)}
+    yield from _stream(Guess, items, instance.prec, eps, beta, budget, stats)
+
+
+def _stream(make, items: dict, prec, eps: Fraction, beta, budget, stats) -> Iterator:
+    """Both modes' guess stream: make(keys, starts) over `items`, which maps
+    each key to (size, smallest release). Resets `stats`; `budget` truncates."""
     _check_budget(budget)
     if stats is None:
         stats = {}
     stats.update(yielded=0, pruned_release=0, pruned_overlap=0, pruned_prec=0)
-    yield from islice(_guesses(instance, eps, beta, stats), budget)
+    yield from islice(_guesses(make, items, prec, eps, beta, stats), budget)
 
 
-def _guesses(instance: Instance, eps: Fraction, beta, stats: dict) -> Iterator[Guess]:
-    n = instance.n
-    cap = min(early_bound(eps, beta), n)
+def _guesses(make, items: dict, prec, eps: Fraction, beta, stats: dict) -> Iterator:
+    cap = min(early_bound(eps, beta), len(items))
     stats["yielded"] += 1
-    yield EMPTY_GUESS
+    yield make((), ())
 
-    options: list[list[Fraction]] = []
-    for j in range(n):
-        grid = _start_grid(instance.jobs[j].p, eps)
-        keep = [s for s in grid if s >= instance.jobs[j].r]
+    options = {}
+    for key, (size, r_min) in items.items():
+        grid = _start_grid(size, eps)
+        keep = [s for s in grid if s >= r_min]
         stats["pruned_release"] += len(grid) - len(keep)
-        options.append(keep)
+        options[key] = keep
 
-    prec = instance.prec
-    for size in range(1, cap + 1):
-        for subset in combinations(range(n), size):
-            if any(not options[j] for j in subset):
+    for count in range(1, cap + 1):
+        for chosen in combinations(items, count):
+            if any(not options[k] for k in chosen):
                 continue
-            for starts in product(*(options[j] for j in subset)):
-                span = sorted(
-                    (starts[i], starts[i] + instance.jobs[j].p)
-                    for i, j in enumerate(subset)
-                )
+            for starts in product(*(options[k] for k in chosen)):
+                span = sorted((s, s + items[k][0]) for k, s in zip(chosen, starts))
                 if any(span[i][1] > span[i + 1][0] for i in range(len(span) - 1)):
                     stats["pruned_overlap"] += 1
                     continue
-                at = dict(zip(subset, starts))
+                at = dict(zip(chosen, starts))
                 if any(
-                    (j, k) in prec and at[j] + instance.jobs[j].p > at[k]
-                    for j in subset
-                    for k in subset
+                    (j, k) in prec and at[j] + items[j][0] > at[k]
+                    for j in chosen
+                    for k in chosen
                     if j != k
                 ):
                     stats["pruned_prec"] += 1
                     continue
                 stats["yielded"] += 1
-                yield Guess(subset, starts)
+                yield make(chosen, starts)
 
 
-def _fixpoint_dc(instance: Instance, floor, intervals):
-    """Lift releases to `floor`, then iterate order-consistency and the
-    interval-avoidance push to a least fixpoint. Returns new releases."""
+def _lift(instance: Instance, key_of, size, keys, starts) -> Instance:
+    """Both modes' lift: guessed key k starts at its start s and occupies
+    [s, s + size[k]]; job j has key key_of[j]. Raises on a bug (see
+    adjust_release_times)."""
     n = instance.n
-    r = [max(instance.jobs[j].r, floor[j]) for j in range(n)]
+    early = dict(zip(keys, starts))
+    floor = [early.get(key_of[j], Fraction(job.p)) for j, job in enumerate(instance.jobs)]
+    intervals = [(s, s + size[k]) for k, s in zip(keys, starts)]
+    r = [max(job.r, f) for job, f in zip(instance.jobs, floor)]
     pairs = sorted(instance.prec)
     for _ in range(2 + n * n * max(1, len(intervals))):
         changed = False
@@ -191,14 +203,12 @@ def _fixpoint_dc(instance: Instance, floor, intervals):
                     r[j] = e
                     changed = True
         if not changed:
-            return r
-    raise InvariantViolationError(
-        "release-time adjustment did not reach a fixpoint within its round cap"
-    )
-
-
-def _assert_adjusted(instance: Instance, r, floor, intervals) -> None:
-    for j in range(instance.n):
+            break
+    else:
+        raise InvariantViolationError(
+            "release-time adjustment did not reach a fixpoint within its round cap"
+        )
+    for j in range(n):
         if r[j] < instance.jobs[j].r or r[j] < floor[j]:
             raise InvariantViolationError(f"adjusted release of job {j} below its floor")
         if any(s < r[j] < e for s, e in intervals):
@@ -208,6 +218,8 @@ def _assert_adjusted(instance: Instance, r, floor, intervals) -> None:
             raise InvariantViolationError(
                 f"adjusted releases violate order consistency on ({j}, {k})"
             )
+    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
+    return Instance(jobs, instance.prec)
 
 
 def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
@@ -218,18 +230,8 @@ def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     intervals run alternately until stable. Raises if the round cap is
     hit or the result violates any rule (both would be bugs).
     """
-    n = instance.n
-    early = dict(zip(guess.jobs, guess.starts))
-    floor = [
-        early[j] if j in early else Fraction(instance.jobs[j].p) for j in range(n)
-    ]
-    intervals = [
-        (s, s + instance.jobs[j].p) for j, s in zip(guess.jobs, guess.starts)
-    ]
-    r = _fixpoint_dc(instance, floor, intervals)
-    _assert_adjusted(instance, r, floor, intervals)
-    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    return Instance(jobs, instance.prec)
+    sizes = [job.p for job in instance.jobs]
+    return _lift(instance, range(instance.n), sizes, guess.jobs, guess.starts)
 
 
 def round_processing(instance: Instance, epsilon) -> Instance:
@@ -280,57 +282,17 @@ def enumerate_type_guesses(
     release time. Early processing intervals must not overlap. `budget`
     truncates the stream as in enumerate_guesses.
     """
-    eps = to_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    _check_budget(budget)
-    if stats is None:
-        stats = {}
-    stats.update(yielded=0, pruned_release=0, pruned_overlap=0)
-    yield from islice(_type_guesses(instance, eps, L, beta, stats), budget)
-
-
-def _type_guesses(
-    instance: Instance, eps: Fraction, L, beta, stats: dict
-) -> Iterator[TypeGuess]:
-    types = job_types(instance, eps)
+    eps = _positive(epsilon)
     base = 1 + eps
+    types = job_types(instance, eps)
     Lf = to_fraction(L)
     hi = base * base * to_fraction(beta) * Lf
-    present = sorted(set(types))
-    eligible = []
-    for i in present:
-        size = base**i
-        if Lf < size < hi:
-            eligible.append(i)
-    cap = min(early_bound(eps, beta), len(eligible))
-    stats["yielded"] += 1
-    yield TypeGuess((), ())
-
-    options: dict[int, list[Fraction]] = {}
-    for i in eligible:
-        size = base**i
-        r_min = min(
-            to_fraction(instance.jobs[j].r) for j in range(instance.n) if types[j] == i
-        )
-        grid = _start_grid(size, eps)
-        keep = [s for s in grid if s >= r_min]
-        stats["pruned_release"] += len(grid) - len(keep)
-        options[i] = keep
-
-    for size_count in range(1, cap + 1):
-        for chosen in combinations(eligible, size_count):
-            if any(not options[i] for i in chosen):
-                continue
-            for starts in product(*(options[i] for i in chosen)):
-                span = sorted(
-                    (starts[k], starts[k] + base**i) for k, i in enumerate(chosen)
-                )
-                if any(span[k][1] > span[k + 1][0] for k in range(len(span) - 1)):
-                    stats["pruned_overlap"] += 1
-                    continue
-                stats["yielded"] += 1
-                yield TypeGuess(chosen, starts)
+    items = {
+        i: (base**i, min(to_fraction(job.r) for t, job in zip(types, instance.jobs) if t == i))
+        for i in sorted(set(types))
+        if Lf < base**i < hi
+    }
+    yield from _stream(TypeGuess, items, frozenset(), eps, beta, budget, stats)
 
 
 def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) -> Instance:
@@ -341,19 +303,9 @@ def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) ->
     time, mirroring rules (b) and (c) per class. Consistency and the
     interval push then run to a fixpoint as in adjust_release_times.
     """
-    eps = to_fraction(epsilon)
-    base = 1 + eps
-    types = job_types(instance, eps)
-    early = dict(zip(guess.types, guess.starts))
-    floor = []
-    for j in range(instance.n):
-        i = types[j]
-        floor.append(early[i] if i in early else Fraction(instance.jobs[j].p))
-    intervals = [(s, s + base**i) for i, s in zip(guess.types, guess.starts)]
-    r = _fixpoint_dc(instance, floor, intervals)
-    _assert_adjusted(instance, r, floor, intervals)
-    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    return Instance(jobs, instance.prec)
+    base = 1 + to_fraction(epsilon)
+    sizes = {i: base**i for i in guess.types}
+    return _lift(instance, job_types(instance, epsilon), sizes, guess.types, guess.starts)
 
 
 @dataclass(frozen=True)
@@ -409,7 +361,7 @@ def solve_bounded(
         the earliest guess in stream order. Guesses whose LP fails are
         logged and skipped; if every guess fails, SchedulingError.
     """
-    eps = to_fraction(epsilon)
+    eps = _positive(epsilon)
     _check_budget(budget)
     tol = instance.tol()
     low = min((job.r for job in instance.jobs), default=L)
@@ -423,25 +375,23 @@ def solve_bounded(
                 f"exhaustive guessing is capped at n = {N_GUESS} jobs; "
                 "use typed mode or set a budget"
             )
-        work = [(g, None) for g in enumerate_guesses(instance, eps, beta, budget)]
+        guesses = list(enumerate_guesses(instance, eps, beta, budget))
     elif mode == "empty-guess":
-        work = [(EMPTY_GUESS, None)]
+        guesses = [EMPTY_GUESS]
     elif mode == "typed":
         rounded = round_processing(instance, eps)
-        work = [
-            (g, rounded) for g in enumerate_type_guesses(rounded, eps, L, beta, budget)
-        ]
+        guesses = list(enumerate_type_guesses(rounded, eps, L, beta, budget))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     warm = tuple(warm)
     best = None
     failed = 0
-    for g, rounded in work:
+    for g in guesses:
         try:
-            if rounded is None:
-                adjusted = adjust_release_times(instance, g)
-            else:
+            if mode == "typed":
                 adjusted = adjust_release_times_typed(rounded, g, eps)
+            else:
+                adjusted = adjust_release_times(instance, g)
             run = lp_ls(adjusted, warm=warm)
         except InvariantViolationError:
             raise
@@ -460,8 +410,8 @@ def solve_bounded(
         if best is None or cost < best[0]:
             best = cost, sched, g
     if best is None:
-        raise SchedulingError(f"all {len(work)} guesses failed to produce a schedule")
-    return BoundedResult(best[1], best[0], len(work), failed, best[2], mode)
+        raise SchedulingError(f"all {len(guesses)} guesses failed to produce a schedule")
+    return BoundedResult(best[1], best[0], len(guesses), failed, best[2], mode)
 
 
 def grid_shift(schedule: Schedule, instance: Instance, epsilon) -> Schedule:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounded import solve_bounded, to_fraction
+from .bounded import _check_budget, solve_bounded, to_fraction
 from .errors import InvariantViolationError
 from .exact import exact_opt
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
@@ -310,9 +310,11 @@ def decompose_and_solve(
     DecomposeResult
         Schedule plus offset, grid, per-block diagnostics, and the LP.
     """
-    lp = solve_lp(instance)
+    # reject bad arguments before the parent LP, the costliest step here
     eps = to_fraction(epsilon)
     a = _scale_of(eps)
+    _check_budget(budget)
+    lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(Schedule(()), 0.0, 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp)
     cmax = max(lp.completion)

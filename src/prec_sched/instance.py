@@ -275,30 +275,29 @@ def schedule_cost(schedule: Schedule, instance: Instance, check: bool = False) -
 def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     """Shift jobs left, one at a time, until no single job can start earlier.
 
-    Keeps every other start fixed while a job moves, so the result is a
-    fixpoint of single-job left shifts; starts never increase and cost
-    never increases. Idempotent.
+    One sweep in (start, id) order; each job moves to the earliest start
+    after its release and predecessors that fits between the others,
+    which stay fixed. On a feasible schedule that is a fixpoint: a job
+    visited later only fills space left of its own old start, which lies
+    at or after the completion of every job visited earlier, and a
+    predecessor always starts before its successor, so no job visited
+    earlier can move again. Starts and cost never increase; idempotent.
     """
     tol = instance.tol()
     start = list(schedule.start)
     p = [job.p for job in instance.jobs]
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(range(instance.n), key=lambda i: (start[i], i)):
-            lb = float(instance.jobs[j].r)
-            for h in instance.predecessors[j]:
-                lb = max(lb, start[h] + p[h])
-            cand = lb
-            others = sorted((start[k], start[k] + p[k]) for k in range(instance.n) if k != j)
-            for s_k, c_k in others:
-                if cand + p[j] <= s_k + tol:
-                    break
-                if cand < c_k - tol:
-                    cand = max(cand, c_k)
-            if cand < start[j] - tol:
-                start[j] = cand
-                changed = True
+    for j in sorted(range(instance.n), key=lambda i: (start[i], i)):
+        lb = float(instance.jobs[j].r)
+        for h in instance.predecessors[j]:
+            lb = max(lb, start[h] + p[h])
+        others = sorted((start[k], start[k] + p[k]) for k in range(instance.n) if k != j)
+        for s_k, c_k in others:  # jump over every job the candidate overlaps
+            if lb + p[j] <= s_k + tol:
+                break
+            if lb < c_k - tol:
+                lb = c_k
+        if lb < start[j] - tol:
+            start[j] = lb
     return Schedule(tuple(start))
 
 

@@ -51,6 +51,8 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
+# for the same reason, no tau below the inner solver's tolerance can be certified
+TAU_MIN = _HIGHS_OPTIONS["primal_feasibility_tolerance"]
 
 
 @dataclass(frozen=True)
@@ -220,9 +222,9 @@ def solve_lp(
         Validated instance with release times already lifted along the
         precedence order.
     tau : float
-        Separation tolerance, finite and nonnegative. The prefix oracle
-        is complete, so termination certifies that no subset at all is
-        violated beyond tau.
+        Separation tolerance, finite and at least TAU_MIN (1e-9). The
+        prefix oracle is complete, so termination certifies that no
+        subset at all is violated beyond tau.
     max_rounds : int, optional
         Cap on LP solves; default 10 n^2.
     warm : iterable of job subsets
@@ -240,14 +242,14 @@ def solve_lp(
     Raises
     ------
     ValueError
-        If tau is negative or not finite.
+        If tau is below TAU_MIN or not finite.
     LpIterationLimitError
         If the cap is reached, or a cut already in the model is reported
         violated again (numerical trouble); carries the offending cut.
     """
     # a nan or infinite tau would accept every point as converged
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"LP tolerance tau must be finite and nonnegative, got {tau}")
+    if not (math.isfinite(tau) and tau >= TAU_MIN):
+        raise ValueError(f"LP tolerance tau must be finite and at least {TAU_MIN:g}, got {tau}")
     n = instance.n
     if n == 0:
         return LpSolution((), 0.0, (), 0, ())

@@ -199,6 +199,17 @@ class TestEnumerateTypeGuesses:
         assert out == [TypeGuess((), ())]
         assert stats["pruned_release"] == 1
 
+    def test_stats_carry_a_zero_precedence_count(self):
+        # size classes have no precedence between them, so the stream both
+        # modes share never prunes a class guess on it
+        eps = Fraction(1, 2)
+        rounded = round_processing(random_instance(61, 5, p_max=8, r_max=3, density=0.4), eps)
+        stats = {}
+        out = list(enumerate_type_guesses(rounded, eps, 1, 4, stats=stats))
+        assert rounded.prec and len(out) > 1
+        assert stats["yielded"] == len(out)
+        assert stats["pruned_prec"] == 0
+
     def test_single_class_half_grid(self):
         rounded = round_processing(make_instance([(8, 2, 1)]), Fraction(1, 2))
         assert rounded.jobs[0].p == Fraction(729, 64)
@@ -350,6 +361,18 @@ class TestSolveBounded:
         instance = make_instance([(1, 2, 1)])
         with pytest.raises(ValueError, match="unknown mode"):
             solve_bounded(instance, 1, 2, E3, mode="guesswork")
+
+    def test_nonpositive_epsilon_rejected_in_every_mode(self, monkeypatch):
+        # typed mode used to round with base 1 + eps <= 1, which never ends
+        def no_rounding(*args):
+            raise AssertionError("processing times rounded with a nonpositive epsilon")
+
+        monkeypatch.setattr("prec_sched.bounded.round_processing", no_rounding)
+        instance = make_instance([(8, 6, 2)])
+        for mode in ("exhaustive", "typed", "empty-guess"):
+            for eps in (0, -1):
+                with pytest.raises(ValueError, match="epsilon must be positive"):
+                    solve_bounded(instance, eps, 6, 21, mode=mode)
 
     def test_trace_hook_sees_every_guess(self):
         instance = random_bounded_instance(5, 4, 2)

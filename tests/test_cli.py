@@ -104,7 +104,22 @@ class TestLp:
         code, out, err = run(capsys, "lp", reference_path, "--tol", tol)
         assert code == 1
         assert out == ""
-        assert "tau must be finite and nonnegative" in err
+        assert "tau must be finite and at least 1e-09" in err
+
+    @pytest.mark.parametrize("tol, code", [("0", 1), ("1e-12", 1), ("1e-9", 0)])
+    def test_tolerance_below_inner_solver_rejected(self, capsys, tmp_path, tol, code):
+        # tau = 0 used to end in a broken-invariant exit 3 on this instance
+        _, doc, _ = run(
+            capsys, "gen", "--family", "chains", "--n", "14", "--r-max", "56", "--seed", "1"
+        )
+        path = write_doc(tmp_path, json.loads(doc))
+        got, out, err = run(capsys, "lp", path, "--tol", tol)
+        assert got == code
+        if code:
+            assert out == ""
+            assert "tau must be finite and at least 1e-09" in err
+        else:
+            assert json.loads(out)["Z"]
 
 
 class TestLpLs:
@@ -156,6 +171,18 @@ class TestBounded:
         code, _, err = run(capsys, "bounded", reference_path, "--beta", "21", "--epsilon", "1")
         assert code == 1
         assert "--L" in err
+
+    def test_nonpositive_epsilon_is_usage_error(self, capsys, tmp_path):
+        # the empty guess never reads epsilon, so it used to exit 0
+        path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}], "prec": []})
+        code, out, err = run(
+            capsys,
+            "bounded", path,
+            "--L", "6", "--beta", "21", "--epsilon", "0", "--mode", "empty-guess",
+        )
+        assert code == 1
+        assert out == ""
+        assert "epsilon must be positive" in err
 
     def test_unbounded_instance_rejected(self, capsys, reference_path):
         code, _, err = run(

@@ -224,6 +224,17 @@ class TestDecomposeAndSolve:
             with pytest.raises(ValueError, match="epsilon must lie"):
                 decompose_and_solve(instance, bad)
 
+    def test_bad_arguments_rejected_before_the_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the parent LP was solved before the arguments were checked")
+
+        monkeypatch.setattr("prec_sched.decompose.solve_lp", no_lp)
+        instance = make_instance([(1, 0, 1)])
+        with pytest.raises(ValueError, match="epsilon must lie"):
+            decompose_and_solve(instance, 4)
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            decompose_and_solve(instance, 1, budget=-1)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             decompose_and_solve(make_instance([(1, 0, 1)]), 1, mode="oracle")

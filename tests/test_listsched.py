@@ -4,14 +4,19 @@ trace checkers for the no-idle and busy-interval properties."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from prec_sched import (
     LpSolution,
     Schedule,
+    adjust_release_times,
+    adjust_release_times_typed,
     check_busy_interval_bounds,
     check_ls_property,
+    enumerate_guesses,
+    enumerate_type_guesses,
     exact_opt,
     is_feasible,
     list_schedule,
@@ -19,10 +24,12 @@ from prec_sched import (
     lp_ls,
     make_instance,
     order_from_lp,
+    round_processing,
     schedule_cost,
     solve_lp,
     tighten,
 )
+from prec_sched.decompose import build_grid, partition_jobs
 from .conftest import random_instance
 from .oracles import reference_list_schedule
 
@@ -45,6 +52,25 @@ def consistent_order(rng, instance):
     return tuple(order)
 
 
+def lifted_blocks():
+    """Block instances of the pipeline with lifted releases: partition_jobs
+    blocks run through both release lifts, so releases mix Fraction and
+    float values."""
+    eps = Fraction(1, 2)
+    out = []
+    for seed in range(12):
+        parent = random_instance(300 + seed, 9, p_max=8, r_max=4, density=0.3)
+        lp = solve_lp(parent)
+        grid = build_grid(eps, 1.0, max(lp.completion))
+        for sub in partition_jobs(parent, lp, grid):
+            for guess in enumerate_guesses(sub.instance, eps, sub.beta, budget=4):
+                out.append(adjust_release_times(sub.instance, guess))
+            rounded = round_processing(sub.instance, eps)
+            for guess in enumerate_type_guesses(rounded, eps, sub.floor, sub.beta, budget=4):
+                out.append(adjust_release_times_typed(rounded, guess, eps))
+    return out
+
+
 class TestListSchedule:
     def test_heavy_job_grabs_the_machine(self, two_job_reference):
         # priority order favors the heavy job; at time 0 it is the only
@@ -59,8 +85,9 @@ class TestListSchedule:
 
     def test_feasible_tight_and_matches_reference(self):
         rng = random.Random(0)
-        for seed in range(100):
-            instance = random_instance(seed, 7, density=0.4)
+        instances = [random_instance(seed, 7, density=0.4) for seed in range(100)]
+        instances += lifted_blocks()
+        for instance in instances:
             order = consistent_order(rng, instance)
             schedule = list_schedule(instance, order)
             assert is_feasible(schedule, instance)
@@ -68,6 +95,22 @@ class TestListSchedule:
             assert schedule.start == pytest.approx(
                 reference_list_schedule(instance, order)
             )
+
+    def test_release_ties_across_number_types(self):
+        instance = make_instance([(2, Fraction(3), 1), (1, 3.0, 1), (1, 3, 2)])
+        schedule = list_schedule(instance, (2, 1, 0))
+        assert schedule.start == (5, 4, 3)
+        assert schedule.start == pytest.approx(reference_list_schedule(instance, (2, 1, 0)))
+
+    def test_empty_instance(self):
+        assert list_schedule(make_instance([]), ()) == Schedule(())
+
+    def test_cyclic_relation_rejected(self):
+        two = make_instance([(1, 0, 1)] * 2, [(0, 1), (1, 0)], close=False)
+        three = make_instance([(1, 0, 1)] * 3, [(1, 2), (2, 1)], close=False)
+        for instance in (two, three):
+            with pytest.raises(ValueError, match="not acyclic"):
+                list_schedule(instance, tuple(range(instance.n)))
 
     def test_rejects_non_permutation(self):
         instance = make_instance([(1, 0, 1), (1, 0, 1)])
