@@ -45,11 +45,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvariantViolationError, SchedulingError, ValidationError
 from .instance import Instance, Job, Schedule, is_feasible, schedule_cost
-from .listsched import LpLsRun, lp_ls
+from .listsched import lp_ls
 
 log = logging.getLogger(__name__)
 
 N_GUESS = 10
+MODES = ("exhaustive", "typed", "empty-guess")
 
 
 def to_fraction(x) -> Fraction:
@@ -112,6 +113,12 @@ def _positive(epsilon) -> Fraction:
 def _check_budget(budget: Optional[int]) -> None:
     if budget is not None and budget < 0:
         raise ValueError(f"guess budget must be nonnegative, got {budget}")
+
+
+def _check_arguments(mode: str, budget: Optional[int]) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+    _check_budget(budget)
 
 
 def enumerate_guesses(
@@ -362,7 +369,7 @@ def solve_bounded(
         logged and skipped; if every guess fails, SchedulingError.
     """
     eps = _positive(epsilon)
-    _check_budget(budget)
+    _check_arguments(mode, budget)
     tol = instance.tol()
     low = min((job.r for job in instance.jobs), default=L)
     if low < L - tol:
@@ -378,11 +385,9 @@ def solve_bounded(
         guesses = list(enumerate_guesses(instance, eps, beta, budget))
     elif mode == "empty-guess":
         guesses = [EMPTY_GUESS]
-    elif mode == "typed":
+    else:
         rounded = round_processing(instance, eps)
         guesses = list(enumerate_type_guesses(rounded, eps, L, beta, budget))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     warm = tuple(warm)
     best = None
     failed = 0
@@ -412,26 +417,3 @@ def solve_bounded(
     if best is None:
         raise SchedulingError(f"all {len(guesses)} guesses failed to produce a schedule")
     return BoundedResult(best[1], best[0], len(guesses), failed, best[2], mode)
-
-
-def grid_shift(schedule: Schedule, instance: Instance, epsilon) -> Schedule:
-    """Move each start up to the next multiple of eps * p_j, in completion
-    order, pushing later jobs right as needed.
-
-    This is the transformation that relates an arbitrary tight optimum to
-    the gridded near-optimum the guesses describe; tests verify on exact
-    optimal schedules that it stretches no completion by more than a
-    factor (1 + eps).
-    """
-    eps = to_fraction(epsilon)
-    n = instance.n
-    order = sorted(range(n), key=lambda j: (schedule.start[j] + instance.jobs[j].p, j))
-    new_start = [Fraction(0)] * n
-    prev_end = Fraction(0)
-    for j in order:
-        step = eps * instance.jobs[j].p
-        lb = max(to_fraction(schedule.start[j]), prev_end)
-        m = -(-lb // step)  # ceil division on Fractions
-        new_start[j] = m * step
-        prev_end = new_start[j] + instance.jobs[j].p
-    return Schedule(tuple(new_start))

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounded import solve_bounded
+from .bounded import MODES, solve_bounded
 from .decompose import decompose_and_solve
 from .errors import (
     InfeasibleScheduleError,
@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--L", required=True, type=_fraction)
     p.add_argument("--beta", required=True, type=_fraction)
     p.add_argument("--epsilon", required=True, type=_fraction)
-    p.add_argument("--mode", choices=("exhaustive", "typed", "empty-guess"), default="exhaustive")
+    p.add_argument("--mode", choices=MODES, default="exhaustive")
     p.add_argument("--budget", type=int)
 
     p = add("solve", "full decompose-and-solve pipeline")
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--seed", type=int, help="random offset from this seed")
     group.add_argument("--derandomize", action="store_true", help="best over all offsets (default)")
-    p.add_argument("--bounded-mode", choices=("exhaustive", "typed", "empty-guess"), default="exhaustive")
+    p.add_argument("--bounded-mode", choices=MODES, default="exhaustive")
     p.add_argument("--budget", type=int)
 
     p = add("bench", "ratio benchmark over generated instances")

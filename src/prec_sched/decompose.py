@@ -27,9 +27,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounded import _check_budget, solve_bounded, to_fraction
+from .bounded import _check_arguments, solve_bounded, to_fraction
 from .errors import InvariantViolationError
-from .exact import exact_opt
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
 from .lp import LpSolution, solve_lp
 
@@ -263,10 +262,7 @@ def _solve_partition(
                 sub.jobs,
                 sub.floor,
                 ceiling,
-                float(sum(
-                    sub.instance.jobs[pos].w * (tight.start[pos] + sub.instance.jobs[pos].p)
-                    for pos in range(len(sub.jobs))
-                )),
+                float(schedule_cost(tight, sub.instance)),
                 res.guesses_tried,
             )
         )
@@ -313,7 +309,9 @@ def decompose_and_solve(
     # reject bad arguments before the parent LP, the costliest step here
     eps = to_fraction(epsilon)
     a = _scale_of(eps)
-    _check_budget(budget)
+    if mode not in ("derandomized", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    _check_arguments(bounded_mode, budget)
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(Schedule(()), 0.0, 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp)
@@ -321,10 +319,8 @@ def decompose_and_solve(
     if mode == "random":
         rng = random.Random(seed)
         candidates = (rng.uniform(0.0, a),)
-    elif mode == "derandomized":
-        candidates = derandomize_b(lp, a)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        candidates = derandomize_b(lp, a)
 
     def evaluate(b: float):
         grid = build_grid(eps, b, cmax)
@@ -340,20 +336,3 @@ def decompose_and_solve(
     return DecomposeResult(
         union, cost, candidates[best_at], grid, tuple(candidates), outcomes, lp
     )
-
-
-def subproblem_optimum_sum(
-    instance: Instance, lp: LpSolution, grid: IntervalGrid, cap: int = 12
-) -> float:
-    """Sum over blocks of the exact optimum of each block instance.
-
-    The quantity whose expectation over a uniform offset stays within
-    (1 + eps) of the parent optimum; tests average it over many draws.
-    """
-    subs = partition_jobs(instance, lp, grid)
-    return float(sum(exact_opt(sub.instance, cap)[0] for sub in subs))
-
-
-def grid_floor_values(lp: LpSolution, grid: IntervalGrid) -> tuple[float, ...]:
-    """Per job, the breakpoint t_i of the interval holding its C_j."""
-    return tuple(grid.t(grid.index_of(c)) for c in lp.completion)

@@ -89,9 +89,3 @@ def exact_opt(instance: Instance, cap: int = EXACT_CAP):
         start[e.job] = e.start
         e = e.parent
     return best.cost, Schedule(tuple(start))
-
-
-def exact_contribution(instance: Instance, optimal: Schedule, subset) -> float:
-    """Weighted completion mass of `subset` inside the given schedule."""
-    comp = optimal.completion(instance)
-    return sum(instance.jobs[j].w * comp[j] for j in subset)

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .bounded import to_fraction
 from .decompose import decompose_and_solve
@@ -60,28 +58,20 @@ def generate(config: GeneratorConfig) -> Instance:
             p = rng.randint(1, config.p_max)
             jobs.append((p, rng.randint(p, p + config.r_max), rng.randint(0, config.w_max)))
         prec = _random_dag(rng, n, config.prec_density)
-    elif config.family == "chains":
-        jobs = [
-            (rng.randint(1, config.p_max), rng.randint(0, config.r_max), rng.randint(0, config.w_max))
-            for _ in range(n)
-        ]
-        ids = list(range(n))
-        rng.shuffle(ids)
-        while ids:
-            size = min(len(ids), rng.randint(2, 4))
-            chain, ids = ids[:size], ids[size:]
-            prec.extend(zip(chain, chain[1:]))
-    elif config.family == "antichain":
-        jobs = [
-            (rng.randint(1, config.p_max), rng.randint(0, config.r_max), rng.randint(0, config.w_max))
-            for _ in range(n)
-        ]
     else:
         jobs = [
             (rng.randint(1, config.p_max), rng.randint(0, config.r_max), rng.randint(0, config.w_max))
             for _ in range(n)
         ]
-        prec = _random_dag(rng, n, config.prec_density)
+        if config.family == "chains":
+            ids = list(range(n))
+            rng.shuffle(ids)
+            while ids:
+                size = min(len(ids), rng.randint(2, 4))
+                chain, ids = ids[:size], ids[size:]
+                prec.extend(zip(chain, chain[1:]))
+        elif config.family == "uniform":
+            prec = _random_dag(rng, n, config.prec_density)
     instance = make_instance(jobs, prec)
     require_valid(instance)
     return normalize_release_times(instance)
@@ -99,33 +89,20 @@ def digest(instance: Instance) -> str:
     return hashlib.sha256(canonical_json(instance.to_dict()).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    exact_cap: Optional[int] = None  # run the exact oracle when n <= cap
-    baselines: bool = False  # also run plain LP+LS and strict-order LS
-    mode: str = "derandomized"
-    seed: Optional[int] = None
-    bounded_mode: str = "exhaustive"
-    budget: Optional[int] = None
+# the exact oracle runs on instances of at most this many jobs
+ORACLE_N = 9
 
 
-def run_pipeline(instance: Instance, epsilon, options: Optional[PipelineOptions] = None) -> dict:
+def run_pipeline(instance: Instance, epsilon) -> dict:
     """Run the full solver on one instance and record metrics.
 
-    Always reports the LP value and the pipeline cost; the exact optimum,
-    ratios, and baseline costs appear per `options`. Every reported
-    schedule is re-validated against the original instance.
+    Reports the LP value and the pipeline cost, the exact optimum when
+    n <= ORACLE_N, the costs of the two list-scheduling baselines (plain
+    LP+LS and strict-order LS), and the ratios between them. Every
+    reported schedule is re-validated against the original instance.
     """
-    opts = options or PipelineOptions()
     t0 = time.perf_counter()
-    result = decompose_and_solve(
-        instance,
-        epsilon,
-        mode=opts.mode,
-        seed=opts.seed,
-        bounded_mode=opts.bounded_mode,
-        budget=opts.budget,
-    )
+    result = decompose_and_solve(instance, epsilon)
     wall = time.perf_counter() - t0
     bad = feasibility_violations(result.schedule, instance)
     if bad:
@@ -142,20 +119,19 @@ def run_pipeline(instance: Instance, epsilon, options: Optional[PipelineOptions]
     }
     if result.lp.value > 0:
         record["ratio_alg_lp"] = float(result.cost) / result.lp.value
-    if opts.exact_cap is not None and instance.n <= opts.exact_cap:
-        opt, _ = exact_opt(instance, opts.exact_cap)
+    if instance.n <= ORACLE_N:
+        opt, _ = exact_opt(instance, ORACLE_N)
         record["opt_cost"] = float(opt)
         if opt > 0:
             record["ratio_alg_opt"] = float(result.cost) / float(opt)
-    if opts.baselines:
-        run = lp_ls(instance)
-        record["lpls_cost"] = float(schedule_cost(run.schedule, instance))
-        strict = list_schedule_strict(instance, run.order)
-        record["strict_cost"] = float(schedule_cost(strict, instance))
-        if "opt_cost" in record and record["opt_cost"] > 0:
-            record["ratio_lpls_opt"] = record["lpls_cost"] / record["opt_cost"]
-        if record["Z_lp"] > 0:
-            record["ratio_lpls_lp"] = record["lpls_cost"] / record["Z_lp"]
+    run = lp_ls(instance)
+    record["lpls_cost"] = float(schedule_cost(run.schedule, instance))
+    strict = list_schedule_strict(instance, run.order)
+    record["strict_cost"] = float(schedule_cost(strict, instance))
+    if "opt_cost" in record and record["opt_cost"] > 0:
+        record["ratio_lpls_opt"] = record["lpls_cost"] / record["opt_cost"]
+    if record["Z_lp"] > 0:
+        record["ratio_lpls_lp"] = record["lpls_cost"] / record["Z_lp"]
     return record
 
 
@@ -180,8 +156,7 @@ def bench(configs, epsilons, trials: int) -> dict:
             instances = [
                 generate(replace(config, seed=config.seed + t)) for t in range(trials)
             ]
-            opts = PipelineOptions(exact_cap=9, baselines=True)
-            records = [run_pipeline(inst, epsilon, opts) for inst in instances]
+            records = [run_pipeline(inst, epsilon) for inst in instances]
             row = {
                 "family": config.family,
                 "n": config.n,

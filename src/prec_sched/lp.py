@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import LpIterationLimitError, SchedulingError
-from .instance import Instance, ValidationReport
+from .instance import Instance
 
 TAU_LP = 1e-7
 N_EXHAUSTIVE = 18
@@ -300,57 +300,3 @@ def cut_violation_of(cut: Cut, C, instance: Instance) -> float:
     """rhs minus sum p_j C_j for this cut; positive means violated."""
     lhs = sum(float(instance.jobs[j].p) * float(C[j]) for j in cut.jobs)
     return float(cut.rhs) - lhs
-
-
-def check_lp_lemmas(
-    solution: LpSolution,
-    instance: Instance,
-    tau: float = TAU_LP,
-    subset_samples: int = 2000,
-) -> ValidationReport:
-    """Verify the two subset-family consequences on a converged solution.
-
-    Checks, up to tau: the per-job lower bound C_j >= r_j + p_j/2
-    (singleton cuts) and p(U) <= 2 C_max(U) - 2 r_min(U) for a family of
-    subsets U (every nonempty subset when n <= 12, otherwise a seeded
-    sample of `subset_samples` subsets). Findings name each violation.
-    """
-    import random
-
-    findings = []
-    C = solution.completion
-    for j, job in enumerate(instance.jobs):
-        lb = float(job.r) + float(job.p) / 2.0
-        if C[j] < lb - tau:
-            findings.append(
-                f"job {j}: C = {C[j]} below release-plus-half-processing bound {lb}"
-            )
-
-    n = instance.n
-    if n <= 12:
-        masks = range(1, 1 << n)
-    else:
-        rng = random.Random(0x5E9A + n)
-        masks = (rng.randrange(1, 1 << n) for _ in range(subset_samples))
-    p = [float(job.p) for job in instance.jobs]
-    r = [float(job.r) for job in instance.jobs]
-    for mask in masks:
-        ps = 0.0
-        rm = math.inf
-        cm = -math.inf
-        m = mask
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            ps += p[j]
-            if r[j] < rm:
-                rm = r[j]
-            if C[j] > cm:
-                cm = C[j]
-        if ps > 2.0 * cm - 2.0 * rm + tau:
-            jobs = tuple(j for j in range(n) if mask >> j & 1)
-            findings.append(
-                f"subset {jobs}: total processing {ps} exceeds 2*Cmax - 2*rmin = {2 * cm - 2 * rm}"
-            )
-    return ValidationReport(tuple(findings))

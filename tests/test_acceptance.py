@@ -25,14 +25,11 @@ from prec_sched import (
     GeneratorConfig,
     InvariantViolationError,
     build_grid,
-    check_busy_interval_bounds,
-    check_ls_property,
     decompose_and_solve,
     early_bound,
     enumerate_guesses,
     exact_opt,
     generate,
-    grid_shift,
     lp_ls,
     make_instance,
     schedule_cost,
@@ -41,10 +38,16 @@ from prec_sched import (
     solve_bounded,
     solve_lp,
 )
-from prec_sched.decompose import grid_floor_values, subproblem_optimum_sum
 from prec_sched.harness import FAMILIES
 from prec_sched.lp import cut_violation_of
 
+from .auditors import (
+    check_busy_interval_bounds,
+    check_ls_property,
+    grid_floor_values,
+    grid_shift,
+    subproblem_optimum_sum,
+)
 from .conftest import random_bounded_instance, random_instance
 from .oracles import brute_force_opt
 

@@ -20,7 +20,6 @@ from prec_sched import (
     enumerate_guesses,
     enumerate_type_guesses,
     exact_opt,
-    grid_shift,
     is_feasible,
     make_instance,
     normalize_release_times,
@@ -28,6 +27,7 @@ from prec_sched import (
     solve_bounded,
 )
 from prec_sched.bounded import EMPTY_GUESS, job_types, to_fraction
+from .auditors import grid_shift
 from .conftest import random_bounded_instance, random_instance
 from .oracles import (
     enumerate_guesses_ref,

@@ -15,7 +15,6 @@ from prec_sched import (
     build_grid,
     decompose_and_solve,
     derandomize_b,
-    exact_contribution,
     exact_opt,
     is_feasible,
     make_instance,
@@ -25,12 +24,8 @@ from prec_sched import (
     solve_lp,
     tighten,
 )
-from prec_sched.decompose import (
-    EPS_MAX,
-    grid_floor_values,
-    grid_from_scale,
-    subproblem_optimum_sum,
-)
+from prec_sched.decompose import EPS_MAX, grid_from_scale
+from .auditors import exact_contribution, grid_floor_values, subproblem_optimum_sum
 from .conftest import random_instance
 from .oracles import partition_signature
 
@@ -234,6 +229,13 @@ class TestDecomposeAndSolve:
             decompose_and_solve(instance, 4)
         with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
             decompose_and_solve(instance, 1, budget=-1)
+        with pytest.raises(ValueError, match="unknown mode 'oracle'"):
+            decompose_and_solve(instance, 1, mode="oracle")
+        with pytest.raises(ValueError, match="unknown mode 'nope'"):
+            decompose_and_solve(instance, 1, bounded_mode="nope")
+        # the empty instance returns right after the LP, so it is checked too
+        with pytest.raises(ValueError, match="unknown mode 'nope'"):
+            decompose_and_solve(make_instance([]), 1, bounded_mode="nope")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):

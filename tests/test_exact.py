@@ -9,12 +9,12 @@ import pytest
 
 from prec_sched import (
     Schedule,
-    exact_contribution,
     exact_opt,
     make_instance,
     schedule_cost,
 )
 from prec_sched.exact import EXACT_CAP
+from .auditors import exact_contribution
 from .conftest import random_instance
 from .oracles import brute_force_opt
 

@@ -13,7 +13,33 @@ from prec_sched import (
     run_pipeline,
     validate,
 )
-from prec_sched.harness import FAMILIES, PipelineOptions, digest
+from prec_sched.harness import FAMILIES, ORACLE_N, digest
+
+# digest(generate(...)) per (family, n, seed, r_max, prec_density): every
+# family at n = 8, and the shapes of the benchmark's two workloads
+GENERATED_DIGESTS = {
+    ("uniform", 8, 1, 16, 0.3): "9fb77e8fde080271bfc1962eb6c014b49dab881469bd619b252d921416829052",
+    ("uniform", 8, 2, 16, 0.3): "65a2a791f32980e45bd437866789e5e83c5b0a9cf465578ce2253246e64f004b",
+    ("uniform", 8, 3, 16, 0.3): "9548f47189a901cef29f53b4deb06e3e8bcee52e5237bffcccd5e1eeada1bde1",
+    ("p_le_r", 8, 1, 16, 0.3): "f8656afe4b66e04be6e6884d8e47e51b85c03e0ed6a4f488d31bfed4d907321d",
+    ("p_le_r", 8, 2, 16, 0.3): "4c0e53c039c082d7bf38db32249eff57edb57cb38169ea192124d886a13fb8cd",
+    ("p_le_r", 8, 3, 16, 0.3): "d81989ecbc040351d8ee337cb773646b1bea024d32f3c4e49aa8a0251ddb8b2d",
+    ("paper_example", 8, 1, 16, 0.3): "2d207fb01456cb612dd03ba1c8a8716d008ceb755ec67d4f29e8d285e90842e4",
+    ("paper_example", 8, 2, 16, 0.3): "2d207fb01456cb612dd03ba1c8a8716d008ceb755ec67d4f29e8d285e90842e4",
+    ("paper_example", 8, 3, 16, 0.3): "2d207fb01456cb612dd03ba1c8a8716d008ceb755ec67d4f29e8d285e90842e4",
+    ("chains", 8, 1, 16, 0.3): "a28a5c47db02a4ed51d308efd15906397d3bf61b96491c21eb85930977c28f47",
+    ("chains", 8, 2, 16, 0.3): "5a81a311c72e0c5ddccf8a3f54ef3e3ec72341de2835f3e5d6b8b7f88bee91f0",
+    ("chains", 8, 3, 16, 0.3): "2ba02907887389754bc6a92d4ee32584f5cf0dee89f1132302e392853123354f",
+    ("antichain", 8, 1, 16, 0.3): "d557cbb63673cb80e23b19e661e3a24603fe565d2bd39374b0a38565e92223e3",
+    ("antichain", 8, 2, 16, 0.3): "b7f5f0aef8b80adeed7b189e0e0ded36bce7c53f80c60072f96666c690ee188a",
+    ("antichain", 8, 3, 16, 0.3): "e58e81a88f57722fa49e97d09a56b5ed6505f1cc08ec21f60ffd82265349b38c",
+    ("chains", 14, 1, 56, 0.3): "e8dbb504aab22a631b695d71c33b35e9f5d1f86e04f4794d902bd168a1c335b5",
+    ("chains", 14, 2, 56, 0.3): "e6bf1a776ef73ec9ab895c80365b02e47715dcab9e12cd02f494b62c0d2d49a3",
+    ("chains", 14, 3, 56, 0.3): "c1258eba853a26b9479b06e2def1611ab993842c635ab0e1119ef8bf1c22df1a",
+    ("uniform", 40, 1, 160, 0.9): "4a60ac1df349d0c817f8066cbe88b01399ffc865be91961f9ddeeba6ea626105",
+    ("uniform", 40, 2, 160, 0.9): "2f86108e136185d4391921b324e3ac3496cc3d18c843353137822e266e32d8ff",
+    ("uniform", 40, 3, 160, 0.9): "7a464046f8db3b6a973c3390147bc6a78c409b82064002b9c7ebccc80061eeae",
+}
 
 
 class TestGenerate:
@@ -51,6 +77,13 @@ class TestGenerate:
             assert validate(instance).ok
             renorm = normalize_release_times(instance)
             assert [j.r for j in renorm.jobs] == [j.r for j in instance.jobs]
+
+    def test_generated_corpora_are_pinned(self):
+        for (family, n, seed, r_max, density), expected in GENERATED_DIGESTS.items():
+            config = GeneratorConfig(
+                n=n, seed=seed, r_max=r_max, prec_density=density, family=family
+            )
+            assert digest(generate(config)) == expected, (family, n, seed)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -93,6 +126,12 @@ class TestRunPipeline:
             "guesses_tried",
             "wall_time",
             "ratio_alg_lp",
+            "opt_cost",
+            "ratio_alg_opt",
+            "lpls_cost",
+            "strict_cost",
+            "ratio_lpls_opt",
+            "ratio_lpls_lp",
         }
         assert record["n"] == 4
         assert record["epsilon"] == "1"
@@ -106,19 +145,18 @@ class TestRunPipeline:
         assert record["epsilon"] == "1/2"
 
     def test_exact_cap_controls_the_oracle(self):
-        instance = generate(GeneratorConfig(n=5, seed=7))
-        with_oracle = run_pipeline(instance, 1, PipelineOptions(exact_cap=5))
+        instance = generate(GeneratorConfig(n=ORACLE_N, seed=7))
+        with_oracle = run_pipeline(instance, 1)
         assert with_oracle["ratio_alg_opt"] >= 1 - 1e-9
         assert with_oracle["alg_cost"] == pytest.approx(
             with_oracle["ratio_alg_opt"] * with_oracle["opt_cost"]
         )
-        capped = run_pipeline(instance, 1, PipelineOptions(exact_cap=3))
+        capped = run_pipeline(generate(GeneratorConfig(n=ORACLE_N + 1, seed=7)), 1)
         assert "opt_cost" not in capped and "ratio_alg_opt" not in capped
+        assert "ratio_lpls_opt" not in capped and "lpls_cost" in capped
 
     def test_baselines_on_the_reference_instance(self, two_job_reference):
-        record = run_pipeline(
-            two_job_reference, 1, PipelineOptions(exact_cap=9, baselines=True)
-        )
+        record = run_pipeline(two_job_reference, 1)
         assert record["lpls_cost"] == 110.0
         assert record["strict_cost"] == 20.0
         assert record["opt_cost"] == 20.0
@@ -127,19 +165,11 @@ class TestRunPipeline:
 
     def test_zero_weight_instance_omits_ratios(self):
         instance = make_instance([(1, 0, 0), (2, 1, 0)])
-        record = run_pipeline(instance, 1, PipelineOptions(exact_cap=9, baselines=True))
+        record = run_pipeline(instance, 1)
         assert record["Z_lp"] == pytest.approx(0.0, abs=1e-9)
         assert "ratio_alg_lp" not in record
         assert "ratio_alg_opt" not in record
         assert "ratio_lpls_opt" not in record
-
-    def test_random_mode_uses_the_seed(self):
-        instance = generate(GeneratorConfig(n=4, seed=9))
-        opts = PipelineOptions(mode="random", seed=21)
-        one = run_pipeline(instance, 1, opts)
-        two = run_pipeline(instance, 1, opts)
-        assert one["b"] == two["b"]
-        assert one["alg_cost"] == two["alg_cost"]
 
 
 class TestBench:

@@ -13,8 +13,6 @@ from prec_sched import (
     Schedule,
     adjust_release_times,
     adjust_release_times_typed,
-    check_busy_interval_bounds,
-    check_ls_property,
     enumerate_guesses,
     enumerate_type_guesses,
     exact_opt,
@@ -30,6 +28,7 @@ from prec_sched import (
     tighten,
 )
 from prec_sched.decompose import build_grid, partition_jobs
+from .auditors import check_busy_interval_bounds, check_ls_property
 from .conftest import random_instance
 from .oracles import reference_list_schedule
 

@@ -15,7 +15,6 @@ from prec_sched import (
     LpIterationLimitError,
     LpSolution,
     build_grid,
-    check_lp_lemmas,
     exact_opt,
     generate,
     make_cut,
@@ -27,6 +26,7 @@ from prec_sched import (
     solve_lp,
 )
 from prec_sched.lp import TAU_LP, cut_violation_of
+from .auditors import check_lp_lemmas
 from .conftest import random_instance
 from .oracles import separate_exhaustive_ref
 
