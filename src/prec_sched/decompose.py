@@ -18,14 +18,42 @@ Growth rate e^a must be at least 3 (epsilon at most 3/ln 3), otherwise a
 group's schedule could outgrow its interval and the union argument
 breaks. The grid constructor enforces this; grid_from_scale bypasses the
 epsilon check for callers reasoning directly in terms of a.
+
+Offsets are pruned by a bound from the parent LP's dual y (clamped to
+y <= 0, one entry per precedence row and per cut row of the final round).
+In the parent LP, min w.C subject to A C <= b and C >= 0, only the cut
+right-hand sides rhs_c = r_min(U_c) p(U_c) + p(U_c)^2/2 depend on
+release times; A and w do not. An offset's union schedule starts every
+job j at or after its lifted release max(r_j, 3 t_i(j)), so its
+completion times C satisfy A C <= b' for the lifted right-hand sides b'.
+With s = w - A^T y, w.C = y.(A C) + s.C >= y.b' + s.C, because y <= 0,
+so weak duality gives
+
+    cost >= sum_c (-y_c) rhs_c(lifted releases) - sum_j max(0, -s_j) H
+
+where H bounds every completion time. A^T y includes the precedence
+rows, +1 at j and -1 at k. The residual term makes the bound hold for a
+dual that is only feasible up to float noise; H is the top ceiling
+3 t_{q+1} plus the tolerance, which block containment asserts on every
+run. Offsets are evaluated in (bound, index) order, and one whose bound
+exceeds the best cost so far by more than the relative margin SKIP_REL
+is skipped: its cost is then strictly above that best cost, so it cannot
+win by (cost, index), and the schedule, cost, offset, grid and block
+outcomes are exactly those of evaluating every offset. A skipped
+offset's blocks are not solved, so the trace hook never sees their
+guesses.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .bounded import _check_arguments, solve_bounded, to_fraction
 from .errors import InvariantViolationError
@@ -34,6 +62,12 @@ from .lp import LpSolution, solve_lp
 
 EPS_MAX = 3.0 / math.log(3.0)
 TAU_B_REL = 1e-9
+# an offset is skipped only when its dual bound exceeds the best cost so
+# far by this relative margin, which covers float rounding in the bound
+# and the costs and the 1e-9 relative tolerance schedules are checked to
+SKIP_REL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -182,6 +216,46 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
+def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...]:
+    """Lower bound on the union cost of each grid's partition.
+
+    Evaluates the parent LP's dual at the releases lifted to each job's
+    block floor 3 t_i(j), minus the dual-residual term (see the module
+    docstring). No LP is solved.
+    """
+    n = instance.n
+    n_prec = len(instance.prec)
+    p = np.array([float(job.p) for job in instance.jobs])
+    r = np.array([float(job.r) for job in instance.jobs])
+    y = np.minimum(np.asarray(lp.duals, dtype=float), 0.0)
+    member = np.zeros((len(lp.cuts), n), dtype=bool)
+    for c, cut in enumerate(lp.cuts):
+        member[c, list(cut.jobs)] = True
+    y_prec, y_cut = y[:n_prec], -y[n_prec:]
+    p_cut = member @ p
+    # A^T y: cut row c is -p_j on its jobs, precedence row (j, k) is +1 at
+    # j and -1 at k; the rows come in sorted pair order, which is j
+    # ascending and then each j's successors in order
+    heads = np.repeat(np.arange(n), [len(succ) for succ in instance.successors])
+    tails = np.fromiter(chain.from_iterable(instance.successors), dtype=np.intp, count=n_prec)
+    aty = (
+        p * (y_cut @ member)
+        + np.bincount(heads, y_prec, minlength=n)
+        - np.bincount(tails, y_prec, minlength=n)
+    )
+    w = np.array([float(job.w) for job in instance.jobs])
+    deficit = float(np.maximum(aty - w, 0.0).sum())
+    tol = instance.tol()
+    bounds = []
+    for grid in grids:
+        floor = np.array([3.0 * grid.t(grid.index_of(c)) for c in lp.completion])
+        r_min = np.where(member, np.maximum(r, floor), np.inf).min(axis=1)
+        top = 3.0 * grid.t(grid.q + 1) + tol
+        rhs = r_min * p_cut + 0.5 * p_cut * p_cut
+        bounds.append(float(y_cut @ rhs) - deficit * top)
+    return tuple(bounds)
+
+
 @dataclass(frozen=True)
 class IntervalOutcome:
     """Diagnostics for one solved subproblem."""
@@ -196,6 +270,13 @@ class IntervalOutcome:
 
 @dataclass(frozen=True)
 class DecomposeResult:
+    """The winning offset's schedule and diagnostics.
+
+    `bounds` holds one dual lower bound per entry of `candidates`, and
+    `evaluated` the candidate indices whose blocks were solved, in the
+    order they were; the others were skipped. Neither enters to_dict.
+    """
+
     schedule: Schedule
     cost: float
     b: float
@@ -203,6 +284,8 @@ class DecomposeResult:
     candidates: tuple[float, ...]
     intervals: tuple[IntervalOutcome, ...]
     lp: LpSolution
+    bounds: tuple[float, ...]
+    evaluated: tuple[int, ...]
 
     def to_dict(self, instance: Instance) -> dict:
         from .util import decimal_str
@@ -295,7 +378,8 @@ def decompose_and_solve(
         grid of the block solver.
     mode : {"derandomized", "random"}
         derandomized tries one offset per reachable partition and keeps
-        the cheapest result; random draws a single offset from `seed`.
+        the cheapest result, skipping offsets whose dual bound shows they
+        cannot win; random draws a single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
     trace_hook : callable, optional
@@ -304,7 +388,8 @@ def decompose_and_solve(
     Returns
     -------
     DecomposeResult
-        Schedule plus offset, grid, per-block diagnostics, and the LP.
+        Schedule plus offset, grid, per-block diagnostics, the LP, and
+        each offset's bound and the evaluation order.
     """
     # reject bad arguments before the parent LP, the costliest step here
     eps = to_fraction(epsilon)
@@ -314,25 +399,36 @@ def decompose_and_solve(
     _check_arguments(bounded_mode, budget)
     lp = solve_lp(instance)
     if instance.n == 0:
-        return DecomposeResult(Schedule(()), 0.0, 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp)
+        return DecomposeResult(
+            Schedule(()), 0.0, 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
+        )
     cmax = max(lp.completion)
     if mode == "random":
         rng = random.Random(seed)
         candidates = (rng.uniform(0.0, a),)
     else:
         candidates = derandomize_b(lp, a)
+    grids = [build_grid(eps, b, cmax) for b in candidates]
+    bounds = offset_bounds(instance, lp, grids)
 
-    def evaluate(b: float):
-        grid = build_grid(eps, b, cmax)
-        subs = partition_jobs(instance, lp, grid)
+    best = None  # (cost, index, union, outcomes)
+    evaluated = []
+    for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
+        if best is not None and bounds[i] > best[0] * (1.0 + SKIP_REL):
+            log.debug(
+                "offset %d (b = %r) skipped: bound %r above best cost %r",
+                i, candidates[i], bounds[i], best[0],
+            )
+            continue
+        evaluated.append(i)
+        subs = partition_jobs(instance, lp, grids[i])
         union, cost, outcomes = _solve_partition(
-            instance, grid, subs, eps, bounded_mode, budget, trace_hook
+            instance, grids[i], subs, eps, bounded_mode, budget, trace_hook
         )
-        return grid, union, cost, outcomes
-
-    results = [evaluate(b) for b in candidates]
-    best_at = min(range(len(results)), key=lambda i: (results[i][2], i))
-    grid, union, cost, outcomes = results[best_at]
+        if best is None or (cost, i) < best[:2]:
+            best = cost, i, union, outcomes
+    cost, i, union, outcomes = best
     return DecomposeResult(
-        union, cost, candidates[best_at], grid, tuple(candidates), outcomes, lp
+        union, cost, candidates[i], grids[i], tuple(candidates), outcomes, lp,
+        bounds, tuple(evaluated),
     )

@@ -7,7 +7,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .bounded import to_fraction
+from .bounded import N_GUESS, to_fraction
 from .decompose import decompose_and_solve
 from .exact import exact_opt
 from .instance import (
@@ -100,9 +100,12 @@ def run_pipeline(instance: Instance, epsilon) -> dict:
     n <= ORACLE_N, the costs of the two list-scheduling baselines (plain
     LP+LS and strict-order LS), and the ratios between them. Every
     reported schedule is re-validated against the original instance.
+    Blocks are solved in exhaustive mode up to N_GUESS jobs, the cap of
+    that mode, and in typed mode on larger instances.
     """
+    bounded_mode = "exhaustive" if instance.n <= N_GUESS else "typed"
     t0 = time.perf_counter()
-    result = decompose_and_solve(instance, epsilon)
+    result = decompose_and_solve(instance, epsilon, bounded_mode=bounded_mode)
     wall = time.perf_counter() - t0
     bad = feasibility_violations(result.schedule, instance)
     if bad:

@@ -249,10 +249,18 @@ def feasibility_violations(schedule: Schedule, instance: Instance) -> list[str]:
     for j, job in enumerate(instance.jobs):
         if start[j] < job.r - tol:
             out.append(f"job {j} starts at {start[j]} before release {job.r}")
-    for j in range(instance.n):
-        for k in range(j + 1, instance.n):
-            if start[j] < comp[k] - tol and start[k] < comp[j] - tol:
-                out.append(f"jobs {j} and {k} overlap")
+    # sweep in start order: once a later job starts at or after j's
+    # completion (less tol), so does every job after it
+    order = sorted(range(instance.n), key=lambda i: (start[i], i))
+    pairs = []
+    for pos, j in enumerate(order):
+        at = pos + 1
+        while at < len(order) and start[order[at]] < comp[j] - tol:
+            k = order[at]
+            if start[j] < comp[k] - tol:
+                pairs.append((min(j, k), max(j, k)))
+            at += 1
+    out.extend(f"jobs {j} and {k} overlap" for j, k in sorted(pairs))
     for j, k in sorted(instance.prec):
         if start[k] < comp[j] - tol:
             out.append(f"job {k} starts at {start[k]} before predecessor {j} completes at {comp[j]}")

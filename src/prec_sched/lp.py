@@ -84,6 +84,7 @@ class LpSolution:
     cuts: tuple[Cut, ...]
     iterations: int
     z_history: tuple[float, ...]
+    duals: tuple[float, ...] = ()
 
 
 def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
@@ -238,6 +239,12 @@ def solve_lp(
     Returns
     -------
     LpSolution
+        `duals` holds the final round's dual values (`linprog`'s
+        `ineqlin.marginals`, each at most 0 up to solver noise), one per
+        constraint row of the model as it is posed: first one per
+        precedence pair C_j - C_k <= 0 in sorted pair order, then one per
+        entry of `cuts`, in that order, for the row
+        -sum_{j in U} p_j C_j <= -rhs.
 
     Raises
     ------
@@ -278,7 +285,8 @@ def solve_lp(
         z_history.append(z)
         cut = separate_fast(C, instance, tau)
         if cut is None:
-            return LpSolution(C, z, tuple(cuts), rounds, tuple(z_history))
+            duals = tuple(res.ineqlin.marginals.tolist())
+            return LpSolution(C, z, tuple(cuts), rounds, tuple(z_history), duals)
         if cut.jobs in seen:
             raise LpIterationLimitError(
                 f"cut on jobs {cut.jobs} still violated by {cut_violation_of(cut, C, instance):.3e} "

@@ -5,6 +5,8 @@ property of one the package produced. List-scheduling traces are audited
 for the no-idle-while-available property and the three busy-interval
 inequalities, LP solutions for the subset lemmas, and exact optima for
 the grid shift and the per-block accounting behind the decomposition.
+`feasibility_violations_pairwise` checks every pair of jobs for overlap,
+the reference the package's start-order sweep is tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +20,25 @@ from prec_sched.decompose import IntervalGrid, partition_jobs
 from prec_sched.exact import exact_opt
 from prec_sched.instance import Instance, Schedule, ValidationReport
 from prec_sched.lp import TAU_LP, LpSolution
+
+
+def feasibility_violations_pairwise(schedule: Schedule, instance: Instance) -> list[str]:
+    """feasibility_violations with the overlap check over all pairs."""
+    tol = instance.tol()
+    out: list[str] = []
+    start = schedule.start
+    comp = schedule.completion(instance)
+    for j, job in enumerate(instance.jobs):
+        if start[j] < job.r - tol:
+            out.append(f"job {j} starts at {start[j]} before release {job.r}")
+    for j in range(instance.n):
+        for k in range(j + 1, instance.n):
+            if start[j] < comp[k] - tol and start[k] < comp[j] - tol:
+                out.append(f"jobs {j} and {k} overlap")
+    for j, k in sorted(instance.prec):
+        if start[k] < comp[j] - tol:
+            out.append(f"job {k} starts at {start[k]} before predecessor {j} completes at {comp[j]}")
+    return out
 
 
 def check_ls_property(trace: Schedule, instance: Instance, order) -> ValidationReport:

@@ -285,6 +285,14 @@ class TestBench:
         assert "max_ratio_lpls_lp" in out
 
 
+    def test_instances_above_the_guess_cap_run(self, capsys):
+        # exhaustive guessing is capped at N_GUESS = 10 jobs; larger
+        # instances are solved in typed mode
+        code, out, _ = run(capsys, "bench", "--n", "14", "--trials", "1")
+        assert code == 0
+        assert json.loads(out)["violations"] == []
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage(self, capsys):
         code, _, err = run(capsys)

@@ -3,12 +3,17 @@ offset derandomization, block solving, and recombination."""
 
 from __future__ import annotations
 
+import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prec_sched import (
+    GeneratorConfig,
     InvariantViolationError,
     LpSolution,
     Schedule,
@@ -16,6 +21,7 @@ from prec_sched import (
     decompose_and_solve,
     derandomize_b,
     exact_opt,
+    generate,
     is_feasible,
     make_instance,
     partition_jobs,
@@ -24,7 +30,9 @@ from prec_sched import (
     solve_lp,
     tighten,
 )
-from prec_sched.decompose import EPS_MAX, grid_from_scale
+from prec_sched.bounded import MODES
+from prec_sched.decompose import EPS_MAX, _solve_partition, grid_from_scale
+from prec_sched.harness import FAMILIES
 from .auditors import exact_contribution, grid_floor_values, subproblem_optimum_sum
 from .conftest import random_instance
 from .oracles import partition_signature
@@ -313,3 +321,48 @@ class TestBlockOptima:
         for c, f in zip(lp.completion, floors):
             assert f == pytest.approx(grid.t(grid.index_of(c)))
             assert f <= c < f * math.exp(3.0) * (1 + 1e-12)
+
+
+class TestOffsetPruning:
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), mode=st.sampled_from(MODES))
+    def test_bounds_hold_and_the_winner_is_unchanged(self, family, epsilon, seed, n, mode):
+        instance = generate(GeneratorConfig(n=n, seed=seed, family=family))
+        result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
+        cmax = max(result.lp.completion)
+        runs = []
+        for i, b in enumerate(result.candidates):
+            grid = build_grid(epsilon, b, cmax)
+            subs = partition_jobs(instance, result.lp, grid)
+            union, cost, outcomes = _solve_partition(
+                instance, grid, subs, epsilon, mode, None, None
+            )
+            assert result.bounds[i] <= cost
+            runs.append((cost, i, union.start, outcomes))
+        cost, i, start, outcomes = min(runs, key=lambda run: run[:2])
+        assert (result.cost, result.b, result.schedule.start, result.intervals) == (
+            cost, result.candidates[i], start, outcomes
+        )
+        assert i in result.evaluated
+        assert len(set(result.evaluated)) == len(result.evaluated)
+        assert set(result.evaluated) <= set(range(len(result.candidates)))
+
+    def test_offsets_skipped_on_chains(self, caplog):
+        instance = generate(GeneratorConfig(n=14, seed=3, p_max=8, r_max=56, family="chains"))
+        with caplog.at_level(logging.DEBUG, logger="prec_sched.decompose"):
+            result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
+        skipped = len(result.candidates) - len(result.evaluated)
+        assert skipped >= 1
+        assert len(result.bounds) == len(result.candidates)
+        order = [(result.bounds[i], i) for i in result.evaluated]
+        assert order == sorted(order)
+        lines = [rec.getMessage() for rec in caplog.records if "skipped" in rec.getMessage()]
+        assert len(lines) == skipped
+
+    def test_random_mode_evaluates_its_one_offset(self):
+        result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
+        assert result.evaluated == (0,)
+        assert len(result.bounds) == 1
+        assert result.bounds[0] <= result.cost

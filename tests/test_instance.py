@@ -26,6 +26,7 @@ from prec_sched import (
     transitive_closure,
     validate,
 )
+from .auditors import feasibility_violations_pairwise
 from .conftest import random_feasible_schedule, random_instance
 from .oracles import brute_force_opt, closure_by_squaring, tighten_ref
 
@@ -183,6 +184,54 @@ class TestScheduleCost:
         assert feasibility_violations(bad, instance) == feasibility_violations(
             bad, instance
         )
+
+
+class TestOverlapSweep:
+    def test_matches_pairwise_reference(self):
+        rng = random.Random(7)
+        overlapping = 0
+        for seed in range(60):
+            instance = random_instance(seed, rng.randint(1, 12))
+            feasible = random_feasible_schedule(seed + 500, instance)
+            assert feasibility_violations(feasible, instance) == []
+            assert feasibility_violations_pairwise(feasible, instance) == []
+            corrupted = list(feasible.start)
+            for _ in range(rng.randint(1, 4)):
+                j = rng.randrange(instance.n)
+                corrupted[j] = max(0.0, corrupted[j] + rng.choice((-1, 1)) * rng.uniform(0, 6))
+            if rng.random() < 0.3:
+                rng.shuffle(corrupted)
+            bad = Schedule(tuple(corrupted))
+            found = feasibility_violations(bad, instance)
+            assert found == feasibility_violations_pairwise(bad, instance)
+            overlapping += any(v.endswith("overlap") for v in found)
+        assert overlapping >= 20
+
+    def test_overlaps_listed_in_pair_order(self):
+        # job 2 starts first, so the sweep finds (1, 2) before (0, 1)
+        instance = make_instance([(3, 0, 1), (3, 0, 1), (3, 0, 1)])
+        bad = Schedule((2.0, 1.0, 0.0))
+        assert feasibility_violations(bad, instance) == [
+            "jobs 0 and 1 overlap",
+            "jobs 0 and 2 overlap",
+            "jobs 1 and 2 overlap",
+        ]
+
+    def test_both_tolerance_conditions_checked(self):
+        zero_length = make_instance([(4, 0, 1), (0, 0, 1)])
+        touching = make_instance([(2, 0, 1), (2, 0, 1)])
+        cases = [
+            # the zero-length job 1 starts inside job 0: an overlap
+            (zero_length, Schedule((0.0, 2.0)), ["jobs 0 and 1 overlap"]),
+            # it starts with job 0: job 1 starts before job 0 completes, but
+            # job 0 does not start before job 1 completes, so no overlap
+            (zero_length, Schedule((0.0, 0.0)), []),
+            # job 1 starts within tol of job 0's completion: no overlap
+            (touching, Schedule((0.0, 2.0 - touching.tol() / 2)), []),
+        ]
+        for instance, schedule, expected in cases:
+            assert feasibility_violations(schedule, instance) == expected
+            assert feasibility_violations_pairwise(schedule, instance) == expected
 
 
 class TestTighten:

@@ -87,6 +87,17 @@ class TestSolveLp:
             sol = solve_lp(instance)
             assert separate_exhaustive(sol.completion, instance, TAU_LP) is None
 
+    def test_duals_one_per_row_and_price_the_cuts(self):
+        for seed in range(10):
+            instance = random_instance(seed + 300, 7, density=0.4)
+            sol = solve_lp(instance)
+            assert len(sol.duals) == len(instance.prec) + len(sol.cuts)
+            assert max(sol.duals) <= 1e-9
+            # precedence rows have rhs 0, so the cut rows carry the dual value
+            cut_duals = sol.duals[len(instance.prec):]
+            dual_value = sum(-y * float(cut.rhs) for y, cut in zip(cut_duals, sol.cuts))
+            assert dual_value == pytest.approx(sol.value, rel=1e-7)
+
     def test_round_cap_raises_with_cut(self):
         instance = random_instance(2, 6)
         with pytest.raises(LpIterationLimitError):
