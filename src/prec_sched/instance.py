@@ -22,6 +22,8 @@ the loop measurably stops converging.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -158,8 +160,10 @@ def validate(instance: Instance) -> ValidationReport:
     """Report every violated structural invariant; empty report iff well-formed.
 
     Checked: field ranges (p >= 1, r >= 0, 0 <= w <= MAX_WEIGHT), the
-    horizon max r + sum p against MAX_HORIZON, precedence indices in range,
-    irreflexivity, acyclicity (with witness), and transitive closure.
+    horizon max r + sum p against MAX_HORIZON (in exact arithmetic, so an
+    integer beyond the float range is reported, not converted), precedence
+    indices in range, irreflexivity, acyclicity (with witness), and
+    transitive closure.
     """
     findings: list[str] = []
     n = instance.n
@@ -175,10 +179,11 @@ def validate(instance: Instance) -> ValidationReport:
             findings.append(f"job {i}: negative weight {job.w}")
         elif job.w > MAX_WEIGHT:
             findings.append(f"job {i}: weight {job.w} exceeds {MAX_WEIGHT}; scale the weights down")
-    if instance.time_scale > MAX_HORIZON:
+    horizon = max((job.r for job in instance.jobs), default=0) + sum(job.p for job in instance.jobs)
+    if horizon > MAX_HORIZON:
+        shown = f"{horizon:g}" if horizon < 1e300 else f"about 1e+{math.floor(math.log10(horizon))}"
         findings.append(
-            f"horizon max r + sum p = {instance.time_scale:g} exceeds {MAX_HORIZON}; "
-            "use a coarser time unit"
+            f"horizon max r + sum p = {shown} exceeds {MAX_HORIZON}; use a coarser time unit"
         )
 
     in_range = True
@@ -290,22 +295,27 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     at or after the completion of every job visited earlier, and a
     predecessor always starts before its successor, so no job visited
     earlier can move again. Starts and cost never increase; idempotent.
+    The jobs' intervals stay in one sorted list that a moved job leaves
+    and re-enters by bisection, so no job sorts the others.
     """
     tol = instance.tol()
     start = list(schedule.start)
     p = [job.p for job in instance.jobs]
+    # every job's (start, end, id), kept sorted as jobs move
+    intervals = sorted((start[k], start[k] + p[k], k) for k in range(instance.n))
     for j in sorted(range(instance.n), key=lambda i: (start[i], i)):
         lb = float(instance.jobs[j].r)
         for h in instance.predecessors[j]:
             lb = max(lb, start[h] + p[h])
-        others = sorted((start[k], start[k] + p[k]) for k in range(instance.n) if k != j)
-        for s_k, c_k in others:  # jump over every job the candidate overlaps
+        del intervals[bisect_left(intervals, (start[j], start[j] + p[j], j))]
+        for s_k, c_k, _ in intervals:  # jump over every job the candidate overlaps
             if lb + p[j] <= s_k + tol:
                 break
             if lb < c_k - tol:
                 lb = c_k
         if lb < start[j] - tol:
             start[j] = lb
+        insort(intervals, (start[j], start[j] + p[j], j))
     return Schedule(tuple(start))
 
 

@@ -23,20 +23,46 @@ the most violated subset shows that the prefix family contains a subset
 at least as violated. An exhaustive 2^n oracle is kept as the reference
 the tests cross-check against.
 
-The inner solves delegate to scipy's HiGHS backend, tightened to 1e-9
-feasibility so residual noise on already-added rows stays far below tau.
+Each round is solved by HiGHS through the binding that scipy ships and
+that scipy.optimize.linprog itself calls (scipy.optimize._highspy._core),
+with linprog's options for method="highs" and feasibility tightened to
+1e-9, so residual noise on already-added rows stays far below tau. Calling
+the binding directly skips linprog's fixed per-call cost (input checks, a
+dense-to-sparse conversion, one options check per option, the result
+object) and gives bit-identical solutions; tests/test_lp.py pins that
+against public linprog.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
 
-import numpy as np
-from scipy.optimize import linprog
+# the public package first: imported only as the parent of the private
+# module below, scipy.optimize took about 0.25 s longer to import in the
+# benchmark's set-up (perfbench/run.py --setup-only, 2-core VM)
+import scipy.optimize  # noqa: F401
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+        simplex_constants,
+    )
+except ImportError as exc:
+    raise ImportError(
+        "prec_sched needs scipy >= 1.15: the LP rounds call the HiGHS binding "
+        "scipy.optimize._highspy._core, which older scipy releases do not ship"
+    ) from exc
 
 from .errors import LpIterationLimitError, SchedulingError
 from .instance import Instance
@@ -44,10 +70,16 @@ from .instance import Instance
 TAU_LP = 1e-7
 N_EXHAUSTIVE = 18
 
-# keep inner-solve residuals two orders below TAU_LP, otherwise a cut the
-# solver considers satisfied can look violated to the separation oracle
-# and get re-added forever
+# the options scipy.optimize.linprog(method="highs") sets, with feasibility
+# tightened: inner-solve residuals must stay two orders below TAU_LP,
+# otherwise a cut the solver considers satisfied can look violated to the
+# separation oracle and get re-added forever
 _HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+    "highs_debug_level": HighsDebugLevel.kHighsDebugLevelNone,
+    "output_flag": False,
+    "log_to_console": False,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
@@ -185,22 +217,80 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
     return make_cut(instance, best)
 
 
-def _precedence_rows(instance: Instance) -> np.ndarray:
-    """One row C_j - C_k <= 0 per precedence pair, in sorted pair order."""
-    pairs = np.array(sorted(instance.prec), dtype=np.intp).reshape(-1, 2)
-    rows = np.zeros((len(pairs), instance.n))
-    at = np.arange(len(pairs))
-    rows[at, pairs[:, 0]] = 1.0
-    rows[at, pairs[:, 1]] = -1.0
-    return rows
+@dataclass
+class _Rows:
+    """Constraint rows sum_i value[i] C_index[i] <= upper[r], stored
+    row-wise as HiGHS takes them: row r's entries are start[r]:start[r + 1]."""
+
+    start: list[int] = field(default_factory=lambda: [0])
+    index: list[int] = field(default_factory=list)
+    value: list[float] = field(default_factory=list)
+    upper: list[float] = field(default_factory=list)
+
+    def add(self, columns, coefficients, bound: float) -> None:
+        self.index.extend(columns)
+        self.value.extend(coefficients)
+        self.start.append(len(self.index))
+        self.upper.append(bound)
+
+    def model(self, cost: list[float]) -> HighsLp:
+        """The LP min cost.C subject to these rows and C >= 0."""
+        n, m = len(cost), len(self.upper)
+        lp = HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = m
+        lp.col_cost_ = cost
+        lp.col_lower_ = [0.0] * n
+        lp.col_upper_ = [kHighsInf] * n
+        lp.row_lower_ = [-kHighsInf] * m
+        lp.row_upper_ = self.upper
+        matrix = lp.a_matrix_
+        matrix.format_ = MatrixFormat.kRowwise
+        matrix.num_col_ = n
+        matrix.num_row_ = m
+        matrix.start_ = self.start
+        matrix.index_ = self.index
+        matrix.value_ = self.value
+        return lp
 
 
-def _cut_row(p: np.ndarray, cut: Cut) -> np.ndarray:
+def _add_cut(rows: _Rows, p: list[float], cut: Cut) -> None:
     """The cut as an upper-bound row: -sum_{j in U} p_j C_j <= -rhs."""
-    row = np.zeros(len(p))
-    idx = list(cut.jobs)
-    row[idx] = -p[idx]
-    return row
+    rows.add(cut.jobs, [-p[j] for j in cut.jobs], -float(cut.rhs))
+
+
+def _new_highs() -> _Highs:
+    """A HiGHS solver set up with _HIGHS_OPTIONS."""
+    options = HighsOptions()
+    for name, value in _HIGHS_OPTIONS.items():
+        setattr(options, name, value)
+    highs = _Highs()
+    if highs.passOptions(options) != HighsStatus.kOk:
+        raise SchedulingError("HiGHS rejected the inner solver options")
+    return highs
+
+
+def linprog(highs: _Highs, model: HighsLp) -> tuple[list[float], float, list[float]]:
+    """Solve one round's LP from scratch on `highs`.
+
+    Returns the solution, the objective value and one dual per row. They
+    are bit-identical to what scipy.optimize.linprog(method="highs") with
+    the same tolerances returns as x, fun and ineqlin.marginals.
+
+    solve_lp looks this function up by its module-level name each round,
+    the name it had when each round called scipy's linprog: the
+    benchmark's tracer (perfbench/spans.py) and the tests wrap
+    prec_sched.lp.linprog to count and time the inner solves.
+    """
+    if highs.passModel(model) == HighsStatus.kError:
+        status = HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise SchedulingError(f"inner LP solve failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    return solution.col_value, highs.getInfo().objective_function_value, solution.row_dual
 
 
 def solve_lp(
@@ -215,7 +305,7 @@ def solve_lp(
     `warm` cuts, then alternates LP solves with the prefix oracle
     `separate_fast` until no subset constraint is violated by more than
     tau. The constraint rows are built once; each round appends the new
-    cut's row.
+    cut's row and solves the model from scratch on one HiGHS instance.
 
     Parameters
     ----------
@@ -239,11 +329,11 @@ def solve_lp(
     Returns
     -------
     LpSolution
-        `duals` holds the final round's dual values (`linprog`'s
-        `ineqlin.marginals`, each at most 0 up to solver noise), one per
-        constraint row of the model as it is posed: first one per
-        precedence pair C_j - C_k <= 0 in sorted pair order, then one per
-        entry of `cuts`, in that order, for the row
+        `duals` holds the final round's HiGHS row duals (the values
+        scipy's `linprog` reports as `ineqlin.marginals`, each at most 0
+        up to solver noise), one per constraint row of the model as it is
+        posed: first one per precedence pair C_j - C_k <= 0 in sorted pair
+        order, then one per entry of `cuts`, in that order, for the row
         -sum_{j in U} p_j C_j <= -rhs.
 
     Raises
@@ -270,23 +360,24 @@ def solve_lp(
         if cut.jobs not in seen:
             seen.add(cut.jobs)
             cuts.append(cut)
-    p = np.array([float(job.p) for job in instance.jobs])
-    w = np.array([float(job.w) for job in instance.jobs])
-    A = np.vstack([_precedence_rows(instance)] + [_cut_row(p, cut) for cut in cuts])
-    b = np.concatenate((np.zeros(len(instance.prec)), [-float(cut.rhs) for cut in cuts]))
+    p = [float(job.p) for job in instance.jobs]
+    w = [float(job.w) for job in instance.jobs]
+    rows = _Rows()
+    for j, k in sorted(instance.prec):
+        rows.add((j, k), (1.0, -1.0), 0.0)
+    for cut in cuts:
+        _add_cut(rows, p, cut)
 
+    highs = _new_highs()
     z_history = []
     C, z = (), 0.0
     for rounds in range(1, max_rounds + 1):
-        res = linprog(w, A_ub=A, b_ub=b, method="highs", options=dict(_HIGHS_OPTIONS))
-        if not res.success:
-            raise SchedulingError(f"inner LP solve failed: {res.message}")
-        C, z = tuple(res.x.tolist()), float(res.fun)
+        x, z, duals = linprog(highs, rows.model(w))
+        C = tuple(x)
         z_history.append(z)
         cut = separate_fast(C, instance, tau)
         if cut is None:
-            duals = tuple(res.ineqlin.marginals.tolist())
-            return LpSolution(C, z, tuple(cuts), rounds, tuple(z_history), duals)
+            return LpSolution(C, z, tuple(cuts), rounds, tuple(z_history), tuple(duals))
         if cut.jobs in seen:
             raise LpIterationLimitError(
                 f"cut on jobs {cut.jobs} still violated by {cut_violation_of(cut, C, instance):.3e} "
@@ -295,8 +386,7 @@ def solve_lp(
             )
         cuts.append(cut)
         seen.add(cut.jobs)
-        A = np.vstack((A, _cut_row(p, cut)))
-        b = np.append(b, -float(cut.rhs))
+        _add_cut(rows, p, cut)
     # one last separation to name the most violated leftover
     leftover = separate_fast(C, instance, tau)
     raise LpIterationLimitError(

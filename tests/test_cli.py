@@ -375,6 +375,10 @@ class TestMagnitudes:
             ({"p": 10**12, "r": 0, "w": 1}, "horizon"),
             ({"p": 1, "r": MAX_HORIZON, "w": 1}, "horizon"),
             ({"p": 1, "r": 0, "w": MAX_WEIGHT + 1}, "weight"),
+            # beyond the float range, so validation must not convert them to float
+            ({"p": 10**400, "r": 0, "w": 1}, "horizon"),
+            ({"p": 1, "r": 10**400, "w": 1}, "horizon"),
+            ({"p": 1, "r": -(10**400), "w": 1}, "negative release"),
         ],
     )
     def test_beyond_the_bound_is_input_error(self, capsys, tmp_path, job, message):

@@ -3,11 +3,18 @@ per-job / subset lower-bound consequences of the subset constraints."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import kHighsInf
 
 import prec_sched.lp
 from prec_sched import (
@@ -15,6 +22,7 @@ from prec_sched import (
     LpIterationLimitError,
     LpSolution,
     build_grid,
+    decompose_and_solve,
     exact_opt,
     generate,
     make_cut,
@@ -25,6 +33,7 @@ from prec_sched import (
     separate_fast,
     solve_lp,
 )
+from prec_sched.harness import FAMILIES
 from prec_sched.lp import TAU_LP, cut_violation_of
 from .auditors import check_lp_lemmas
 from .conftest import random_instance
@@ -284,6 +293,72 @@ class TestWarmStart:
     def test_subset_outside_the_instance_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             solve_lp(make_instance([(1, 0, 1)]), warm=[(0, 1)])
+
+
+def dense_rows(model):
+    """The row-wise constraint matrix of a HiGHS model as a dense array."""
+    matrix = model.a_matrix_
+    start, index, value = matrix.start_, matrix.index_, matrix.value_
+    rows = np.zeros((model.num_row_, model.num_col_))
+    for row in range(model.num_row_):
+        for at in range(start[row], start[row + 1]):
+            rows[row, index[at]] = value[at]
+    return rows
+
+
+class TestInnerSolve:
+    """The inner solve calls scipy's private HiGHS binding; public linprog
+    is the reference that catches drift in that binding."""
+
+    @pytest.mark.parametrize(
+        "config, bounded_mode",
+        [(GeneratorConfig(n=8, seed=seed, family=family), "exhaustive")
+         for family in FAMILIES for seed in (1, 2)]
+        + [
+            # the benchmark's two shapes
+            (GeneratorConfig(n=14, seed=1, r_max=56, family="chains"), "empty-guess"),
+            (GeneratorConfig(n=40, seed=1, r_max=160, prec_density=0.9), "typed"),
+        ],
+        ids=lambda v: f"{v.family}-n{v.n}-s{v.seed}" if isinstance(v, GeneratorConfig) else v,
+    )
+    def test_bit_identical_to_public_linprog(self, monkeypatch, config, bounded_mode):
+        real = prec_sched.lp.linprog
+        checked = []
+
+        def compared(highs, model):
+            x, z, duals = real(highs, model)
+            n, m = model.num_col_, model.num_row_
+            assert model.col_lower_ == [0.0] * n and model.col_upper_ == [kHighsInf] * n
+            assert model.row_lower_ == [-kHighsInf] * m
+            ref = linprog(
+                model.col_cost_, A_ub=dense_rows(model), b_ub=model.row_upper_, method="highs",
+                options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+            )
+            assert ref.success
+            assert x == ref.x.tolist()
+            assert z == ref.fun
+            assert duals == ref.ineqlin.marginals.tolist()
+            checked.append(m)
+            return x, z, duals
+
+        monkeypatch.setattr(prec_sched.lp, "linprog", compared)
+        decompose_and_solve(generate(config), 1, bounded_mode=bounded_mode)
+        # rounds of the parent LP and of block LPs
+        assert len(checked) > 2
+
+    def test_missing_binding_names_the_scipy_floor(self):
+        # as on a scipy release older than 1.15, which has no such module
+        code = (
+            "import sys, scipy.optimize; sys.modules['scipy.optimize._highspy._core'] = None; "
+            "import prec_sched"
+        )
+        src = str(Path(prec_sched.lp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 1
+        assert "ImportError: prec_sched needs scipy >= 1.15" in proc.stderr
 
 
 class TestCheckLpLemmas:
