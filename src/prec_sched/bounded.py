@@ -18,10 +18,14 @@ are steered to respect it:
     (e) no r'_j may fall strictly inside a guessed early-processing
         interval ]S'_j, S'_j + p_j[; offenders move to its right end
 
-Rules (d) and (e) can re-trigger each other, so they run to a least
-fixpoint. Lifting never loses feasible schedules of the guessed optimum,
-and candidates are scored against the original release times, so wrong
-guesses only produce worse candidates, never unsound ones.
+Rules (d) and (e) can re-trigger each other, yet one pass over the jobs
+in topological order reaches their least fixpoint: once a job's
+predecessors hold their least releases, its own is the first value at
+or above its floor and theirs outside every guessed interval, and no
+later job can move it. Lifting never loses feasible schedules of the
+guessed optimum, and candidates are scored against the original release
+times, so wrong guesses only produce worse candidates, never unsound
+ones.
 
 Grid start times are exact rationals: guess identity must not depend on
 float rounding. A fast mode rounds processing times up to powers of
@@ -44,7 +48,7 @@ from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvariantViolationError, SchedulingError, ValidationError
-from .instance import Instance, Job, Schedule, is_feasible, schedule_cost
+from .instance import Instance, Job, Schedule, is_feasible, lift_releases, schedule_cost
 from .listsched import lp_ls
 
 log = logging.getLogger(__name__)
@@ -192,31 +196,13 @@ def _lift(instance: Instance, key_of, size, keys, starts) -> Instance:
     """Both modes' lift: guessed key k starts at its start s and occupies
     [s, s + size[k]]; job j has key key_of[j]. Raises on a bug (see
     adjust_release_times)."""
-    n = instance.n
     early = dict(zip(keys, starts))
-    floor = [early.get(key_of[j], Fraction(job.p)) for j, job in enumerate(instance.jobs)]
+    floor = [max(job.r, early.get(k, Fraction(job.p))) for k, job in zip(key_of, instance.jobs)]
     intervals = [(s, s + size[k]) for k, s in zip(keys, starts)]
-    r = [max(job.r, f) for job, f in zip(instance.jobs, floor)]
-    pairs = sorted(instance.prec)
-    for _ in range(2 + n * n * max(1, len(intervals))):
-        changed = False
-        for j, k in pairs:
-            if r[k] < r[j]:
-                r[k] = r[j]
-                changed = True
-        for j in range(n):
-            for s, e in intervals:
-                if s < r[j] < e:
-                    r[j] = e
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise InvariantViolationError(
-            "release-time adjustment did not reach a fixpoint within its round cap"
-        )
-    for j in range(n):
-        if r[j] < instance.jobs[j].r or r[j] < floor[j]:
+    lifted = lift_releases(instance, floor, intervals)
+    r = [job.r for job in lifted.jobs]
+    for j in range(instance.n):
+        if r[j] < floor[j]:
             raise InvariantViolationError(f"adjusted release of job {j} below its floor")
         if any(s < r[j] < e for s, e in intervals):
             raise InvariantViolationError(f"adjusted release of job {j} inside an early interval")
@@ -225,17 +211,16 @@ def _lift(instance: Instance, key_of, size, keys, starts) -> Instance:
             raise InvariantViolationError(
                 f"adjusted releases violate order consistency on ({j}, {k})"
             )
-    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    return Instance(jobs, instance.prec)
+    return lifted
 
 
 def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     """Minimal release lift realizing rules (b)-(e) for this guess.
 
     Rule floors: guessed start for guessed-early jobs, own processing
-    time for the rest; then order consistency and the push out of early
-    intervals run alternately until stable. Raises if the round cap is
-    hit or the result violates any rule (both would be bugs).
+    time for the rest; lift_releases then applies order consistency and
+    the push out of early intervals in one topological pass. Raises if
+    the result violates any rule (a bug).
     """
     sizes = [job.p for job in instance.jobs]
     return _lift(instance, range(instance.n), sizes, guess.jobs, guess.starts)
@@ -308,7 +293,7 @@ def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) ->
     Jobs of a guessed class get the class's guessed smallest start as a
     release floor; jobs of other classes get their (rounded) processing
     time, mirroring rules (b) and (c) per class. Consistency and the
-    interval push then run to a fixpoint as in adjust_release_times.
+    interval push then follow as in adjust_release_times.
     """
     base = 1 + to_fraction(epsilon)
     sizes = {i: base**i for i in guess.types}

@@ -49,6 +49,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -100,7 +101,8 @@ class IntervalGrid:
 def grid_from_scale(a: float, b: float, cmax: float) -> IntervalGrid:
     """Build a grid directly from the growth scale a (no epsilon check).
 
-    q is minimal with cmax <= t_q. cmax must be positive.
+    q is minimal with cmax <= t_q. cmax must be positive, and a small
+    enough that the top ceiling 3 t_{q+1} < 3 e^(2a) cmax is a float.
     """
     if a <= 0:
         raise ValueError("scale a must be positive")
@@ -108,6 +110,9 @@ def grid_from_scale(a: float, b: float, cmax: float) -> IntervalGrid:
         raise ValueError(f"offset b must lie in [0, {a}], got {b}")
     if cmax <= 0:
         raise ValueError("cmax must be positive")
+    a_max = (math.log(sys.float_info.max) - math.log(3.0 * cmax)) / 2
+    if a >= a_max:  # a = 3/epsilon, so this bounds epsilon from below
+        raise ValueError(f"epsilon must exceed {3.0 / a_max:.4g} at Cmax {cmax:g}, or t_i overflow")
     breakpoints = []
     i = 1
     while True:
@@ -163,41 +168,40 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
     group's release times are lifted to its floor 3 t_i, and precedence
     is restricted to the group (restriction of a transitive relation is
     transitive). Precedence across groups always points forward because
-    the LP orders C along precedence; violated means a bug upstream.
+    the LP orders C along precedence; violated means a bug upstream. One
+    pass over the precedence pairs both checks and restricts them.
 
     Each group also carries the parent LP's cut subsets restricted to it,
     renumbered to block ids, nonempty, deduplicated and sorted: every
     subset inequality holds for every schedule, so they are valid cuts
     for the block's LPs once make_cut recomputes their rhs.
     """
+    block = [grid.index_of(c) for c in lp.completion]
     groups: dict[int, list[int]] = {}
-    for j, c in enumerate(lp.completion):
-        groups.setdefault(grid.index_of(c), []).append(j)
+    for j, i in enumerate(block):
+        groups.setdefault(i, []).append(j)
+    back = {j: pos for ids in groups.values() for pos, j in enumerate(ids)}  # id in its block
+    prec: dict[int, set] = {i: set() for i in groups}
     for j, k in instance.prec:
-        ij = grid.index_of(lp.completion[j])
-        ik = grid.index_of(lp.completion[k])
-        if ij > ik:
+        if block[j] > block[k]:
             raise InvariantViolationError(
-                f"precedence ({j}, {k}) crosses intervals backwards ({ij} > {ik})"
+                f"precedence ({j}, {k}) crosses intervals backwards ({block[j]} > {block[k]})"
             )
+        if block[j] == block[k]:
+            prec[block[j]].add((back[j], back[k]))
     subs = []
     beta = math.exp(grid.a)
     for i in sorted(groups):
-        ids = tuple(sorted(groups[i]))
-        back = {j: pos for pos, j in enumerate(ids)}
+        ids = tuple(groups[i])
         floor = 3.0 * grid.t(i)
         jobs = tuple(
             Job(instance.jobs[j].p, max(instance.jobs[j].r, floor), instance.jobs[j].w)
             for j in ids
         )
-        prec = frozenset(
-            (back[j], back[k]) for j, k in instance.prec if j in back and k in back
-        )
-        warm = {tuple(back[j] for j in cut.jobs if j in back) for cut in lp.cuts}
+        warm = {tuple(back[j] for j in cut.jobs if block[j] == i) for cut in lp.cuts}
         warm.discard(())
-        subs.append(
-            SubInstance(ids, i, floor, beta, Instance(jobs, prec), tuple(sorted(warm)))
-        )
+        block_instance = Instance(jobs, frozenset(prec[i]))
+        subs.append(SubInstance(ids, i, floor, beta, block_instance, tuple(sorted(warm))))
     return subs
 
 

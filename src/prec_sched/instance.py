@@ -21,9 +21,11 @@ the loop measurably stops converging.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -101,50 +103,20 @@ def transitive_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int,
     """Transitive closure of a precedence relation given as ordered pairs.
 
     Idempotent. Raises CycleError naming a witness cycle if the relation
-    is not acyclic (a pair (j, j) counts as a self-cycle).
+    is not acyclic (a pair (j, j) counts as a self-cycle). Ancestor sets
+    are united in graphlib's topological order.
     """
-    pairs = set(pairs)
-    nodes = sorted({v for pair in pairs for v in pair})
-    succ = {v: set() for v in nodes}
+    preds: dict[int, set[int]] = defaultdict(set)
     for j, k in pairs:
-        succ[j].add(k)
-
-    # Iterative DFS with an explicit stack; gray nodes are on the current
-    # path, so hitting one yields a concrete cycle witness.
-    color = {v: 0 for v in nodes}  # 0 white, 1 gray, 2 black
-    reach = {v: set() for v in nodes}
-    path: list[int] = []
-
-    for root in nodes:
-        if color[root] != 0:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        color[root] = 1
-        path.append(root)
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if color[u] == 1:
-                    cycle = path[path.index(u):] + [u]
-                    raise CycleError(cycle)
-                if color[u] == 0:
-                    color[u] = 1
-                    path.append(u)
-                    stack.append((u, iter(sorted(succ[u]))))
-                    advanced = True
-                    break
-                reach[v] |= reach[u] | {u}
-            if not advanced:
-                stack.pop()
-                path.pop()
-                color[v] = 2
-                if stack:
-                    parent = stack[-1][0]
-                    reach[parent] |= reach[v] | {v}
-
-    closed = {(j, k) for j in nodes for k in reach[j]}
-    return frozenset(closed)
+        preds[k].add(j)
+    try:
+        order = list(graphlib.TopologicalSorter({k: preds[k] for k in sorted(preds)}).static_order())
+    except graphlib.CycleError as exc:
+        raise CycleError(exc.args[1]) from None
+    ancestors: dict[int, set[int]] = {}
+    for k in order:
+        ancestors[k] = preds[k].union(*(ancestors[j] for j in preds[k]))
+    return frozenset((j, k) for k in order for j in ancestors[k])
 
 
 @dataclass(frozen=True)
@@ -213,21 +185,34 @@ def require_valid(instance: Instance) -> Instance:
     return instance
 
 
+def lift_releases(instance: Instance, floor: Sequence, intervals: Iterable[tuple] = ()) -> Instance:
+    """The instance with the least releases r such that r_j >= floor[j],
+    r_j <= r_k whenever j precedes k, and no r_j lies inside an open
+    interval ]s, e[ of `intervals`. One pass by predecessor count, an order
+    that is topological as the relation is closed: each job takes the
+    largest of its floor and its predecessors' releases (the first on
+    ties), then the end of each interval it falls inside, in start order.
+    """
+    preds = instance.predecessors
+    spans = sorted(intervals)
+    r = list(floor)
+    for k in sorted(range(instance.n), key=lambda k: len(preds[k])):
+        x = max([r[k], *(r[j] for j in preds[k])])
+        for s, e in spans:
+            x = e if s < x < e else x
+        r[k] = x
+    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
+    return Instance(jobs, instance.prec)
+
+
 def normalize_release_times(instance: Instance) -> Instance:
     """Lift release times so that r_j <= r_k whenever j precedes k.
 
     Any feasible schedule already satisfies S_k >= C_j >= r_j for j
     preceding k, so the set of feasible schedules (and the optimum) is
-    unchanged. Idempotent; with a transitively closed relation a single
-    pass over direct predecessors reaches the fixpoint.
+    unchanged. Idempotent; the least such lift (see lift_releases).
     """
-    new_jobs = []
-    for k, job in enumerate(instance.jobs):
-        r = job.r
-        for j in instance.predecessors[k]:
-            r = max(r, instance.jobs[j].r)
-        new_jobs.append(Job(job.p, r, job.w))
-    return Instance(tuple(new_jobs), instance.prec)
+    return lift_releases(instance, [job.r for job in instance.jobs])
 
 
 @dataclass(frozen=True)
@@ -326,15 +311,21 @@ def load_instance(source, normalize: bool = False) -> Instance:
     ids are array positions; "prec" pairs need not be transitively closed.
     A document that is not an object with a "jobs" array of objects with
     integer fields p, r, w, and an optional "prec" array of integer pairs,
-    raises ValidationError, as does any finding of validate.
+    raises ValidationError, as do non-UTF-8 text, an integer too long to
+    parse and any finding of validate; malformed JSON, json.JSONDecodeError.
     """
-    if isinstance(source, (dict, list)):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if isinstance(source, (dict, list)):
+            doc = source
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit
+        raise ValidationError([f"unreadable instance: {exc}"]) from None
 
     if not isinstance(doc, dict):
         raise ValidationError([f"instance must be a JSON object, got {_json_type(doc)}"])

@@ -6,11 +6,18 @@ import random
 
 import pytest
 
-from prec_sched import Schedule, make_instance, normalize_release_times
+from prec_sched import GeneratorConfig, Schedule, generate, make_instance, normalize_release_times
 
 
-def random_instance(seed, n, p_max=8, r_max=16, w_max=6, density=0.3, normalize=True):
-    """Random valid instance, release-normalized unless told otherwise."""
+def random_instance(
+    seed, n, p_max=8, r_max=16, w_max=6, density=0.3, normalize=True, relabel=False
+):
+    """Random valid instance, release-normalized unless told otherwise.
+
+    Precedence pairs run from lower to higher id, so id order is
+    topological, unless `relabel` renames the ids in the pairs by a
+    random permutation.
+    """
     rng = random.Random(seed)
     jobs = [
         (rng.randint(1, p_max), rng.randint(0, r_max), rng.randint(0, w_max))
@@ -19,8 +26,22 @@ def random_instance(seed, n, p_max=8, r_max=16, w_max=6, density=0.3, normalize=
     prec = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
     ]
+    if relabel:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        prec = [(perm[i], perm[j]) for i, j in prec]
     instance = make_instance(jobs, prec)
     return normalize_release_times(instance) if normalize else instance
+
+
+def dag_variants(seed, n, p_max=8, r_max=16, density=0.3):
+    """Instances whose DAGs have ids in topological order, ids relabelled
+    out of it, and the generator's chains family (shuffled ids)."""
+    return [
+        random_instance(seed, n, p_max=p_max, r_max=r_max, density=density),
+        random_instance(seed, n, p_max=p_max, r_max=r_max, density=density, relabel=True),
+        generate(GeneratorConfig(n=n, seed=seed, p_max=p_max, r_max=r_max, family="chains")),
+    ]
 
 
 def random_bounded_instance(seed, n, L, p_max=4, r_spread=8, w_max=6, density=0.3):

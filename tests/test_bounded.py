@@ -28,7 +28,7 @@ from prec_sched import (
 )
 from prec_sched.bounded import EMPTY_GUESS, job_types, to_fraction
 from .auditors import grid_shift
-from .conftest import random_bounded_instance, random_instance
+from .conftest import dag_variants, random_bounded_instance, random_instance
 from .oracles import (
     enumerate_guesses_ref,
     enumerate_type_guesses_ref,
@@ -142,8 +142,9 @@ class TestAdjustReleaseTimes:
 
     def test_agrees_with_reference_fixpoint(self):
         checked = 0
-        for seed in range(20):
-            instance = random_instance(seed, 6, r_max=2, density=0.4)
+        for instance in (
+            inst for seed in range(20) for inst in dag_variants(seed, 6, r_max=2, density=0.4)
+        ):
             for guess in islice(enumerate_guesses(instance, Fraction(1, 4), 4), 15):
                 early = dict(zip(guess.jobs, guess.starts))
                 floors = [
@@ -159,7 +160,7 @@ class TestAdjustReleaseTimes:
                 got = [frac(job.r) for job in adjusted.jobs]
                 assert got == expected
                 checked += 1
-        assert checked >= 200
+        assert checked >= 600
 
 
 class TestRoundProcessing:
@@ -237,8 +238,9 @@ class TestAdjustReleaseTimesTyped:
         checked = 0
         eps = Fraction(1, 2)
         base = 1 + eps
-        for seed in range(20):
-            raw = random_instance(80 + seed, 5, p_max=3, r_max=1, density=0.3)
+        for raw in (
+            raw for seed in range(20) for raw in dag_variants(80 + seed, 5, p_max=3, r_max=1)
+        ):
             rounded = round_processing(raw, eps)
             types = job_types(rounded, eps)
             for guess in islice(
@@ -257,7 +259,7 @@ class TestAdjustReleaseTimesTyped:
                 got = [frac(job.r) for job in adjusted.jobs]
                 assert got == expected
                 checked += 1
-        assert checked >= 100
+        assert checked >= 300
 
 
 class TestSolveBounded:

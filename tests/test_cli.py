@@ -314,6 +314,31 @@ class TestExitCodes:
         assert code == 2
         assert "error reading input" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            # past Python's 4,300-digit limit on parsing an integer, where it has one
+            b'{"jobs": [{"p": 1' + b"0" * 5000 + b', "r": 0, "w": 1}]}',
+        ],
+    )
+    def test_unreadable_document_is_one_line_input_error(self, capsys, tmp_path, content):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "solve", str(path), "--epsilon", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_too_small_epsilon_is_one_line_usage_error(self, capsys, reference_path):
+        code, out, err = run(
+            capsys, "solve", reference_path, "--epsilon", "1/150", "--bounded-mode", "empty-guess"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epsilon must exceed 0.00" in err
+
     def test_cyclic_instance_is_input_error(self, capsys, tmp_path):
         doc = {
             "jobs": [{"p": 1, "r": 0, "w": 1}, {"p": 1, "r": 0, "w": 1}],

@@ -79,6 +79,12 @@ class TestGrids:
         grid = build_grid(EPS_MAX, 0.0, 10.0)
         assert grid.breakpoints[1] / grid.breakpoints[0] == pytest.approx(3.0)
 
+    def test_scale_too_large_for_floats_rejected(self):
+        # a = 3/epsilon: t_{q+1} can reach e^(2a) cmax, and e^709.8 is the float limit
+        with pytest.raises(ValueError, match="epsilon must exceed"):
+            grid_from_scale(450.0, 0.0, 10.0)
+        assert grid_from_scale(300.0, 300.0, 1e4).t(4) < math.inf
+
     def test_index_of_brackets_and_matches_formula(self):
         grid = grid_from_scale(0.7, 0.3, 60.0)
         rng = random.Random(11)
@@ -226,6 +232,15 @@ class TestDecomposeAndSolve:
         for bad in (4, 0, -1):
             with pytest.raises(ValueError, match="epsilon must lie"):
                 decompose_and_solve(instance, bad)
+
+    def test_small_epsilon_fails_with_the_limit(self):
+        instance = random_instance(1, 5)
+        for mode in ("derandomized", "random"):
+            with pytest.raises(ValueError, match="epsilon must exceed 0.00"):
+                decompose_and_solve(instance, Fraction(1, 150), mode=mode, seed=2,
+                                    bounded_mode="empty-guess")
+        result = decompose_and_solve(instance, Fraction(1, 100), bounded_mode="empty-guess")
+        assert is_feasible(result.schedule, instance)
 
     def test_bad_arguments_rejected_before_the_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):

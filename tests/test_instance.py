@@ -10,12 +10,14 @@ import pytest
 
 from prec_sched import (
     CycleError,
+    GeneratorConfig,
     InfeasibleScheduleError,
     Instance,
     Job,
     Schedule,
     ValidationError,
     feasibility_violations,
+    generate,
     is_feasible,
     load_instance,
     make_instance,
@@ -84,16 +86,43 @@ class TestTransitiveClosure:
         assert transitive_closure(once) == once
 
     def test_matches_matrix_powering_on_random_dags(self):
+        n = 6
         for seed in range(50):
             rng = random.Random(seed)
-            n = 6
             pairs = {
                 (i, j)
                 for i in range(n)
                 for j in range(i + 1, n)
                 if rng.random() < 0.35
             }
-            assert transitive_closure(pairs) == closure_by_squaring(pairs, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = {(perm[i], perm[j]) for i, j in pairs}
+            # the chains family's covering pairs: its ids are shuffled
+            closed = generate(GeneratorConfig(n=n, seed=seed, family="chains")).prec
+            chains = {
+                (j, k)
+                for j, k in closed
+                if not any((j, m) in closed and (m, k) in closed for m in range(n))
+            }
+            for dag in (pairs, relabelled, chains):
+                assert transitive_closure(dag) == closure_by_squaring(dag, n)
+
+    def test_cycle_witness_on_random_cyclic_relations(self):
+        n = 6
+        checked = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            pairs = {(j, k) for j in range(n) for k in range(n) if j != k and rng.random() < 0.15}
+            if not any(j == k for j, k in closure_by_squaring(pairs, n)):
+                continue
+            with pytest.raises(CycleError) as err:
+                transitive_closure(pairs)
+            cycle = err.value.cycle
+            assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+            assert all(pair in pairs for pair in zip(cycle, cycle[1:]))
+            checked += 1
+        assert checked >= 100
 
     def test_cycle_raises_with_witness(self):
         with pytest.raises(CycleError) as err:
