@@ -27,9 +27,13 @@ guessed optimum, and candidates are scored against the original release
 times, so wrong guesses only produce worse candidates, never unsound
 ones.
 
-Grid start times are exact rationals: guess identity must not depend on
-float rounding. A fast mode rounds processing times up to powers of
-(1+eps) first and guesses per rounded-size class instead of per job.
+A fast mode rounds processing times up to powers of (1+eps) first and
+guesses per rounded-size class instead of per job. Guesses are exact
+rationals (grid starts, rounded sizes, their classes): guess identity
+must not depend on float rounding, and a float (1+eps)^i can put a job
+in class i+1. The lift converts each exact floor and guessed interval
+to float once; the lifted instance, and every schedule and cost after
+it, is float.
 
 Both modes run one guess stream and one lift and differ only in their
 items, keys with a size and a smallest release: jobs (p_j, r_j) in the
@@ -193,14 +197,13 @@ def _guesses(make, items: dict, prec, eps: Fraction, beta, stats: dict) -> Itera
 
 
 def _lift(instance: Instance, key_of, size, keys, starts) -> Instance:
-    """Both modes' lift: guessed key k starts at its start s and occupies
-    [s, s + size[k]]; job j has key key_of[j]. Raises on a bug (see
-    adjust_release_times)."""
+    """Both modes' lift, and the hand-over to floats: guessed key k starts
+    at its start s and occupies [s, s + size[k]]; job j has key key_of[j].
+    Raises on a bug (see adjust_release_times)."""
     early = dict(zip(keys, starts))
-    floor = [max(job.r, early.get(k, Fraction(job.p))) for k, job in zip(key_of, instance.jobs)]
-    intervals = [(s, s + size[k]) for k, s in zip(keys, starts)]
-    lifted = lift_releases(instance, floor, intervals)
-    r = [job.r for job in lifted.jobs]
+    floor = [float(max(job.r, early.get(k, job.p))) for k, job in zip(key_of, instance.jobs)]
+    intervals = [(float(s), float(s + size[k])) for k, s in zip(keys, starts)]
+    r = lift_releases(instance, floor, intervals)
     for j in range(instance.n):
         if r[j] < floor[j]:
             raise InvariantViolationError(f"adjusted release of job {j} below its floor")
@@ -211,7 +214,8 @@ def _lift(instance: Instance, key_of, size, keys, starts) -> Instance:
             raise InvariantViolationError(
                 f"adjusted releases violate order consistency on ({j}, {k})"
             )
-    return lifted
+    jobs = tuple(Job(float(job.p), rj, job.w) for job, rj in zip(instance.jobs, r))
+    return Instance(jobs, instance.prec)
 
 
 def adjust_release_times(instance: Instance, guess: Guess) -> Instance:

@@ -60,6 +60,7 @@ from .bounded import _check_arguments, solve_bounded, to_fraction
 from .errors import InvariantViolationError
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
 from .lp import LpSolution, solve_lp
+from .util import decimal_str
 
 EPS_MAX = 3.0 / math.log(3.0)
 TAU_B_REL = 1e-9
@@ -292,8 +293,6 @@ class DecomposeResult:
     evaluated: tuple[int, ...]
 
     def to_dict(self, instance: Instance) -> dict:
-        from .util import decimal_str
-
         doc = self.schedule.to_dict(instance)
         doc["b"] = self.b
         doc["t"] = [decimal_str(t) for t in self.grid.breakpoints]
@@ -349,7 +348,7 @@ def _solve_partition(
                 sub.jobs,
                 sub.floor,
                 ceiling,
-                float(schedule_cost(tight, sub.instance)),
+                schedule_cost(tight, sub.instance),
                 res.guesses_tried,
             )
         )

@@ -116,22 +116,22 @@ def run_pipeline(instance: Instance, epsilon) -> dict:
         "n": instance.n,
         "epsilon": str(to_fraction(epsilon)),
         "Z_lp": result.lp.value,
-        "alg_cost": float(result.cost),
+        "alg_cost": result.cost,
         "b": result.b,
         "guesses_tried": sum(iv.guesses_tried for iv in result.intervals),
         "wall_time": wall,
     }
     if result.lp.value > 0:
-        record["ratio_alg_lp"] = float(result.cost) / result.lp.value
+        record["ratio_alg_lp"] = result.cost / result.lp.value
     if instance.n <= ORACLE_N:
         opt, _ = exact_opt(instance, ORACLE_N)
         record["opt_cost"] = float(opt)
         if opt > 0:
-            record["ratio_alg_opt"] = float(result.cost) / float(opt)
+            record["ratio_alg_opt"] = result.cost / float(opt)
     order = order_from_lp(result.lp, instance)
-    record["lpls_cost"] = float(schedule_cost(list_schedule(instance, order), instance))
+    record["lpls_cost"] = schedule_cost(list_schedule(instance, order), instance)
     strict = list_schedule_strict(instance, order)
-    record["strict_cost"] = float(schedule_cost(strict, instance))
+    record["strict_cost"] = schedule_cost(strict, instance)
     if "opt_cost" in record and record["opt_cost"] > 0:
         record["ratio_lpls_opt"] = record["lpls_cost"] / record["opt_cost"]
     if record["Z_lp"] > 0:

@@ -5,10 +5,10 @@ a release time r >= 0, and a weight w >= 0, plus a precedence DAG that is
 kept transitively closed. A schedule assigns a start time to every job;
 its cost is the weighted sum of completion times.
 
-Release times are integers on input but may become fractional internally
-(interval floors and guess-based adjustments lift them), so they are
-stored as plain numbers. Processing times stay integral except in the
-rounded instances produced by the fast bounded mode.
+Each layer uses one numeric type: input instances are integral (the
+exact oracle relies on it), the block solver's guesses exact rationals
+(see bounded), and its lifted instances, with every schedule and cost
+computed from them, float.
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
 MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts
@@ -40,7 +40,7 @@ MAX_WEIGHT = 10**6
 
 @dataclass(frozen=True)
 class Job:
-    p: int
+    p: float
     r: float
     w: int
 
@@ -84,19 +84,14 @@ class Instance:
         }
 
 
-def make_instance(
-    jobs: Sequence[tuple], prec: Iterable[tuple[int, int]] = (), close: bool = True
-) -> Instance:
+def make_instance(jobs: Sequence[tuple], prec: Iterable[tuple[int, int]] = ()) -> Instance:
     """Build an Instance from (p, r, w) triples and precedence pairs.
 
-    Applies transitive closure by default; raises CycleError on a cyclic
+    Closes the relation transitively; raises CycleError on a cyclic
     relation. Does not otherwise validate (see validate / require_valid).
     """
-    job_tuple = tuple(Job(p, r, w) for p, r, w in jobs)
-    pairs = frozenset((int(j), int(k)) for j, k in prec)
-    if close:
-        pairs = transitive_closure(pairs)
-    return Instance(job_tuple, pairs)
+    pairs = transitive_closure(frozenset((int(j), int(k)) for j, k in prec))
+    return Instance(tuple(Job(p, r, w) for p, r, w in jobs), pairs)
 
 
 def transitive_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -135,7 +130,9 @@ def validate(instance: Instance) -> ValidationReport:
     horizon max r + sum p against MAX_HORIZON (in exact arithmetic, so an
     integer beyond the float range is reported, not converted), precedence
     indices in range, irreflexivity, acyclicity (with witness), and
-    transitive closure.
+    transitive closure. The relation is closed iff pred(j) lies within
+    pred(k) for every pair (j, k), and then, being irreflexive, acyclic;
+    the closure is computed only to word a finding.
     """
     findings: list[str] = []
     n = instance.n
@@ -168,13 +165,14 @@ def validate(instance: Instance) -> ValidationReport:
             in_range = False
 
     if in_range:
-        try:
-            closed = transitive_closure(instance.prec)
-        except CycleError as exc:
-            findings.extend(exc.findings)
-        else:
-            for j, k in sorted(closed - instance.prec):
-                findings.append(f"missing transitive edge ({j}, {k})")
+        preds = [set(ps) for ps in instance.predecessors]
+        if not all(preds[j] <= preds[k] for j, k in instance.prec):
+            try:
+                missing = sorted(transitive_closure(instance.prec) - instance.prec)
+            except CycleError as exc:
+                findings.extend(exc.findings)
+            else:
+                findings.extend(f"missing transitive edge {e}" for e in missing)
     return ValidationReport(tuple(findings))
 
 
@@ -185,8 +183,8 @@ def require_valid(instance: Instance) -> Instance:
     return instance
 
 
-def lift_releases(instance: Instance, floor: Sequence, intervals: Iterable[tuple] = ()) -> Instance:
-    """The instance with the least releases r such that r_j >= floor[j],
+def lift_releases(instance: Instance, floor: Sequence, intervals: Iterable[tuple] = ()) -> list:
+    """The least releases r, a list by job id, such that r_j >= floor[j],
     r_j <= r_k whenever j precedes k, and no r_j lies inside an open
     interval ]s, e[ of `intervals`. One pass by predecessor count, an order
     that is topological as the relation is closed: each job takes the
@@ -201,8 +199,7 @@ def lift_releases(instance: Instance, floor: Sequence, intervals: Iterable[tuple
         for s, e in spans:
             x = e if s < x < e else x
         r[k] = x
-    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    return Instance(jobs, instance.prec)
+    return r
 
 
 def normalize_release_times(instance: Instance) -> Instance:
@@ -212,7 +209,9 @@ def normalize_release_times(instance: Instance) -> Instance:
     preceding k, so the set of feasible schedules (and the optimum) is
     unchanged. Idempotent; the least such lift (see lift_releases).
     """
-    return lift_releases(instance, [job.r for job in instance.jobs])
+    r = lift_releases(instance, [job.r for job in instance.jobs])
+    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
+    return Instance(jobs, instance.prec)
 
 
 @dataclass(frozen=True)
@@ -262,12 +261,12 @@ def is_feasible(schedule: Schedule, instance: Instance) -> bool:
 
 
 def schedule_cost(schedule: Schedule, instance: Instance, check: bool = False) -> float:
-    """Weighted sum of completion times; optionally verifies feasibility first."""
+    """Weighted sum of completion times, a float; optionally verifies feasibility first."""
     if check:
         violations = feasibility_violations(schedule, instance)
         if violations:
             raise InfeasibleScheduleError(violations[0])
-    return sum(job.w * (s + job.p) for s, job in zip(schedule.start, instance.jobs))
+    return sum((job.w * (s + job.p) for s, job in zip(schedule.start, instance.jobs)), 0.0)
 
 
 def tighten(schedule: Schedule, instance: Instance) -> Schedule:

@@ -103,7 +103,7 @@ def make_cut(instance: Instance, jobs) -> Cut:
         raise ValueError("cut subset must be nonempty")
     if not 0 <= jobs[0] <= jobs[-1] < instance.n:
         raise ValueError(f"cut subset {jobs} names a job outside 0..{instance.n - 1}")
-    # int, float and Fraction compare exactly, so only the minimum is converted
+    # int times on input, float once lifted (p summed in float): exact as Fractions
     p_total = Fraction(sum(instance.jobs[j].p for j in jobs))
     r_min = Fraction(min(instance.jobs[j].r for j in jobs))
     return Cut(jobs, r_min * p_total + p_total * p_total / 2)

@@ -36,6 +36,29 @@ def closure_by_squaring(pairs, n: int) -> set:
         reach = nxt
 
 
+def precedence_findings_ref(pairs, n: int) -> list:
+    """validate's precedence findings, derived from the full closure.
+
+    Out-of-range and reflexive pairs in sorted order; failing those, the
+    bare "precedence cycle" if the closure relates some job to itself
+    (which cycle to name is the implementation's choice), else each pair
+    of the closure missing from the relation.
+    """
+    pairs = set(pairs)
+    findings = []
+    for j, k in sorted(pairs):
+        if not (0 <= j < n and 0 <= k < n):
+            findings.append(f"precedence pair ({j}, {k}) out of range")
+        elif j == k:
+            findings.append(f"precedence pair ({j}, {j}) is reflexive")
+    if findings:
+        return findings
+    closed = closure_by_squaring(pairs, n)
+    if any(j == k for j, k in closed):
+        return ["precedence cycle"]
+    return [f"missing transitive edge ({j}, {k})" for j, k in sorted(closed - pairs)]
+
+
 def brute_force_opt(instance):
     """Minimum cost over every precedence-feasible order, greedy timing.
 

@@ -20,11 +20,14 @@ from prec_sched import (
     build_grid,
     decompose_and_solve,
     derandomize_b,
+    enumerate_guesses,
+    enumerate_type_guesses,
     exact_opt,
     generate,
     is_feasible,
     make_instance,
     partition_jobs,
+    round_processing,
     schedule_cost,
     solve_bounded,
     solve_lp,
@@ -34,7 +37,7 @@ from prec_sched.bounded import MODES
 from prec_sched.decompose import EPS_MAX, _solve_partition, grid_from_scale
 from prec_sched.harness import FAMILIES
 from .auditors import exact_contribution, grid_floor_values, subproblem_optimum_sum
-from .conftest import random_instance
+from .conftest import random_bounded_instance, random_instance
 from .oracles import partition_signature
 
 
@@ -381,3 +384,36 @@ class TestOffsetPruning:
         assert result.evaluated == (0,)
         assert len(result.bounds) == 1
         assert result.bounds[0] <= result.cost
+
+
+class TestNumericTypes:
+    """Guesses stay exact rationals; every schedule and cost after the
+    lift is float."""
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pipeline_returns_floats(self, epsilon, mode):
+        for seed in range(3):
+            instance = random_instance(seed, 7)
+            result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
+            assert all(type(s) is float for s in result.schedule.start)
+            assert type(result.cost) is float
+            assert all(type(iv.cost) is float for iv in result.intervals)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bounded_returns_floats_and_exact_guesses(self, mode):
+        eps = Fraction(1, 3)
+        assert type(solve_bounded(make_instance([]), eps, 4, math.e**3, mode=mode).cost) is float
+        for seed in range(5):
+            instance = random_bounded_instance(seed, 5, 4)
+            result = solve_bounded(instance, eps, 4, math.e**3, mode=mode)
+            assert all(type(s) is float for s in result.schedule.start)
+            assert type(result.cost) is float
+            assert all(type(s) is Fraction for s in result.best_guess.starts)
+            rounded = round_processing(instance, eps)
+            assert all(type(job.p) is Fraction for job in rounded.jobs)
+            guesses = [
+                *enumerate_guesses(instance, eps, math.e**3),
+                *enumerate_type_guesses(rounded, eps, 4, math.e**3),
+            ]
+            assert all(type(s) is Fraction for g in guesses for s in g.starts)

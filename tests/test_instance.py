@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prec_sched import (
     CycleError,
@@ -30,7 +32,12 @@ from prec_sched import (
 )
 from .auditors import feasibility_violations_pairwise
 from .conftest import random_feasible_schedule, random_instance
-from .oracles import brute_force_opt, closure_by_squaring, tighten_ref
+from .oracles import (
+    brute_force_opt,
+    closure_by_squaring,
+    precedence_findings_ref,
+    tighten_ref,
+)
 
 
 class TestValidate:
@@ -67,6 +74,39 @@ class TestValidate:
         assert any("out of range" in f for f in validate(instance).findings)
         instance = Instance((Job(1, 0, 1),), frozenset({(0, 0)}))
         assert any("reflexive" in f for f in validate(instance).findings)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 7))
+    def test_findings_match_closure_reference(self, data, n):
+        """Closed, unclosed, cyclic, reflexive and out-of-range relations:
+        the closedness fast path reports what the full closure does."""
+        order = data.draw(st.permutations(range(n)))
+        dag = {
+            (order[i], order[k])
+            for i in range(n)
+            for k in range(i + 1, n)
+            if data.draw(st.booleans())
+        }
+        kind = data.draw(st.sampled_from(["closed", "unclosed", "cyclic", "reflexive", "range"]))
+        closed = kind == "closed" or (kind != "unclosed" and data.draw(st.booleans()))
+        pairs = closure_by_squaring(dag, n) if closed else set(dag)
+        if kind == "cyclic" and pairs:
+            j, k = data.draw(st.sampled_from(sorted(pairs)))
+            pairs.add((k, j))
+        elif kind == "reflexive" and n:
+            j = data.draw(st.integers(0, n - 1))
+            pairs.add((j, j))
+        elif kind == "range":
+            pairs.add(data.draw(st.sampled_from([(-1, 0), (0, n), (n, n + 1)])))
+        jobs = tuple(Job(1, 0, 1) for _ in range(n))
+        findings = validate(Instance(jobs, frozenset(pairs))).findings
+        expected = precedence_findings_ref(pairs, n)
+        if expected == ["precedence cycle"]:
+            assert len(findings) == 1 and findings[0].startswith("precedence cycle: ")
+            cycle = [int(v) for v in findings[0].split(": ")[1].split(" -> ")]
+            assert all(edge in pairs for edge in zip(cycle, cycle[1:]))
+        else:
+            assert list(findings) == expected
 
     def test_require_valid_raises_with_findings(self):
         with pytest.raises(ValidationError) as err:

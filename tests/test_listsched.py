@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from prec_sched import (
+    Instance,
+    Job,
     LpSolution,
     Schedule,
     adjust_release_times,
@@ -105,8 +107,8 @@ class TestListSchedule:
         assert list_schedule(make_instance([]), ()) == Schedule(())
 
     def test_cyclic_relation_rejected(self):
-        two = make_instance([(1, 0, 1)] * 2, [(0, 1), (1, 0)], close=False)
-        three = make_instance([(1, 0, 1)] * 3, [(1, 2), (2, 1)], close=False)
+        two = Instance((Job(1, 0, 1),) * 2, frozenset({(0, 1), (1, 0)}))
+        three = Instance((Job(1, 0, 1),) * 3, frozenset({(1, 2), (2, 1)}))
         for instance in (two, three):
             with pytest.raises(ValueError, match="not acyclic"):
                 list_schedule(instance, tuple(range(instance.n)))
