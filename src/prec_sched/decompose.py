@@ -20,7 +20,7 @@ breaks. The grid constructor enforces this; grid_from_scale bypasses the
 epsilon check for callers reasoning directly in terms of a.
 
 Offsets are pruned by a bound from the parent LP's dual y (clamped to
-y <= 0, one entry per precedence row and per cut row of the final round).
+y <= 0, one entry per cover-pair row and per cut row of the final round).
 In the parent LP, min w.C subject to A C <= b and C >= 0, only the cut
 right-hand sides rhs_c = r_min(U_c) p(U_c) + p(U_c)^2/2 depend on
 release times; A and w do not. An offset's union schedule starts every
@@ -32,10 +32,10 @@ so weak duality gives
     cost >= sum_c (-y_c) rhs_c(lifted releases) - sum_j max(0, -s_j) H
 
 where H bounds every completion time. A^T y includes the precedence
-rows, +1 at j and -1 at k. The residual term makes the bound hold for a
-dual that is only feasible up to float noise; H is the top ceiling
-3 t_{q+1} plus the tolerance, which block containment asserts on every
-run. Offsets are evaluated in (bound, index) order, and one whose bound
+rows, +1 at j and -1 at k for each cover pair (j, k). The residual term
+makes the bound hold for a dual that is only feasible up to float noise;
+H is the top ceiling 3 t_{q+1} plus the tolerance, which block
+containment asserts on every run. Offsets are evaluated in (bound, index) order, and one whose bound
 exceeds the best cost so far by more than the relative margin SKIP_REL
 is skipped: its cost is then strictly above that best cost, so it cannot
 win by (cost, index), and the schedule, cost, offset, grid and block
@@ -51,7 +51,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -166,11 +165,12 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
     """Split jobs by which grid interval their LP completion falls in.
 
     Every job lands in exactly one group; empty groups are dropped. Each
-    group's release times are lifted to its floor 3 t_i, and precedence
-    is restricted to the group (restriction of a transitive relation is
-    transitive). Precedence across groups always points forward because
-    the LP orders C along precedence; violated means a bug upstream. One
-    pass over the precedence pairs both checks and restricts them.
+    group's release times are lifted to its floor 3 t_i, as floats, and
+    precedence is restricted to the group (restriction of a transitive
+    relation is transitive; the block computes its own cover from it).
+    Precedence across groups always points forward because the LP orders
+    C along precedence; violated means a bug upstream. One pass over the
+    precedence pairs both checks and restricts them.
 
     Each group also carries the parent LP's cut subsets restricted to it,
     renumbered to block ids, nonempty, deduplicated and sorted: every
@@ -196,7 +196,7 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
         ids = tuple(groups[i])
         floor = 3.0 * grid.t(i)
         jobs = tuple(
-            Job(instance.jobs[j].p, max(instance.jobs[j].r, floor), instance.jobs[j].w)
+            Job(instance.jobs[j].p, float(max(instance.jobs[j].r, floor)), instance.jobs[j].w)
             for j in ids
         )
         warm = {tuple(back[j] for j in cut.jobs if block[j] == i) for cut in lp.cuts}
@@ -229,7 +229,8 @@ def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...
     docstring). No LP is solved.
     """
     n = instance.n
-    n_prec = len(instance.prec)
+    cover = np.array(instance.cover, dtype=np.intp).reshape(-1, 2)
+    n_prec = len(cover)
     p = np.array([float(job.p) for job in instance.jobs])
     r = np.array([float(job.r) for job in instance.jobs])
     y = np.minimum(np.asarray(lp.duals, dtype=float), 0.0)
@@ -238,15 +239,12 @@ def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...
         member[c, list(cut.jobs)] = True
     y_prec, y_cut = y[:n_prec], -y[n_prec:]
     p_cut = member @ p
-    # A^T y: cut row c is -p_j on its jobs, precedence row (j, k) is +1 at
-    # j and -1 at k; the rows come in sorted pair order, which is j
-    # ascending and then each j's successors in order
-    heads = np.repeat(np.arange(n), [len(succ) for succ in instance.successors])
-    tails = np.fromiter(chain.from_iterable(instance.successors), dtype=np.intp, count=n_prec)
+    # A^T y: cut row c is -p_j on its jobs, the row of cover pair (j, k)
+    # is +1 at j and -1 at k
     aty = (
         p * (y_cut @ member)
-        + np.bincount(heads, y_prec, minlength=n)
-        - np.bincount(tails, y_prec, minlength=n)
+        + np.bincount(cover[:, 0], y_prec, minlength=n)
+        - np.bincount(cover[:, 1], y_prec, minlength=n)
     )
     w = np.array([float(job.w) for job in instance.jobs])
     deficit = float(np.maximum(aty - w, 0.0).sum())

@@ -6,9 +6,10 @@ kept transitively closed. A schedule assigns a start time to every job;
 its cost is the weighted sum of completion times.
 
 Each layer uses one numeric type: input instances are integral (the
-exact oracle relies on it), the block solver's guesses exact rationals
-(see bounded), and its lifted instances, with every schedule and cost
-computed from them, float.
+exact oracle relies on it), the releases of the blocks they are split
+into float, the block solver's guesses exact rationals (see bounded),
+and its lifted instances, with every schedule and cost computed from
+them, float.
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
 MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts
@@ -67,6 +68,25 @@ class Instance:
         for j, k in self.prec:
             succs[j].append(k)
         return tuple(tuple(sorted(ss)) for ss in succs)
+
+    @cached_property
+    def cover(self) -> tuple[tuple[int, int], ...]:
+        """The cover pairs of the closed relation prec, sorted: (j, k) in
+        prec with no m such that (j, m) and (m, k) are in prec. This is the
+        transitive reduction (Hasse diagram) of prec, and its closure is
+        prec, so order constraints on these pairs imply all the others.
+        Computed from this instance's own prec, never by restricting
+        another instance's cover, which would lose a pair whose path ran
+        through a job left out."""
+        preds = self.predecessors
+        masks = [sum(1 << j for j in ps) for ps in preds]
+        pairs = []
+        for k, ps in enumerate(preds):
+            implied = 0  # jobs that precede some predecessor of k
+            for m in ps:
+                implied |= masks[m]
+            pairs.extend((j, k) for j in ps if not implied >> j & 1)
+        return tuple(sorted(pairs))
 
     @cached_property
     def time_scale(self) -> float:
@@ -250,9 +270,16 @@ def feasibility_violations(schedule: Schedule, instance: Instance) -> list[str]:
                 pairs.append((min(j, k), max(j, k)))
             at += 1
     out.extend(f"jobs {j} and {k} overlap" for j, k in sorted(pairs))
-    for j, k in sorted(instance.prec):
-        if start[k] < comp[j] - tol:
-            out.append(f"job {k} starts at {start[k]} before predecessor {j} completes at {comp[j]}")
+    # when every cover pair holds, every implied pair (j, k) holds with
+    # margin p_m - tol > 0 for a job m between them (p_m >= 1, and tol < 1
+    # below a time scale of 1e9), so the closed relation is walked only
+    # to word the findings of a violated cover pair
+    if any(start[k] < comp[j] - tol for j, k in instance.cover):
+        for j, k in sorted(instance.prec):
+            if start[k] < comp[j] - tol:
+                out.append(
+                    f"job {k} starts at {start[k]} before predecessor {j} completes at {comp[j]}"
+                )
     return out
 
 
@@ -272,24 +299,31 @@ def schedule_cost(schedule: Schedule, instance: Instance, check: bool = False) -
 def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     """Shift jobs left, one at a time, until no single job can start earlier.
 
-    One sweep in (start, id) order; each job moves to the earliest start
-    after its release and predecessors that fits between the others,
-    which stay fixed. On a feasible schedule that is a fixpoint: a job
-    visited later only fills space left of its own old start, which lies
-    at or after the completion of every job visited earlier, and a
-    predecessor always starts before its successor, so no job visited
-    earlier can move again. Starts and cost never increase; idempotent.
-    The jobs' intervals stay in one sorted list that a moved job leaves
-    and re-enters by bisection, so no job sorts the others.
+    The schedule must be feasible. One sweep in (start, id) order; each
+    job moves to the earliest start after its release and predecessors
+    that fits between the others, which stay fixed. The predecessors
+    looked at are the cover predecessors: on a feasible schedule each
+    other predecessor completes before one of them. The sweep ends at a
+    fixpoint: a job visited later only fills space left of its own old
+    start, which lies at or after the completion of every job visited
+    earlier, and a predecessor always starts before its successor, so no
+    job visited earlier can move again. Starts and cost never increase;
+    idempotent. The jobs' intervals stay in one sorted list that a moved
+    job leaves and re-enters by bisection, so no job sorts the others. A
+    job moved to its release takes the release as the instance holds it,
+    a float on the block instances the pipeline tightens.
     """
     tol = instance.tol()
     start = list(schedule.start)
     p = [job.p for job in instance.jobs]
+    preds: list[list[int]] = [[] for _ in range(instance.n)]
+    for h, k in instance.cover:
+        preds[k].append(h)
     # every job's (start, end, id), kept sorted as jobs move
     intervals = sorted((start[k], start[k] + p[k], k) for k in range(instance.n))
     for j in sorted(range(instance.n), key=lambda i: (start[i], i)):
-        lb = float(instance.jobs[j].r)
-        for h in instance.predecessors[j]:
+        lb = instance.jobs[j].r
+        for h in preds[j]:
             lb = max(lb, start[h] + p[h])
         del intervals[bisect_left(intervals, (start[j], start[j] + p[j], j))]
         for s_k, c_k, _ in intervals:  # jump over every job the candidate overlaps

@@ -2,13 +2,15 @@
 
 Variables are fractional completion times C_j. Two constraint families:
 
-    C_j <= C_k                                     whenever j precedes k
+    C_j <= C_k                                     whenever k covers j
     sum_{j in U} p_j C_j >= r_min(U) p(U) + p(U)^2/2   for every subset U
 
-The subset family is exponential, so we start from all singletons (which
-already force C_j >= r_j + p_j/2), plus any warm-start subsets the caller
-passes, and add violated subsets found by a separation oracle until none
-is violated by more than `tau`.
+k covers j when j precedes k with no job in between (Instance.cover, the
+transitive reduction); those rows imply C_j <= C_k for every other pair
+of the closed relation. The subset family is exponential, so we start
+from all singletons (which already force C_j >= r_j + p_j/2), plus any
+warm-start subsets the caller passes, and add violated subsets found by
+a separation oracle until none is violated by more than `tau`.
 
 The solver separates over prefixes: for each release threshold rho, the
 prefixes in C-order of the jobs released at or above rho. That family is
@@ -23,14 +25,19 @@ the most violated subset shows that the prefix family contains a subset
 at least as violated. An exhaustive 2^n oracle is kept as the reference
 the tests cross-check against.
 
-Each round is solved by HiGHS through the binding that scipy ships and
-that scipy.optimize.linprog itself calls (scipy.optimize._highspy._core),
-with linprog's options for method="highs" and feasibility tightened to
-1e-9, so residual noise on already-added rows stays far below tau. Calling
-the binding directly skips linprog's fixed per-call cost (input checks, a
-dense-to-sparse conversion, one options check per option, the result
-object) and gives bit-identical solutions; tests/test_lp.py pins that
-against public linprog.
+Each LP lives in one HiGHS model, reached through the binding that scipy
+ships and that scipy.optimize.linprog itself calls
+(scipy.optimize._highspy._core), with linprog's options for
+method="highs" and feasibility tightened to 1e-9, so residual noise on
+already-added rows stays far below tau. The model is passed once and its
+first round is solved from scratch, bit-identical to public linprog on
+the same rows (tests/test_lp.py pins that). Each later round appends the
+new cut's row with addRow and runs again: the previous optimal basis,
+with the new row's slack basic, is still dual feasible, so HiGHS skips
+presolve and hot-starts the dual simplex. A later round reaches the same
+optimal value as a from-scratch solve of its rows, up to the solver's
+tolerance, but where the optimum is degenerate it may land on another
+optimal vertex.
 """
 
 from __future__ import annotations
@@ -254,9 +261,10 @@ class _Rows:
         return lp
 
 
-def _add_cut(rows: _Rows, p: list[float], cut: Cut) -> None:
-    """The cut as an upper-bound row: -sum_{j in U} p_j C_j <= -rhs."""
-    rows.add(cut.jobs, [-p[j] for j in cut.jobs], -float(cut.rhs))
+def _cut_row(p: list[float], cut: Cut) -> tuple[tuple[int, ...], list[float], float]:
+    """The cut as an upper-bound row -sum_{j in U} p_j C_j <= -rhs: its
+    columns, coefficients and bound."""
+    return cut.jobs, [-p[j] for j in cut.jobs], -float(cut.rhs)
 
 
 def _new_highs() -> _Highs:
@@ -270,23 +278,21 @@ def _new_highs() -> _Highs:
     return highs
 
 
-def linprog(highs: _Highs, model: HighsLp) -> tuple[list[float], float, list[float]]:
-    """Solve one round's LP from scratch on `highs`.
+def linprog(highs: _Highs) -> tuple[list[float], float, list[float]]:
+    """Solve the model that `highs` holds, from its current state.
 
-    Returns the solution, the objective value and one dual per row. They
-    are bit-identical to what scipy.optimize.linprog(method="highs") with
-    the same tolerances returns as x, fun and ineqlin.marginals.
+    Right after passModel that is a solve from scratch, bit-identical to
+    scipy.optimize.linprog(method="highs") with the same tolerances (as x,
+    fun and ineqlin.marginals); after addRow, a dual simplex hot-started
+    from the previous optimal basis. Returns the solution, the objective
+    value and one dual per row.
 
-    solve_lp looks this function up by its module-level name each round,
-    the name it had when each round called scipy's linprog: the
-    benchmark's tracer (perfbench/spans.py) and the tests wrap
+    solve_lp calls this function once per round by its module-level name:
+    the benchmark's tracer (perfbench/spans.py) and the tests wrap
     prec_sched.lp.linprog to count and time the inner solves.
     """
-    if highs.passModel(model) == HighsStatus.kError:
-        status = HighsModelStatus.kModelError
-    else:
-        highs.run()
-        status = highs.getModelStatus()
+    highs.run()
+    status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise SchedulingError(f"inner LP solve failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
@@ -304,8 +310,10 @@ def solve_lp(
     Starts from the precedence rows plus all singleton subset cuts and the
     `warm` cuts, then alternates LP solves with the prefix oracle
     `separate_fast` until no subset constraint is violated by more than
-    tau. The constraint rows are built once; each round appends the new
-    cut's row and solves the model from scratch on one HiGHS instance.
+    tau. The precedence rows are those of the cover pairs only. The model
+    is passed to HiGHS once and solved from scratch; each later round
+    appends the new cut's row to the live model and re-solves it from the
+    previous optimal basis (see the module docstring).
 
     Parameters
     ----------
@@ -332,9 +340,9 @@ def solve_lp(
         `duals` holds the final round's HiGHS row duals (the values
         scipy's `linprog` reports as `ineqlin.marginals`, each at most 0
         up to solver noise), one per constraint row of the model as it is
-        posed: first one per precedence pair C_j - C_k <= 0 in sorted pair
-        order, then one per entry of `cuts`, in that order, for the row
-        -sum_{j in U} p_j C_j <= -rhs.
+        posed: first one per cover pair (j, k) of `instance.cover`, in
+        that order, for the row C_j - C_k <= 0, then one per entry of
+        `cuts`, in that order, for the row -sum_{j in U} p_j C_j <= -rhs.
 
     Raises
     ------
@@ -363,16 +371,18 @@ def solve_lp(
     p = [float(job.p) for job in instance.jobs]
     w = [float(job.w) for job in instance.jobs]
     rows = _Rows()
-    for j, k in sorted(instance.prec):
+    for j, k in instance.cover:
         rows.add((j, k), (1.0, -1.0), 0.0)
     for cut in cuts:
-        _add_cut(rows, p, cut)
+        rows.add(*_cut_row(p, cut))
 
     highs = _new_highs()
+    if highs.passModel(rows.model(w)) == HighsStatus.kError:
+        raise SchedulingError("HiGHS rejected the LP model")
     z_history = []
     C, z = (), 0.0
     for rounds in range(1, max_rounds + 1):
-        x, z, duals = linprog(highs, rows.model(w))
+        x, z, duals = linprog(highs)
         C = tuple(x)
         z_history.append(z)
         cut = separate_fast(C, instance, tau)
@@ -386,7 +396,10 @@ def solve_lp(
             )
         cuts.append(cut)
         seen.add(cut.jobs)
-        _add_cut(rows, p, cut)
+        columns, coefficients, bound = _cut_row(p, cut)
+        status = highs.addRow(-kHighsInf, bound, len(columns), columns, coefficients)
+        if status == HighsStatus.kError:
+            raise SchedulingError(f"HiGHS rejected the cut on jobs {cut.jobs}")
     # one last separation to name the most violated leftover
     leftover = separate_fast(C, instance, tau)
     raise LpIterationLimitError(

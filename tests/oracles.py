@@ -36,6 +36,14 @@ def closure_by_squaring(pairs, n: int) -> set:
         reach = nxt
 
 
+def transitive_reduction_ref(pairs, n: int) -> set:
+    """The pairs of a DAG that do not follow from the others: each pair is
+    dropped in turn and kept only if re-closing the rest does not bring it
+    back."""
+    pairs = set(pairs)
+    return {e for e in pairs if e not in closure_by_squaring(pairs - {e}, n)}
+
+
 def precedence_findings_ref(pairs, n: int) -> list:
     """validate's precedence findings, derived from the full closure.
 

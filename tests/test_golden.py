@@ -12,7 +12,9 @@ change that moves an output on purpose regenerates it with
 
     PYTHONPATH=src python -m tests.test_golden
 
-and lists every moved output in its change notes.
+and lists every moved output in its change notes. Before it writes the
+file, that command prints one line per moved output: its key, the old
+and new cost, and whether the sha256 changed.
 """
 
 from __future__ import annotations
@@ -63,6 +65,20 @@ def outputs(family: str, seed: int, directory: Path) -> dict:
     return found
 
 
+def moves(old: dict, new: dict) -> list[str]:
+    """One line per output whose golden entry differs between two tables."""
+    lines = []
+    for key in sorted(new):
+        for name, entry in new[key].items():
+            was = old.get(key, {}).get(name)
+            if was != entry:
+                cost = was["cost"] if was else "absent"
+                same = was is not None and was["sha256"] == entry["sha256"]
+                sha = "sha256 same" if same else "sha256 changed"
+                lines.append(f"{key}/{name}: cost {cost} -> {entry['cost']}, {sha}")
+    return lines
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_outputs_match_golden(family, seed, tmp_path):
@@ -79,4 +95,7 @@ if __name__ == "__main__":
             for family in FAMILIES
             for seed in SEEDS
         }
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for line in moves(old, table):
+        print(line)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

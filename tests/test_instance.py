@@ -31,12 +31,13 @@ from prec_sched import (
     validate,
 )
 from .auditors import feasibility_violations_pairwise
-from .conftest import random_feasible_schedule, random_instance
+from .conftest import dag_variants, random_feasible_schedule, random_instance
 from .oracles import (
     brute_force_opt,
     closure_by_squaring,
     precedence_findings_ref,
     tighten_ref,
+    transitive_reduction_ref,
 )
 
 
@@ -174,6 +175,27 @@ class TestTransitiveClosure:
     def test_self_loop_is_a_cycle(self):
         with pytest.raises(CycleError):
             transitive_closure({(3, 3)})
+
+
+class TestCover:
+    def test_chain_with_shortcut(self):
+        instance = make_instance([(1, 0, 1)] * 4, [(0, 1), (1, 2), (0, 3)])
+        assert (0, 2) in instance.prec
+        assert instance.cover == ((0, 1), (0, 3), (1, 2))
+
+    def test_matches_reduction_reference_and_closes_to_prec(self):
+        checked = 0
+        for seed in range(30):
+            for instance in dag_variants(seed, 2 + seed % 8, density=0.5):
+                assert list(instance.cover) == sorted(
+                    transitive_reduction_ref(instance.prec, instance.n)
+                )
+                assert transitive_closure(instance.cover) == instance.prec
+                checked += len(instance.cover) < len(instance.prec)
+        assert checked > 20  # most relations had implied pairs to drop
+
+    def test_no_precedence(self):
+        assert make_instance([(1, 0, 1)] * 3).cover == ()
 
 
 class TestNormalizeReleaseTimes:
