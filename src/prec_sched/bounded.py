@@ -35,11 +35,11 @@ in class i+1. The lift converts each exact floor and guessed interval
 to float once; the lifted instance, and every schedule and cost after
 it, is float.
 
-Both modes run one guess stream and one lift and differ only in their
-items, keys with a size and a smallest release: jobs (p_j, r_j) in the
-exhaustive mode, which also checks precedence, and the eligible size
-classes ((1+eps)^i, the class's smallest release) in the typed mode,
-where a job's key is its class.
+Both modes run one guess stream and one lift. A mode is its items (keys
+with a size and a smallest release) plus each job's key: the jobs
+(p_j, r_j) keyed by id in the exhaustive mode, whose stream also checks
+precedence; the eligible size classes ((1+eps)^i, the class's smallest
+release) in the typed mode, where a job's key is its rounded size.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvariantViolationError, SchedulingError, ValidationError
 from .instance import Instance, Job, Schedule, is_feasible, lift_releases, schedule_cost
@@ -59,19 +59,15 @@ log = logging.getLogger(__name__)
 
 N_GUESS = 10
 MODES = ("exhaustive", "typed", "empty-guess")
-
-
-def to_fraction(x) -> Fraction:
-    """Exact rational from int, str ("1/2", "0.25"), Fraction, or float."""
-    if isinstance(x, float):
-        return Fraction(*x.as_integer_ratio())
-    return Fraction(x)
+# the guess grid has ceil(1/eps) starts per job; solve's own floor, set by
+# float range, is never below about 1/118, so this one moves none of its outputs
+EPS_MIN = Fraction(1, 128)
 
 
 def early_bound(epsilon, beta) -> int:
     """Largest possible number of early jobs: ceil(log2((1+eps) beta))."""
-    eps = to_fraction(epsilon)
-    return math.ceil(math.log2(float((1 + eps) * to_fraction(beta))) - 1e-12)
+    eps = Fraction(epsilon)
+    return math.ceil(math.log2(float((1 + eps) * Fraction(beta))) - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -106,27 +102,27 @@ class TypeGuess:
 EMPTY_GUESS = Guess((), ())
 
 
-def _start_grid(p, eps: Fraction) -> list[Fraction]:
-    # multiples m * eps * p with m * eps < 1, i.e. candidate starts below p
-    return [m * eps * to_fraction(p) for m in range(math.ceil(1 / eps))]
-
-
-def _positive(epsilon) -> Fraction:
-    eps = to_fraction(epsilon)
+def _check_arguments(epsilon, beta=1, mode=MODES[0], budget: Optional[int] = None) -> Fraction:
+    """epsilon as a Fraction, once the block solver's arguments are checked:
+    epsilon above EPS_MIN, beta positive and finite, a known mode and a
+    nonnegative budget."""
+    eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    return eps
-
-
-def _check_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 0:
-        raise ValueError(f"guess budget must be nonnegative, got {budget}")
-
-
-def _check_arguments(mode: str, budget: Optional[int]) -> None:
+    if eps <= EPS_MIN:
+        raise ValueError(f"epsilon must exceed {float(EPS_MIN)} ({EPS_MIN}): "
+                         "the guess grid has ceil(1/epsilon) starts per job")
+    try:
+        beta_float = float(Fraction(beta))
+    except (OverflowError, ValueError):  # beyond the float range, or not a number
+        beta_float = math.nan
+    if not 0 < beta_float < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
-    _check_budget(budget)
+    if budget is not None and budget < 0:
+        raise ValueError(f"guess budget must be nonnegative, got {budget}")
+    return eps
 
 
 def enumerate_guesses(
@@ -144,78 +140,68 @@ def enumerate_guesses(
     release time, two early processing intervals overlapping, or ordered
     jobs j preceding k with S'_j + p_j > S'_k. The set size is capped by
     early_bound(epsilon, beta). `budget` (nonnegative) truncates the
-    stream after that many yields; `stats` then counts only up to the
-    last guess yielded.
+    stream after that many yields; the overlap and precedence counts in
+    `stats` then stop at the last guess yielded.
     """
-    eps = _positive(epsilon)
+    eps = _check_arguments(epsilon, beta, budget=budget)
     items = {j: (job.p, job.r) for j, job in enumerate(instance.jobs)}
-    yield from _stream(Guess, items, instance.prec, eps, beta, budget, stats)
+    yield from _guesses(Guess, items, instance.prec, eps, beta, budget, stats)
 
 
-def _stream(make, items: dict, prec, eps: Fraction, beta, budget, stats) -> Iterator:
+def _guesses(make, items: dict, prec, eps: Fraction, beta, budget, stats) -> Iterator:
     """Both modes' guess stream: make(keys, starts) over `items`, which maps
     each key to (size, smallest release). Resets `stats`; `budget` truncates."""
-    _check_budget(budget)
-    if stats is None:
-        stats = {}
+    stats = {} if stats is None else stats
     stats.update(yielded=0, pruned_release=0, pruned_overlap=0, pruned_prec=0)
-    yield from islice(_guesses(make, items, prec, eps, beta, stats), budget)
-
-
-def _guesses(make, items: dict, prec, eps: Fraction, beta, stats: dict) -> Iterator:
-    cap = min(early_bound(eps, beta), len(items))
-    stats["yielded"] += 1
-    yield make((), ())
-
+    if budget == 0:
+        return
     options = {}
     for key, (size, r_min) in items.items():
-        grid = _start_grid(size, eps)
-        keep = [s for s in grid if s >= r_min]
-        stats["pruned_release"] += len(grid) - len(keep)
-        options[key] = keep
+        # multiples m * eps * size with m * eps < 1: candidate starts below size
+        grid = [m * eps * Fraction(size) for m in range(math.ceil(1 / eps))]
+        options[key] = [s for s in grid if s >= r_min]
+        stats["pruned_release"] += len(grid) - len(options[key])
 
-    for count in range(1, cap + 1):
+    # count 0 is the empty guess
+    for count in range(max(0, min(early_bound(eps, beta), len(items))) + 1):
         for chosen in combinations(items, count):
-            if any(not options[k] for k in chosen):
-                continue
             for starts in product(*(options[k] for k in chosen)):
                 span = sorted((s, s + items[k][0]) for k, s in zip(chosen, starts))
                 if any(span[i][1] > span[i + 1][0] for i in range(len(span) - 1)):
                     stats["pruned_overlap"] += 1
                     continue
                 at = dict(zip(chosen, starts))
-                if any(
-                    (j, k) in prec and at[j] + items[j][0] > at[k]
-                    for j in chosen
-                    for k in chosen
-                    if j != k
-                ):
+                pairs = permutations(chosen, 2)
+                if any((j, k) in prec and at[j] + items[j][0] > at[k] for j, k in pairs):
                     stats["pruned_prec"] += 1
                     continue
                 stats["yielded"] += 1
                 yield make(chosen, starts)
+                if stats["yielded"] == budget:
+                    return
 
 
-def _lift(instance: Instance, key_of, size, keys, starts) -> Instance:
-    """Both modes' lift, and the hand-over to floats: guessed key k starts
-    at its start s and occupies [s, s + size[k]]; job j has key key_of[j].
-    Raises on a bug (see adjust_release_times)."""
+def _lift(instance: Instance, key_of, keys, sizes, starts) -> Instance:
+    """Both modes' lift, and the hand-over to floats: guessed key keys[i]
+    starts at starts[i] and occupies [starts[i], starts[i] + sizes[i]]; job
+    j has key key_of[j]. Raises on a bug (see adjust_release_times)."""
     early = dict(zip(keys, starts))
     floor = [float(max(job.r, early.get(k, job.p))) for k, job in zip(key_of, instance.jobs)]
-    intervals = [(float(s), float(s + size[k])) for k, s in zip(keys, starts)]
+    intervals = [(float(s), float(s + size)) for s, size in zip(starts, sizes)]
     r = lift_releases(instance, floor, intervals)
     for j in range(instance.n):
         if r[j] < floor[j]:
             raise InvariantViolationError(f"adjusted release of job {j} below its floor")
         if any(s < r[j] < e for s, e in intervals):
             raise InvariantViolationError(f"adjusted release of job {j} inside an early interval")
-    for j, k in instance.prec:
+    # the cover pairs imply every other pair, as <= is transitive
+    for j, k in instance.cover:
         if r[j] > r[k]:
             raise InvariantViolationError(
                 f"adjusted releases violate order consistency on ({j}, {k})"
             )
     jobs = tuple(Job(float(job.p), rj, job.w) for job, rj in zip(instance.jobs, r))
-    return Instance(jobs, instance.prec)
+    return instance.with_jobs(jobs)
 
 
 def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
@@ -226,39 +212,26 @@ def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     the push out of early intervals in one topological pass. Raises if
     the result violates any rule (a bug).
     """
-    sizes = [job.p for job in instance.jobs]
-    return _lift(instance, range(instance.n), sizes, guess.jobs, guess.starts)
+    sizes = [instance.jobs[j].p for j in guess.jobs]
+    return _lift(instance, range(instance.n), guess.jobs, sizes, guess.starts)
 
 
 def round_processing(instance: Instance, epsilon) -> Instance:
     """Round every processing time up to the next power of (1 + eps)."""
-    eps = to_fraction(epsilon)
-    jobs = tuple(
-        Job(_pow_ceil(job.p, eps)[1], job.r, job.w) for job in instance.jobs
-    )
-    return Instance(jobs, instance.prec)
+    eps = Fraction(epsilon)
+    power = {p: _pow_ceil(p, eps)[1] for p in {job.p for job in instance.jobs}}
+    return instance.with_jobs(tuple(Job(power[job.p], job.r, job.w) for job in instance.jobs))
 
 
 def _pow_ceil(p, eps: Fraction) -> tuple[int, Fraction]:
     """Smallest (i, (1+eps)^i) with (1+eps)^i >= p. Exact arithmetic."""
-    base = 1 + eps
     i = 0
     v = Fraction(1)
-    target = to_fraction(p)
+    target = Fraction(p)
     while v < target:
-        v *= base
+        v *= 1 + eps
         i += 1
     return i, v
-
-
-def job_types(instance: Instance, epsilon) -> tuple[int, ...]:
-    """Size class of each job: the exponent i with (1+eps)^i >= p_j minimal.
-
-    On an instance already rounded with the same epsilon this is exact
-    (p_j equals its class's power).
-    """
-    eps = to_fraction(epsilon)
-    return tuple(_pow_ceil(job.p, eps)[0] for job in instance.jobs)
 
 
 def enumerate_type_guesses(
@@ -271,24 +244,26 @@ def enumerate_type_guesses(
 ) -> Iterator[TypeGuess]:
     """Yield guesses over processing-size classes of a rounded instance.
 
-    Only classes present in the instance whose rounded size lies strictly
-    between L and (1+eps)^2 * beta * L can have an early job. For each
-    chosen class i, the candidate smallest start runs over multiples of
-    eps * (1+eps)^i below (1+eps)^i, pruned below the class's smallest
-    release time. Early processing intervals must not overlap. `budget`
-    truncates the stream as in enumerate_guesses.
+    Each rounded size (1+eps)^i is class i. Only classes present in the
+    instance whose size lies strictly between L and (1+eps)^2 * beta * L
+    can have an early job. For each chosen class i, the candidate
+    smallest start runs over multiples of eps * (1+eps)^i below
+    (1+eps)^i, pruned below the class's smallest release time. Early
+    processing intervals must not overlap. `budget` truncates the stream
+    as in enumerate_guesses.
     """
-    eps = _positive(epsilon)
-    base = 1 + eps
-    types = job_types(instance, eps)
-    Lf = to_fraction(L)
-    hi = base * base * to_fraction(beta) * Lf
-    items = {
-        i: (base**i, min(to_fraction(job.r) for t, job in zip(types, instance.jobs) if t == i))
-        for i in sorted(set(types))
-        if Lf < base**i < hi
-    }
-    yield from _stream(TypeGuess, items, frozenset(), eps, beta, budget, stats)
+    eps = _check_arguments(epsilon, beta, budget=budget)
+    r_min: dict = {}  # rounded size -> smallest release
+    for job in instance.jobs:
+        r_min[job.p] = min(r_min.get(job.p, job.r), job.r)
+    Lf = Fraction(L)
+    hi = (1 + eps) ** 2 * Fraction(beta) * Lf
+    items = {}
+    for size in sorted(r_min):
+        i, power = _pow_ceil(size, eps)
+        if Lf < power < hi:
+            items[i] = (power, Fraction(r_min[size]))
+    yield from _guesses(TypeGuess, items, frozenset(), eps, beta, budget, stats)
 
 
 def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) -> Instance:
@@ -297,11 +272,12 @@ def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) ->
     Jobs of a guessed class get the class's guessed smallest start as a
     release floor; jobs of other classes get their (rounded) processing
     time, mirroring rules (b) and (c) per class. Consistency and the
-    interval push then follow as in adjust_release_times.
+    interval push then follow as in adjust_release_times. A job's key is
+    its rounded size, the size of its class.
     """
-    base = 1 + to_fraction(epsilon)
-    sizes = {i: base**i for i in guess.types}
-    return _lift(instance, job_types(instance, epsilon), sizes, guess.types, guess.starts)
+    base = 1 + Fraction(epsilon)
+    sizes = [base**i for i in guess.types]
+    return _lift(instance, [job.p for job in instance.jobs], sizes, sizes, guess.starts)
 
 
 @dataclass(frozen=True)
@@ -321,7 +297,6 @@ def solve_bounded(
     beta,
     mode: str = "exhaustive",
     budget: Optional[int] = None,
-    trace_hook: Optional[Callable] = None,
     warm: Iterable[Iterable[int]] = (),
 ) -> BoundedResult:
     """Best LP-then-list-schedule result over a stream of guesses.
@@ -342,9 +317,6 @@ def solve_bounded(
         the single all-late guess.
     budget : int, optional
         Truncate the guess stream after this many guesses; nonnegative.
-    trace_hook : callable, optional
-        Called with (guess, adjusted_instance, LpLsRun) for every guess
-        that produced a schedule; used by tests to audit traces.
     warm : iterable of job subsets
         Warm-start cut subsets passed to every guess's LP (see solve_lp).
         Every guess gets the same set, so results do not depend on the
@@ -357,52 +329,46 @@ def solve_bounded(
         the earliest guess in stream order. Guesses whose LP fails are
         logged and skipped; if every guess fails, SchedulingError.
     """
-    eps = _positive(epsilon)
-    _check_arguments(mode, budget)
-    tol = instance.tol()
+    eps = _check_arguments(epsilon, beta, mode, budget)
     low = min((job.r for job in instance.jobs), default=L)
-    if low < L - tol:
+    if low < L - instance.tol():
         raise ValidationError(
             [f"instance is not bounded by L = {L}: smallest release time is {low}"]
         )
-    if mode == "exhaustive":
-        if instance.n > N_GUESS and budget is None:
-            raise ValueError(
-                f"exhaustive guessing is capped at n = {N_GUESS} jobs; "
-                "use typed mode or set a budget"
-            )
-        guesses = list(enumerate_guesses(instance, eps, beta, budget))
-    elif mode == "empty-guess":
-        guesses = [EMPTY_GUESS]
-    else:
+    if mode == "exhaustive" and instance.n > N_GUESS and budget is None:
+        raise ValueError(
+            f"exhaustive guessing is capped at n = {N_GUESS} jobs; "
+            "use typed mode or set a budget"
+        )
+    # the lift is picked once; it looks its function up by name on each call
+    if mode == "typed":
         rounded = round_processing(instance, eps)
         guesses = list(enumerate_type_guesses(rounded, eps, L, beta, budget))
+        lift = lambda g: adjust_release_times_typed(rounded, g, eps)
+    else:
+        guesses = [EMPTY_GUESS]
+        if mode == "exhaustive":
+            guesses = list(enumerate_guesses(instance, eps, beta, budget))
+        lift = lambda g: adjust_release_times(instance, g)
     warm = tuple(warm)
     best = None
     failed = 0
     for g in guesses:
         try:
-            if mode == "typed":
-                adjusted = adjust_release_times_typed(rounded, g, eps)
-            else:
-                adjusted = adjust_release_times(instance, g)
-            run = lp_ls(adjusted, warm=warm)
+            run = lp_ls(lift(g), warm=warm)
         except InvariantViolationError:
             raise
         except SchedulingError as exc:
             log.warning("guess %s failed: %s", g, exc)
             failed += 1
             continue
-        if trace_hook is not None:
-            trace_hook(g, adjusted, run)
-        sched = run.schedule
-        if not is_feasible(sched, instance):
+        if not is_feasible(run.schedule, instance):
             raise InvariantViolationError(
                 "schedule from lifted releases is infeasible for the original instance"
             )
-        cost = schedule_cost(sched, instance)
+        cost = schedule_cost(run.schedule, instance)
         if best is None or cost < best[0]:
-            best = cost, sched, g
+            best = cost, run.schedule, g
     if best is None:
         raise SchedulingError(f"all {len(guesses)} guesses failed to produce a schedule")
     return BoundedResult(best[1], best[0], len(guesses), failed, best[2], mode)

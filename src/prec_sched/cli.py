@@ -4,14 +4,17 @@ Subcommands mirror the library layers: validate, lp, lpls, exact,
 bounded, solve, bench, gen. Results are JSON on stdout (times and costs
 as round-trip float strings, guessed starts as rationals like "5/3");
 bench and validate also offer a plain table. Exit codes: 0 success, 1
-usage error, 2 invalid or infeasible input, 3 broken internal invariant
-(a bug, e.g. a block escaping its interval).
+usage error or failed write to stdout, 2 invalid, unreadable or
+infeasible input, 3 broken internal invariant (a bug, e.g. a block
+escaping its interval).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -41,9 +44,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        value = Fraction(text)
+        float(value)  # OverflowError beyond the float range the solver computes in
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"not a rational number in float range: {text!r}")
+    return value
+
+
+def _load(path: str, normalize: bool = False):
+    """load_instance; an unreadable file or malformed JSON exits 2."""
+    try:
+        return load_instance(path, normalize=normalize)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error reading input: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _build_parser() -> _Parser:
@@ -119,13 +133,18 @@ def _emit(doc, output: str) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
     except (ValidationError, InfeasibleScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error reading input: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # _load handles reads, so a write to stdout failed
+        print(f"error writing output: {exc}", file=sys.stderr)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()  # so that the flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except (InvariantViolationError, LpIterationLimitError) as exc:
         print(f"internal invariant broken: {exc}", file=sys.stderr)
         return 3
@@ -139,7 +158,7 @@ def _dispatch(args) -> int:
     if cmd == "validate":
         # report structural findings instead of bailing on the first one
         try:
-            load_instance(args.instance)
+            _load(args.instance)
             findings = []
         except ValidationError as exc:
             findings = list(exc.findings)
@@ -163,7 +182,7 @@ def _dispatch(args) -> int:
         _emit(generate(config).to_dict(), args.output)
         return 0
 
-    inst = None if cmd == "bench" else load_instance(args.instance, normalize=True)
+    inst = None if cmd == "bench" else _load(args.instance, normalize=True)
 
     if cmd == "lp":
         sol = solve_lp(inst, tau=args.tol)

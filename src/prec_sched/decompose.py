@@ -40,8 +40,7 @@ exceeds the best cost so far by more than the relative margin SKIP_REL
 is skipped: its cost is then strictly above that best cost, so it cannot
 win by (cost, index), and the schedule, cost, offset, grid and block
 outcomes are exactly those of evaluating every offset. A skipped
-offset's blocks are not solved, so the trace hook never sees their
-guesses.
+offset's blocks are not solved, so none of their guesses run.
 """
 
 from __future__ import annotations
@@ -51,11 +50,12 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .bounded import _check_arguments, solve_bounded, to_fraction
+from .bounded import _check_arguments, solve_bounded
 from .errors import InvariantViolationError
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
 from .lp import LpSolution, solve_lp
@@ -125,7 +125,7 @@ def grid_from_scale(a: float, b: float, cmax: float) -> IntervalGrid:
 
 def _scale_of(epsilon) -> float:
     """Growth scale a = 3/epsilon; rejects epsilon outside (0, 3/ln 3]."""
-    eps = float(to_fraction(epsilon))
+    eps = float(Fraction(epsilon))
     if not 0 < eps <= EPS_MAX + 1e-12:
         raise ValueError(
             f"epsilon must lie in (0, 3/ln 3 ~= {EPS_MAX:.4f}], got {eps}: "
@@ -313,7 +313,6 @@ def _solve_partition(
     epsilon,
     bounded_mode: str,
     budget: Optional[int],
-    trace_hook,
 ) -> tuple[Schedule, float, tuple[IntervalOutcome, ...]]:
     tol = instance.tol()
     start = [0.0] * instance.n
@@ -326,7 +325,6 @@ def _solve_partition(
             beta=sub.beta,
             mode=bounded_mode,
             budget=budget,
-            trace_hook=trace_hook,
             warm=sub.warm,
         )
         tight = tighten(res.schedule, sub.instance)
@@ -366,7 +364,6 @@ def decompose_and_solve(
     seed: Optional[int] = None,
     bounded_mode: str = "exhaustive",
     budget: Optional[int] = None,
-    trace_hook=None,
 ) -> DecomposeResult:
     """Full pipeline: LP once, partition per offset, solve blocks, unite.
 
@@ -383,8 +380,6 @@ def decompose_and_solve(
         cannot win; random draws a single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
-    trace_hook : callable, optional
-        Forwarded to solve_bounded (receives per-guess traces).
 
     Returns
     -------
@@ -393,11 +388,10 @@ def decompose_and_solve(
         each offset's bound and the evaluation order.
     """
     # reject bad arguments before the parent LP, the costliest step here
-    eps = to_fraction(epsilon)
-    a = _scale_of(eps)
+    a = _scale_of(epsilon)
     if mode not in ("derandomized", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_arguments(bounded_mode, budget)
+    eps = _check_arguments(epsilon, mode=bounded_mode, budget=budget)
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
@@ -424,7 +418,7 @@ def decompose_and_solve(
         evaluated.append(i)
         subs = partition_jobs(instance, lp, grids[i])
         union, cost, outcomes = _solve_partition(
-            instance, grids[i], subs, eps, bounded_mode, budget, trace_hook
+            instance, grids[i], subs, eps, bounded_mode, budget
         )
         if best is None or (cost, i) < best[:2]:
             best = cost, i, union, outcomes

@@ -6,8 +6,9 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from .bounded import N_GUESS, to_fraction
+from .bounded import N_GUESS
 from .decompose import decompose_and_solve
 from .exact import exact_opt
 from .instance import (
@@ -114,7 +115,7 @@ def run_pipeline(instance: Instance, epsilon) -> dict:
     record = {
         "digest": digest(instance),
         "n": instance.n,
-        "epsilon": str(to_fraction(epsilon)),
+        "epsilon": str(Fraction(epsilon)),
         "Z_lp": result.lp.value,
         "alg_cost": result.cost,
         "b": result.b,
@@ -164,7 +165,7 @@ def bench(configs, epsilons, trials: int) -> dict:
             row = {
                 "family": config.family,
                 "n": config.n,
-                "epsilon": str(to_fraction(epsilon)),
+                "epsilon": str(Fraction(epsilon)),
                 "trials": trials,
             }
             for key in ("ratio_alg_opt", "ratio_alg_lp", "ratio_lpls_lp"):
@@ -172,7 +173,7 @@ def bench(configs, epsilons, trials: int) -> dict:
                 if vals:
                     row[f"max_{key}"] = max(vals)
                     row[f"mean_{key}"] = sum(vals) / len(vals)
-            eps = float(to_fraction(epsilon))
+            eps = float(Fraction(epsilon))
             pipeline_bound = 2.0 * (1.0 + eps) ** 2
             for rec in records:
                 if "opt_cost" in rec and rec["alg_cost"] > pipeline_bound * rec["opt_cost"] + _BENCH_TOL:

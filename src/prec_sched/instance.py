@@ -97,6 +97,14 @@ class Instance:
         """Comparison tolerance for this instance's time magnitudes."""
         return REL_TOL * max(1.0, self.time_scale)
 
+    def with_jobs(self, jobs: tuple[Job, ...]) -> Instance:
+        """This precedence on `jobs`, which replace the jobs one for one;
+        the predecessors, successors and cover are shared, not recomputed."""
+        out = Instance(jobs, self.prec)
+        for name in ("predecessors", "successors", "cover"):
+            out.__dict__[name] = getattr(self, name)  # as cached_property stores it
+        return out
+
     def to_dict(self) -> dict:
         return {
             "jobs": [{"p": j.p, "r": j.r, "w": j.w} for j in self.jobs],

@@ -6,16 +6,18 @@ for the no-idle-while-available property and the three busy-interval
 inequalities, LP solutions for the subset lemmas, and exact optima for
 the grid shift and the per-block accounting behind the decomposition.
 `feasibility_violations_pairwise` checks every pair of jobs for overlap,
-the reference the package's start-order sweep is tested against.
+the reference the package's start-order sweep is tested against, and
+`guess_traces` records the block solver's per-guess runs for auditing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
-from prec_sched.bounded import to_fraction
+import prec_sched.bounded
 from prec_sched.decompose import IntervalGrid, partition_jobs
 from prec_sched.exact import exact_opt
 from prec_sched.instance import Instance, Schedule, ValidationReport
@@ -211,14 +213,14 @@ def grid_shift(schedule: Schedule, instance: Instance, epsilon) -> Schedule:
     optimal schedules that it stretches no completion by more than a
     factor (1 + eps).
     """
-    eps = to_fraction(epsilon)
+    eps = Fraction(epsilon)
     n = instance.n
     order = sorted(range(n), key=lambda j: (schedule.start[j] + instance.jobs[j].p, j))
     new_start = [Fraction(0)] * n
     prev_end = Fraction(0)
     for j in order:
         step = eps * instance.jobs[j].p
-        lb = max(to_fraction(schedule.start[j]), prev_end)
+        lb = max(Fraction(schedule.start[j]), prev_end)
         m = -(-lb // step)  # ceil division on Fractions
         new_start[j] = m * step
         prev_end = new_start[j] + instance.jobs[j].p
@@ -246,3 +248,45 @@ def exact_contribution(instance: Instance, optimal: Schedule, subset) -> float:
     """Weighted completion mass of `subset` inside the given schedule."""
     comp = optimal.completion(instance)
     return sum(instance.jobs[j].w * comp[j] for j in subset)
+
+
+@contextmanager
+def guess_traces():
+    """Record (guess, lifted instance, LpLsRun) for every guess the block
+    solver runs to a schedule, inside the `with` block.
+
+    Wraps the module-level names prec_sched.bounded looks its two lifts
+    and lp_ls up by on each call, and yields the list the records go to.
+    A record pairs a lift with the lp_ls call made on its very result; a
+    guess whose LP fails leaves none.
+    """
+    module = prec_sched.bounded
+    saved = {
+        name: getattr(module, name)
+        for name in ("adjust_release_times", "adjust_release_times_typed", "lp_ls")
+    }
+    traces = []
+    last = []  # the latest (guess, lifted instance), until its lp_ls runs
+
+    def lift(name):
+        def wrapper(instance, guess, *args):
+            adjusted = saved[name](instance, guess, *args)
+            last[:] = [(guess, adjusted)]
+            return adjusted
+
+        return wrapper
+
+    def lp_ls(instance, *args, **kwargs):
+        run = saved["lp_ls"](instance, *args, **kwargs)
+        if last and last[0][1] is instance:
+            traces.append((*last.pop(), run))
+        return run
+
+    module.adjust_release_times = lift("adjust_release_times")
+    module.adjust_release_times_typed = lift("adjust_release_times_typed")
+    module.lp_ls = lp_ls
+    try:
+        yield traces
+    finally:
+        for name, fn in saved.items():
+            setattr(module, name, fn)

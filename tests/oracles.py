@@ -223,6 +223,21 @@ def enumerate_guesses_ref(instance, epsilon, beta):
     return out
 
 
+def job_types(instance, epsilon) -> tuple:
+    """Size class of each job: the exponent i with (1 + eps)**i >= p_j
+    minimal, by repeated multiplication in exact arithmetic. On an instance
+    rounded with the same epsilon, p_j equals its class's power."""
+    base = 1 + frac(epsilon)
+    types = []
+    for job in instance.jobs:
+        i, v = 0, Fraction(1)
+        while v < frac(job.p):
+            v *= base
+            i += 1
+        types.append(i)
+    return tuple(types)
+
+
 def enumerate_type_guesses_ref(instance, epsilon, L, beta):
     """Admissible class-level guesses of a rounded instance, recursively.
 
@@ -237,16 +252,7 @@ def enumerate_type_guesses_ref(instance, epsilon, L, beta):
     Lf = frac(L)
     hi = base * base * frac(beta) * Lf
     bound = log2_ceil((1 + eps) * frac(beta))
-
-    def type_of(p):
-        i = 0
-        v = Fraction(1)
-        while v < p:
-            v *= base
-            i += 1
-        return i
-
-    types = [type_of(frac(job.p)) for job in instance.jobs]
+    types = job_types(instance, eps)
     eligible = sorted(i for i in set(types) if Lf < base**i < hi)
 
     def grid(i):

@@ -46,6 +46,7 @@ from .auditors import (
     check_ls_property,
     grid_floor_values,
     grid_shift,
+    guess_traces,
     subproblem_optimum_sum,
 )
 from .conftest import random_bounded_instance, random_instance
@@ -97,18 +98,12 @@ def bounded_runs_100():
         n = 2 + s % 5
         L = 2 + s % 4
         inst = random_bounded_instance(2000 + s, n, L)
-        traces = []
         result, error = None, None
-        try:
-            result = solve_bounded(
-                inst,
-                1,
-                L,
-                E3,
-                trace_hook=lambda g, a, r, _t=traces: _t.append((g, a, r)),
-            )
-        except InvariantViolationError as exc:
-            error = exc
+        with guess_traces() as traces:
+            try:
+                result = solve_bounded(inst, 1, L, E3)
+            except InvariantViolationError as exc:
+                error = exc
         opt_cost, opt_schedule = exact_opt(inst)
         entries.append(
             SimpleNamespace(
@@ -134,16 +129,12 @@ def pipeline_runs_100():
             n=2 + s % 6, seed=3000 + s, family=PREC_FAMILIES[s % 4]
         )
         inst = generate(cfg)
-        traces = []
         result, error = None, None
-        try:
-            result = decompose_and_solve(
-                inst,
-                1,
-                trace_hook=lambda g, a, r, _t=traces: _t.append((g, a, r)),
-            )
-        except InvariantViolationError as exc:
-            error = exc
+        with guess_traces() as traces:
+            try:
+                result = decompose_and_solve(inst, 1)
+            except InvariantViolationError as exc:
+                error = exc
         opt_cost, _ = exact_opt(inst)
         entries.append(
             SimpleNamespace(
@@ -172,7 +163,7 @@ def offset_study_instances():
     return chosen
 
 
-def hook_traces(*entry_lists):
+def all_traces(*entry_lists):
     return chain.from_iterable(e.traces for e in chain.from_iterable(entry_lists))
 
 
@@ -297,7 +288,7 @@ def test_no_idle_time_while_work_is_available(
     for inst, run in ls_runs_200:
         findings += list(check_ls_property(run.schedule, inst, run.order).findings)
         checked += 1
-    for _, adjusted, run in hook_traces(bounded_runs_100, pipeline_runs_100):
+    for _, adjusted, run in all_traces(bounded_runs_100, pipeline_runs_100):
         findings += list(check_ls_property(run.schedule, adjusted, run.order).findings)
         checked += 1
     ok = not findings and checked >= 300
@@ -308,7 +299,7 @@ def test_no_idle_time_while_work_is_available(
 def test_busy_interval_bounds_hold_on_all_traces(bounded_runs_100, pipeline_runs_100):
     findings = []
     checked = 0
-    for _, adjusted, run in hook_traces(bounded_runs_100, pipeline_runs_100):
+    for _, adjusted, run in all_traces(bounded_runs_100, pipeline_runs_100):
         report = check_busy_interval_bounds(
             run.schedule, adjusted, run.order, run.lp.completion, tau=1e-6
         )

@@ -26,13 +26,14 @@ from prec_sched import (
     round_processing,
     solve_bounded,
 )
-from prec_sched.bounded import EMPTY_GUESS, job_types, to_fraction
-from .auditors import grid_shift
+from prec_sched.bounded import EMPTY_GUESS, MODES, _pow_ceil
+from .auditors import grid_shift, guess_traces
 from .conftest import dag_variants, random_bounded_instance, random_instance
 from .oracles import (
     enumerate_guesses_ref,
     enumerate_type_guesses_ref,
     frac,
+    job_types,
     log2_ceil,
     naive_adjust,
 )
@@ -226,6 +227,39 @@ class TestEnumerateTypeGuesses:
             assert got == enumerate_type_guesses_ref(rounded, eps, 1, 4)
 
 
+class TestSharedPrecedence:
+    def test_lifted_instance_reuses_the_block_precedence(self):
+        block = random_instance(3, 6, r_max=4, density=0.5)
+        lifted = adjust_release_times(block, EMPTY_GUESS)
+        assert lifted.cover is block.cover
+        assert lifted.predecessors is block.predecessors
+        assert lifted.successors is block.successors
+
+    def test_rounded_and_typed_lift_reuse_it_too(self):
+        block = random_instance(4, 6, r_max=4, density=0.5)
+        rounded = round_processing(block, 1)
+        assert rounded.cover is block.cover
+        assert adjust_release_times_typed(rounded, TypeGuess((), ()), 1).cover is block.cover
+
+    def test_size_classes_computed_once_per_distinct_size(self, monkeypatch):
+        instance = make_instance([(8, 2, 1), (6, 2, 1), (8, 3, 2), (4, 2, 1), (7, 2, 3), (6, 5, 1)])
+        eps = Fraction(1, 2)
+        sizes = {job.p for job in instance.jobs}
+        rounded = {job.p for job in round_processing(instance, eps).jobs}  # 6 and 7 share one
+        calls = []
+
+        def counted(p, eps):
+            calls.append(p)
+            return _pow_ceil(p, eps)
+
+        monkeypatch.setattr("prec_sched.bounded._pow_ceil", counted)
+        result = solve_bounded(instance, eps, 2, E3, mode="typed")
+        assert result.guesses_tried == 4
+        # round_processing once per size, enumerate_type_guesses once per
+        # rounded size, and no guess's lift at all
+        assert sorted(calls, key=float) == sorted([*sizes, *rounded], key=float)
+
+
 class TestAdjustReleaseTimesTyped:
     def test_empty_guess_floor_propagates_along_chain(self):
         rounded = round_processing(
@@ -303,18 +337,11 @@ class TestSolveBounded:
                 (j, k) for j in range(n) for k in range(j + 1, n) if rng.random() < 0.3
             ]
             instance = normalize_release_times(make_instance(jobs, prec))
-            runs = []
-            result = solve_bounded(
-                instance,
-                1,
-                2,
-                E3,
-                mode="empty-guess",
-                trace_hook=lambda g, adj, run: runs.append(run),
-            )
+            with guess_traces() as traces:
+                result = solve_bounded(instance, 1, 2, E3, mode="empty-guess")
             assert result.mode == "empty-guess"
             assert result.guesses_tried == 1
-            (run,) = runs
+            ((_, _, run),) = traces
             assert result.cost <= 2 * run.lp.value + 1e-6
 
     def test_guarantee_against_exact_optimum(self):
@@ -376,18 +403,40 @@ class TestSolveBounded:
                 with pytest.raises(ValueError, match="epsilon must be positive"):
                     solve_bounded(instance, eps, 6, 21, mode=mode)
 
-    def test_trace_hook_sees_every_guess(self):
+    @pytest.mark.parametrize("beta", [0, -1, math.inf, Fraction(10**400)])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        instance = make_instance([(8, 6, 2)])
+        for mode in MODES:
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                solve_bounded(instance, 1, 6, beta, mode=mode)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            list(enumerate_guesses(instance, 1, beta))
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            list(enumerate_type_guesses(instance, 1, 6, beta))
+
+    def test_epsilon_floor_in_every_entry_point(self):
+        instance = make_instance([(8, 6, 2)])
+        floor = "epsilon must exceed 0.0078125 \\(1/128\\)"
+        for eps in (Fraction(1, 128), Fraction(1, 10**400)):
+            for mode in MODES:
+                with pytest.raises(ValueError, match=floor):
+                    solve_bounded(instance, eps, 6, 21, mode=mode)
+            with pytest.raises(ValueError, match=floor):
+                list(enumerate_guesses(instance, eps, 21))
+            with pytest.raises(ValueError, match=floor):
+                list(enumerate_type_guesses(instance, eps, 6, 21))
+        result = solve_bounded(instance, Fraction(1, 127), 6, 21)
+        assert result.guesses_tried > 1
+
+    def test_guess_traces_see_every_guess(self):
         instance = random_bounded_instance(5, 4, 2)
-        seen = []
-        result = solve_bounded(
-            instance,
-            Fraction(1, 2),
-            2,
-            E3,
-            trace_hook=lambda g, adj, run: seen.append(g),
-        )
-        assert len(seen) == result.guesses_tried
-        assert seen[0] == EMPTY_GUESS
+        for mode in MODES:
+            with guess_traces() as traces:
+                result = solve_bounded(instance, Fraction(1, 2), 2, E3, mode=mode)
+            assert len(traces) == result.guesses_tried
+            assert traces[0][0] in (EMPTY_GUESS, TypeGuess((), ()))
+            for _, adjusted, run in traces:
+                assert len(run.schedule.start) == adjusted.n == instance.n
 
 
 class TestGridShift:

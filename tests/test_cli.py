@@ -3,7 +3,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import sys
 
 import pytest
 
@@ -214,6 +216,29 @@ class TestBounded:
         assert out == ""
         assert "guess budget must be nonnegative, got -1" in err
 
+    @pytest.mark.parametrize("beta", ["0", "-2"])
+    def test_nonpositive_beta_is_usage_error(self, capsys, tmp_path, beta):
+        path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}], "prec": []})
+        code, out, err = run(
+            capsys, "bounded", path, "--L", "6", "--beta", beta, "--epsilon", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "beta must be positive and finite" in err
+
+    def test_epsilon_below_the_grid_floor_is_usage_error(self, capsys, tmp_path):
+        # the empty guess builds no grid, so this stays quick even if the floor is missing
+        path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}], "prec": []})
+        for eps in ("1e-400", "1/128"):
+            code, out, err = run(
+                capsys,
+                "bounded", path,
+                "--L", "6", "--beta", "21", "--epsilon", eps, "--mode", "empty-guess",
+            )
+            assert code == 1
+            assert out == ""
+            assert "epsilon must exceed 0.0078125 (1/128)" in err
+
 
 class TestSolve:
     def test_derandomized_reference(self, capsys, reference_path):
@@ -293,7 +318,52 @@ class TestBench:
         assert json.loads(out)["violations"] == []
 
 
+class _FailingStdout:
+    """A stdout whose every write fails with `exc`."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+    def flush(self):
+        pass
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space")]
+    )
+    @pytest.mark.parametrize("command", [["gen", "--n", "6"], ["solve", None, "--epsilon", "1"]])
+    def test_failed_write_is_an_output_error(
+        self, capsys, monkeypatch, reference_path, exc, command
+    ):
+        argv = [reference_path if arg is None else arg for arg in command]
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc))
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error writing output: ") and err.count("\n") == 1
+        assert exc.strerror in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve", None, "--epsilon", "1e400"], "--epsilon"),
+            (["bench", "--epsilon", "1e400", "--trials", "1"], "--epsilon"),
+            (["bounded", None, "--L", "1e400", "--beta", "21", "--epsilon", "1"], "--L"),
+            (["bounded", None, "--L", "6", "--beta", "1e400", "--epsilon", "1"], "--beta"),
+        ],
+    )
+    def test_rational_beyond_float_range_is_usage_error(
+        self, capsys, reference_path, argv, flag
+    ):
+        code, out, err = run(capsys, *[reference_path if a is None else a for a in argv])
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: not a rational number in float range: '1e400'" in err
+        assert "Traceback" not in err
+
     def test_no_arguments_is_usage(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

@@ -36,7 +36,7 @@ from prec_sched import (
 from prec_sched.bounded import MODES
 from prec_sched.decompose import EPS_MAX, _solve_partition, grid_from_scale
 from prec_sched.harness import FAMILIES
-from .auditors import exact_contribution, grid_floor_values, subproblem_optimum_sum
+from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
 from .oracles import partition_signature
 
@@ -255,6 +255,8 @@ class TestDecomposeAndSolve:
             decompose_and_solve(instance, 4)
         with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
             decompose_and_solve(instance, 1, budget=-1)
+        with pytest.raises(ValueError, match="epsilon must exceed 0.0078125"):
+            decompose_and_solve(instance, Fraction(1, 128))
         with pytest.raises(ValueError, match="unknown mode 'oracle'"):
             decompose_and_solve(instance, 1, mode="oracle")
         with pytest.raises(ValueError, match="unknown mode 'nope'"):
@@ -285,13 +287,12 @@ class TestDecomposeAndSolve:
             assert result.grid.b == result.b
             assert result.grid.a == pytest.approx(3.0)
 
-    def test_trace_hook_reaches_block_solver(self):
-        seen = []
+    def test_guess_traces_reach_block_solver(self):
         instance = random_instance(4, 5)
-        decompose_and_solve(
-            instance, 1, trace_hook=lambda g, adj, run: seen.append(g)
-        )
-        assert seen
+        with guess_traces() as traces:
+            result = decompose_and_solve(instance, 1)
+        assert traces
+        assert len(traces) >= sum(iv.guesses_tried for iv in result.intervals)
 
     def test_to_dict_shape(self):
         instance = make_instance([(2, 3, 1)])
@@ -354,9 +355,7 @@ class TestOffsetPruning:
         for i, b in enumerate(result.candidates):
             grid = build_grid(epsilon, b, cmax)
             subs = partition_jobs(instance, result.lp, grid)
-            union, cost, outcomes = _solve_partition(
-                instance, grid, subs, epsilon, mode, None, None
-            )
+            union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
             assert result.bounds[i] <= cost
             runs.append((cost, i, union.start, outcomes))
         cost, i, start, outcomes = min(runs, key=lambda run: run[:2])
