@@ -99,25 +99,23 @@ class TypeGuess:
         }
 
 
-EMPTY_GUESS = Guess((), ())
-
-
-def _check_arguments(epsilon, beta=1, mode=MODES[0], budget: Optional[int] = None) -> Fraction:
+def _check_arguments(epsilon, beta=1, mode=MODES[0], budget=None, L=1) -> Fraction:
     """epsilon as a Fraction, once the block solver's arguments are checked:
-    epsilon above EPS_MIN, beta positive and finite, a known mode and a
-    nonnegative budget."""
+    epsilon above EPS_MIN, beta and L positive and finite, a known mode
+    and a nonnegative budget."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if eps <= EPS_MIN:
         raise ValueError(f"epsilon must exceed {float(EPS_MIN)} ({EPS_MIN}): "
                          "the guess grid has ceil(1/epsilon) starts per job")
-    try:
-        beta_float = float(Fraction(beta))
-    except (OverflowError, ValueError):  # beyond the float range, or not a number
-        beta_float = math.nan
-    if not 0 < beta_float < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    for name, value in (("beta", beta), ("L", L)):
+        try:
+            number = float(Fraction(value))
+        except (OverflowError, ValueError):  # beyond the float range, or not a number
+            number = math.nan
+        if not 0 < number < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
     if budget is not None and budget < 0:
@@ -252,7 +250,7 @@ def enumerate_type_guesses(
     processing intervals must not overlap. `budget` truncates the stream
     as in enumerate_guesses.
     """
-    eps = _check_arguments(epsilon, beta, budget=budget)
+    eps = _check_arguments(epsilon, beta, budget=budget, L=L)
     r_min: dict = {}  # rounded size -> smallest release
     for job in instance.jobs:
         r_min[job.p] = min(r_min.get(job.p, job.r), job.r)
@@ -309,14 +307,15 @@ def solve_bounded(
     epsilon : rational
         Grid resolution for guessed starts.
     L, beta : rational
-        Bounding parameters of the instance.
+        Bounding parameters of the instance, positive and finite.
     mode : {"exhaustive", "typed", "empty-guess"}
         exhaustive enumerates per-job guesses (n capped at N_GUESS
         unless a budget is given); typed rounds processing times up to
         powers of (1+eps) and guesses per size class; empty-guess runs
         the single all-late guess.
     budget : int, optional
-        Truncate the guess stream after this many guesses; nonnegative.
+        Truncate the guess stream after this many guesses, in every
+        mode; nonnegative.
     warm : iterable of job subsets
         Warm-start cut subsets passed to every guess's LP (see solve_lp).
         Every guess gets the same set, so results do not depend on the
@@ -329,7 +328,7 @@ def solve_bounded(
         the earliest guess in stream order. Guesses whose LP fails are
         logged and skipped; if every guess fails, SchedulingError.
     """
-    eps = _check_arguments(epsilon, beta, mode, budget)
+    eps = _check_arguments(epsilon, beta, mode, budget, L)
     low = min((job.r for job in instance.jobs), default=L)
     if low < L - instance.tol():
         raise ValidationError(
@@ -346,9 +345,9 @@ def solve_bounded(
         guesses = list(enumerate_type_guesses(rounded, eps, L, beta, budget))
         lift = lambda g: adjust_release_times_typed(rounded, g, eps)
     else:
-        guesses = [EMPTY_GUESS]
-        if mode == "exhaustive":
-            guesses = list(enumerate_guesses(instance, eps, beta, budget))
+        # empty-guess mode streams no items: the empty guess, under the budget
+        guesses = list(enumerate_guesses(instance, eps, beta, budget) if mode == "exhaustive"
+                       else _guesses(Guess, {}, (), eps, beta, budget, None))
         lift = lambda g: adjust_release_times(instance, g)
     warm = tuple(warm)
     best = None

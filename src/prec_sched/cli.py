@@ -3,10 +3,10 @@
 Subcommands mirror the library layers: validate, lp, lpls, exact,
 bounded, solve, bench, gen. Results are JSON on stdout (times and costs
 as round-trip float strings, guessed starts as rationals like "5/3");
-bench and validate also offer a plain table. Exit codes: 0 success, 1
-usage error or failed write to stdout, 2 invalid, unreadable or
-infeasible input, 3 broken internal invariant (a bug, e.g. a block
-escaping its interval).
+only bench and validate take --output, to print a plain table instead.
+Exit codes: 0 success, 1 usage error or failed write to stdout, 2
+invalid, unreadable or infeasible input, 3 broken internal invariant (a
+bug, e.g. a block escaping its interval).
 """
 
 from __future__ import annotations
@@ -64,27 +64,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="prec-sched", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--output", choices=("json", "table"), default="json")
-        return p
-
-    p = add("validate", "check an instance file for structural problems")
+    p = sub.add_parser("validate", help="check an instance file for structural problems")
     p.add_argument("instance")
+    p.add_argument("--output", choices=("json", "table"), default="json")
 
-    p = add("lp", "solve the completion-time relaxation")
+    p = sub.add_parser("lp", help="solve the completion-time relaxation")
     p.add_argument("instance")
     p.add_argument("--tol", type=float, default=TAU_LP)
 
-    p = add("lpls", "LP-ordered list scheduling, no guessing")
+    p = sub.add_parser("lpls", help="LP-ordered list scheduling, no guessing")
     p.add_argument("instance")
     p.add_argument("--ls-variant", choices=("available", "strict"), default="available")
 
-    p = add("exact", "exact optimum by subset dynamic program (small n)")
+    p = sub.add_parser("exact", help="exact optimum by subset dynamic program (small n)")
     p.add_argument("instance")
     p.add_argument("--cap", type=int, default=EXACT_CAP)
 
-    p = add("bounded", "guess-and-solve on a bounded instance")
+    p = sub.add_parser("bounded", help="guess-and-solve on a bounded instance")
     p.add_argument("instance")
     p.add_argument("--L", required=True, type=_fraction)
     p.add_argument("--beta", required=True, type=_fraction)
@@ -92,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=MODES, default="exhaustive")
     p.add_argument("--budget", type=int)
 
-    p = add("solve", "full decompose-and-solve pipeline")
+    p = sub.add_parser("solve", help="full decompose-and-solve pipeline")
     p.add_argument("instance")
     p.add_argument("--epsilon", required=True, type=_fraction)
     group = p.add_mutually_exclusive_group()
@@ -101,14 +97,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--bounded-mode", choices=MODES, default="exhaustive")
     p.add_argument("--budget", type=int)
 
-    p = add("bench", "ratio benchmark over generated instances")
+    p = sub.add_parser("bench", help="ratio benchmark over generated instances")
     p.add_argument("--family", action="append", choices=FAMILIES, default=None)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--epsilon", action="append", type=_fraction, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", choices=("json", "table"), default="json")
 
-    p = add("gen", "emit a generated instance as JSON")
+    p = sub.add_parser("gen", help="emit a generated instance as JSON")
     p.add_argument("--family", choices=FAMILIES, default="uniform")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
@@ -120,13 +117,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(doc, output: str) -> None:
-    if output == "table" and isinstance(doc, dict) and "rows" in doc:
-        for row in doc["rows"]:
-            print("  ".join(f"{k}={v}" for k, v in row.items()))
-        for v in doc.get("violations", ()):
-            print(f"VIOLATED: {v}")
-        return
+def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
@@ -165,7 +156,7 @@ def _dispatch(args) -> int:
         if args.output == "table":
             print("ok" if not findings else "\n".join(findings))
         else:
-            _emit({"ok": not findings, "findings": findings}, args.output)
+            _emit({"ok": not findings, "findings": findings})
         return 0 if not findings else 2
 
     if cmd == "gen":
@@ -179,7 +170,7 @@ def _dispatch(args) -> int:
             family=args.family,
             m=args.M,
         )
-        _emit(generate(config).to_dict(), args.output)
+        _emit(generate(config).to_dict())
         return 0
 
     inst = None if cmd == "bench" else _load(args.instance, normalize=True)
@@ -191,8 +182,7 @@ def _dispatch(args) -> int:
                 "C": [decimal_str(c) for c in sol.completion],
                 "Z": decimal_str(sol.value),
                 "cuts": [list(cut.jobs) for cut in sol.cuts],
-            },
-            args.output,
+            }
         )
         return 0
 
@@ -204,12 +194,12 @@ def _dispatch(args) -> int:
         doc = sched.to_dict(inst)
         doc["lp_Z"] = decimal_str(run.lp.value)
         doc["order"] = list(run.order)
-        _emit(doc, args.output)
+        _emit(doc)
         return 0
 
     if cmd == "exact":
         opt, sched = exact_opt(inst, args.cap)
-        _emit({"opt": decimal_str(opt), "schedule": sched.to_dict(inst)}, args.output)
+        _emit({"opt": decimal_str(opt), "schedule": sched.to_dict(inst)})
         return 0
 
     if cmd == "bounded":
@@ -219,7 +209,7 @@ def _dispatch(args) -> int:
         doc = res.schedule.to_dict(inst)
         doc["guesses_tried"] = res.guesses_tried
         doc["best_guess"] = res.best_guess.to_dict()
-        _emit(doc, args.output)
+        _emit(doc)
         return 0
 
     if cmd == "solve":
@@ -232,7 +222,7 @@ def _dispatch(args) -> int:
             bounded_mode=args.bounded_mode,
             budget=args.budget,
         )
-        _emit(res.to_dict(inst), args.output)
+        _emit(res.to_dict(inst))
         return 0
 
     if cmd == "bench":
@@ -242,7 +232,13 @@ def _dispatch(args) -> int:
             GeneratorConfig(n=args.n, seed=args.seed, family=fam) for fam in families
         ]
         report = bench(configs, epsilons, args.trials)
-        _emit(report, args.output)
+        if args.output == "table":
+            for row in report["rows"]:
+                print("  ".join(f"{k}={v}" for k, v in row.items()))
+            for v in report["violations"]:
+                print(f"VIOLATED: {v}")
+        else:
+            _emit(report)
         return 3 if report["violations"] else 0
 
     raise AssertionError(f"unhandled command {cmd}")

@@ -29,21 +29,24 @@ Each LP lives in one HiGHS model, reached through the binding that scipy
 ships and that scipy.optimize.linprog itself calls
 (scipy.optimize._highspy._core), with linprog's options for
 method="highs" and feasibility tightened to 1e-9, so residual noise on
-already-added rows stays far below tau. The model is passed once and its
-first round is solved from scratch, bit-identical to public linprog on
-the same rows (tests/test_lp.py pins that). Each later round appends the
-new cut's row with addRow and runs again: the previous optimal basis,
-with the new row's slack basic, is still dual feasible, so HiGHS skips
-presolve and hot-starts the dual simplex. A later round reaches the same
-optimal value as a from-scratch solve of its rows, up to the solver's
-tolerance, but where the optimum is degenerate it may land on another
-optimal vertex.
+already-added rows stays far below tau. The model starts as its n
+columns (C >= 0 with the weights as costs); every row then goes in
+through addRows: the first batch holds the precedence rows and the
+starting cuts, and each separated cut is a batch of one. The first run
+has no basis yet, so it is a solve from scratch, bit-identical to public
+linprog on the same rows (tests/test_lp.py pins that). Each later round
+runs again after its cut's row: the previous optimal basis, with the new
+row's slack basic, is still dual feasible, so HiGHS skips presolve and
+hot-starts the dual simplex. A later round reaches the same optimal
+value as a from-scratch solve of its rows, up to the solver's tolerance,
+but where the optimum is degenerate it may land on another optimal
+vertex. At most 10 n^2 rounds are run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
@@ -56,11 +59,9 @@ import scipy.optimize  # noqa: F401
 try:
     from scipy.optimize._highspy._core import (
         HighsDebugLevel,
-        HighsLp,
         HighsModelStatus,
         HighsOptions,
         HighsStatus,
-        MatrixFormat,
         _Highs,
         kHighsInf,
         simplex_constants,
@@ -114,6 +115,10 @@ def make_cut(instance: Instance, jobs) -> Cut:
     p_total = Fraction(sum(instance.jobs[j].p for j in jobs))
     r_min = Fraction(min(instance.jobs[j].r for j in jobs))
     return Cut(jobs, r_min * p_total + p_total * p_total / 2)
+
+
+def _round_cap(n: int) -> int:
+    return 10 * n * n  # the most LP solves solve_lp makes on n jobs
 
 
 @dataclass(frozen=True)
@@ -224,68 +229,49 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
     return make_cut(instance, best)
 
 
-@dataclass
-class _Rows:
-    """Constraint rows sum_i value[i] C_index[i] <= upper[r], stored
-    row-wise as HiGHS takes them: row r's entries are start[r]:start[r + 1]."""
-
-    start: list[int] = field(default_factory=lambda: [0])
-    index: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-
-    def add(self, columns, coefficients, bound: float) -> None:
-        self.index.extend(columns)
-        self.value.extend(coefficients)
-        self.start.append(len(self.index))
-        self.upper.append(bound)
-
-    def model(self, cost: list[float]) -> HighsLp:
-        """The LP min cost.C subject to these rows and C >= 0."""
-        n, m = len(cost), len(self.upper)
-        lp = HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = m
-        lp.col_cost_ = cost
-        lp.col_lower_ = [0.0] * n
-        lp.col_upper_ = [kHighsInf] * n
-        lp.row_lower_ = [-kHighsInf] * m
-        lp.row_upper_ = self.upper
-        matrix = lp.a_matrix_
-        matrix.format_ = MatrixFormat.kRowwise
-        matrix.num_col_ = n
-        matrix.num_row_ = m
-        matrix.start_ = self.start
-        matrix.index_ = self.index
-        matrix.value_ = self.value
-        return lp
+def _accept(status: HighsStatus, what: str) -> None:
+    # a warning still changes the model; only an error leaves it as it was
+    if status == HighsStatus.kError:
+        raise SchedulingError(f"HiGHS rejected {what}")
 
 
-def _cut_row(p: list[float], cut: Cut) -> tuple[tuple[int, ...], list[float], float]:
-    """The cut as an upper-bound row -sum_{j in U} p_j C_j <= -rhs: its
-    columns, coefficients and bound."""
-    return cut.jobs, [-p[j] for j in cut.jobs], -float(cut.rhs)
-
-
-def _new_highs() -> _Highs:
-    """A HiGHS solver set up with _HIGHS_OPTIONS."""
+def _new_highs(cost: list[float]) -> _Highs:
+    """A HiGHS solver set up with _HIGHS_OPTIONS, holding min cost.C over
+    C >= 0 and no rows yet."""
     options = HighsOptions()
     for name, value in _HIGHS_OPTIONS.items():
         setattr(options, name, value)
     highs = _Highs()
-    if highs.passOptions(options) != HighsStatus.kOk:
-        raise SchedulingError("HiGHS rejected the inner solver options")
+    _accept(highs.passOptions(options), "the inner solver options")
+    n = len(cost)
+    _accept(highs.addVars(n, [0.0] * n, [kHighsInf] * n), "the LP columns")
+    _accept(highs.changeColsCost(n, range(n), cost), "the LP costs")
     return highs
+
+
+def _add_rows(highs: _Highs, p: list[float], cuts, pairs=()) -> None:
+    """Append to the model, in one addRows, the row C_j - C_k <= 0 of each
+    pair (j, k), then the row -sum_{j in U} p_j C_j <= -rhs of each cut."""
+    rows = [((j, k), (1.0, -1.0), 0.0) for j, k in pairs]
+    rows += [(cut.jobs, [-p[j] for j in cut.jobs], -float(cut.rhs)) for cut in cuts]
+    start, index, value, upper = [], [], [], []
+    for columns, coefficients, bound in rows:
+        start.append(len(index))
+        index.extend(columns)
+        value.extend(coefficients)
+        upper.append(bound)
+    m = len(upper)
+    _accept(highs.addRows(m, [-kHighsInf] * m, upper, len(index), start, index, value), "LP rows")
 
 
 def linprog(highs: _Highs) -> tuple[list[float], float, list[float]]:
     """Solve the model that `highs` holds, from its current state.
 
-    Right after passModel that is a solve from scratch, bit-identical to
+    The first run on a model is a solve from scratch, bit-identical to
     scipy.optimize.linprog(method="highs") with the same tolerances (as x,
-    fun and ineqlin.marginals); after addRow, a dual simplex hot-started
-    from the previous optimal basis. Returns the solution, the objective
-    value and one dual per row.
+    fun and ineqlin.marginals); a run after rows were added is a dual
+    simplex hot-started from the previous optimal basis. Returns the
+    solution, the objective value and one dual per row.
 
     solve_lp calls this function once per round by its module-level name:
     the benchmark's tracer (perfbench/spans.py) and the tests wrap
@@ -302,7 +288,6 @@ def linprog(highs: _Highs) -> tuple[list[float], float, list[float]]:
 def solve_lp(
     instance: Instance,
     tau: float = TAU_LP,
-    max_rounds: Optional[int] = None,
     warm: Iterable[Iterable[int]] = (),
 ) -> LpSolution:
     """Minimize sum w_j C_j over the completion-time polytope via cutting planes.
@@ -311,9 +296,10 @@ def solve_lp(
     `warm` cuts, then alternates LP solves with the prefix oracle
     `separate_fast` until no subset constraint is violated by more than
     tau. The precedence rows are those of the cover pairs only. The model
-    is passed to HiGHS once and solved from scratch; each later round
-    appends the new cut's row to the live model and re-solves it from the
-    previous optimal basis (see the module docstring).
+    starts as its columns, takes the starting rows in one addRows and is
+    solved from scratch; each later round appends the new cut's row to
+    the live model and re-solves it from the previous optimal basis (see
+    the module docstring), for at most 10 n^2 rounds.
 
     Parameters
     ----------
@@ -324,8 +310,6 @@ def solve_lp(
         Separation tolerance, finite and at least TAU_MIN (1e-9). The
         prefix oracle is complete, so termination certifies that no
         subset at all is violated beyond tau.
-    max_rounds : int, optional
-        Cap on LP solves; default 10 n^2.
     warm : iterable of job subsets
         Subsets whose cuts enter the model from the start, for example the
         cuts that bound a parent LP, renumbered to this instance. Each
@@ -349,8 +333,9 @@ def solve_lp(
     ValueError
         If tau is below TAU_MIN or not finite.
     LpIterationLimitError
-        If the cap is reached, or a cut already in the model is reported
-        violated again (numerical trouble); carries the offending cut.
+        If 10 n^2 rounds end with a cut still violated, or a cut already
+        in the model is reported violated again (numerical trouble);
+        carries that cut.
     """
     # a nan or infinite tau would accept every point as converged
     if not (math.isfinite(tau) and tau >= TAU_MIN):
@@ -358,53 +343,33 @@ def solve_lp(
     n = instance.n
     if n == 0:
         return LpSolution((), 0.0, (), 0, ())
-    if max_rounds is None:
-        max_rounds = 10 * n * n
 
-    cuts = []
-    seen = set()
+    cuts = {}  # by job subset, in the order of their rows
     for subset in chain(((j,) for j in range(n)), warm):
         cut = make_cut(instance, subset)
-        if cut.jobs not in seen:
-            seen.add(cut.jobs)
-            cuts.append(cut)
+        cuts.setdefault(cut.jobs, cut)
     p = [float(job.p) for job in instance.jobs]
     w = [float(job.w) for job in instance.jobs]
-    rows = _Rows()
-    for j, k in instance.cover:
-        rows.add((j, k), (1.0, -1.0), 0.0)
-    for cut in cuts:
-        rows.add(*_cut_row(p, cut))
-
-    highs = _new_highs()
-    if highs.passModel(rows.model(w)) == HighsStatus.kError:
-        raise SchedulingError("HiGHS rejected the LP model")
+    highs = _new_highs(w)
+    _add_rows(highs, p, cuts.values(), instance.cover)
     z_history = []
-    C, z = (), 0.0
-    for rounds in range(1, max_rounds + 1):
+    cap = _round_cap(n)
+    for rounds in range(1, cap + 1):
         x, z, duals = linprog(highs)
         C = tuple(x)
         z_history.append(z)
         cut = separate_fast(C, instance, tau)
         if cut is None:
-            return LpSolution(C, z, tuple(cuts), rounds, tuple(z_history), tuple(duals))
-        if cut.jobs in seen:
+            return LpSolution(C, z, tuple(cuts.values()), rounds, tuple(z_history), tuple(duals))
+        if cut.jobs in cuts:
             raise LpIterationLimitError(
                 f"cut on jobs {cut.jobs} still violated by {cut_violation_of(cut, C, instance):.3e} "
                 "after being added; the inner solver tolerance cannot support tau",
                 cut,
             )
-        cuts.append(cut)
-        seen.add(cut.jobs)
-        columns, coefficients, bound = _cut_row(p, cut)
-        status = highs.addRow(-kHighsInf, bound, len(columns), columns, coefficients)
-        if status == HighsStatus.kError:
-            raise SchedulingError(f"HiGHS rejected the cut on jobs {cut.jobs}")
-    # one last separation to name the most violated leftover
-    leftover = separate_fast(C, instance, tau)
-    raise LpIterationLimitError(
-        f"cutting-plane loop exceeded {max_rounds} rounds", leftover
-    )
+        cuts[cut.jobs] = cut
+        _add_rows(highs, p, [cut])
+    raise LpIterationLimitError(f"cutting-plane loop exceeded {cap} rounds", cut)
 
 
 def cut_violation_of(cut: Cut, C, instance: Instance) -> float:

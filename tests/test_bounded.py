@@ -26,7 +26,7 @@ from prec_sched import (
     round_processing,
     solve_bounded,
 )
-from prec_sched.bounded import EMPTY_GUESS, MODES, _pow_ceil
+from prec_sched.bounded import MODES, _pow_ceil
 from .auditors import grid_shift, guess_traces
 from .conftest import dag_variants, random_bounded_instance, random_instance
 from .oracles import (
@@ -39,6 +39,7 @@ from .oracles import (
 )
 
 E3 = math.e**3
+EMPTY_GUESS = Guess((), ())
 
 
 def canon(guess):
@@ -382,9 +383,12 @@ class TestSolveBounded:
         assert result.cost == 88.0  # back-to-back from t = 2
 
     def test_budget_zero_fails_loudly(self):
+        # in every mode: empty-guess mode used to ignore the budget
         instance = make_instance([(1, 2, 1)])
-        with pytest.raises(SchedulingError, match="all 0 guesses failed"):
-            solve_bounded(instance, 1, 2, E3, budget=0)
+        for mode in MODES:
+            with pytest.raises(SchedulingError, match="all 0 guesses failed"):
+                solve_bounded(instance, 1, 2, E3, mode=mode, budget=0)
+            assert solve_bounded(instance, 1, 2, E3, mode=mode, budget=1).guesses_tried == 1
 
     def test_unknown_mode_rejected(self):
         instance = make_instance([(1, 2, 1)])
@@ -413,6 +417,15 @@ class TestSolveBounded:
             list(enumerate_guesses(instance, 1, beta))
         with pytest.raises(ValueError, match="beta must be positive and finite"):
             list(enumerate_type_guesses(instance, 1, 6, beta))
+
+    @pytest.mark.parametrize("L", [0, -5, math.inf, Fraction(10**400)])
+    def test_L_must_be_positive_and_finite(self, L):
+        instance = make_instance([(8, 6, 2)])
+        for mode in MODES:
+            with pytest.raises(ValueError, match="L must be positive and finite"):
+                solve_bounded(instance, 1, L, 21, mode=mode)
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            list(enumerate_type_guesses(instance, 1, L, 21))
 
     def test_epsilon_floor_in_every_entry_point(self):
         instance = make_instance([(8, 6, 2)])

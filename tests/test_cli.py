@@ -347,6 +347,38 @@ class TestExitCodes:
         assert exc.strerror in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lp", None],
+            ["lpls", None],
+            ["exact", None],
+            ["bounded", None, "--L", "6", "--beta", "21", "--epsilon", "1"],
+            ["solve", None, "--epsilon", "1"],
+            ["gen"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_flag_only_where_it_does_something(self, capsys, tmp_path, argv):
+        path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}]})
+        argv = [path if arg is None else arg for arg in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--output", "table")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --output table" in err
+
+    @pytest.mark.parametrize("L", ["0", "-5"])
+    def test_nonpositive_L_is_usage_error(self, capsys, tmp_path, L):
+        path = write_doc(tmp_path, {"jobs": [{"p": 1, "r": 1, "w": 1}]})
+        code, out, err = run(
+            capsys, "bounded", path, "--L", L, "--beta", "21", "--epsilon", "1", "--mode", "typed"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: L must be positive and finite, got {L}" in err
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["solve", None, "--epsilon", "1e400"], "--epsilon"),

@@ -127,10 +127,25 @@ class TestSolveLp:
         assert sol.completion[0] <= sol.completion[1] + 1e-9
         assert len(sol.duals) == 1 + len(sol.cuts)
 
-    def test_round_cap_raises_with_cut(self):
+    def test_round_cap_raises_with_cut(self, monkeypatch):
         instance = random_instance(2, 6)
-        with pytest.raises(LpIterationLimitError):
-            solve_lp(instance, max_rounds=1)
+        assert prec_sched.lp._round_cap(instance.n) == 10 * 6 * 6
+        points = []
+        real = prec_sched.lp.linprog
+
+        def recording(highs):
+            x, z, duals = real(highs)
+            points.append(tuple(x))
+            return x, z, duals
+
+        monkeypatch.setattr(prec_sched.lp, "linprog", recording)
+        monkeypatch.setattr(prec_sched.lp, "_round_cap", lambda n: 1)
+        with pytest.raises(LpIterationLimitError, match="exceeded 1 rounds") as info:
+            solve_lp(instance)
+        # the error names the cut that the one solved point still violates
+        assert len(points) == 1
+        assert info.value.cut is not None
+        assert info.value.cut == separate_fast(points[0], instance, TAU_LP)
 
     def test_empty_instance(self):
         sol = solve_lp(make_instance([]))
