@@ -10,7 +10,10 @@ transitive reduction); those rows imply C_j <= C_k for every other pair
 of the closed relation. The subset family is exponential, so we start
 from all singletons (which already force C_j >= r_j + p_j/2), plus any
 warm-start subsets the caller passes, and add violated subsets found by
-a separation oracle until none is violated by more than `tau`.
+a separation oracle until none is violated by more than `tau`. The
+layer is float throughout: each rhs is computed in double precision
+from the float p_j and r_j, which is exact on integer instances within
+MAX_HORIZON (see instance.py).
 
 The solver separates over prefixes: for each release threshold rho, the
 prefixes in C-order of the jobs released at or above rho. That family is
@@ -29,10 +32,12 @@ Each LP lives in one HiGHS model, reached through the binding that scipy
 ships and that scipy.optimize.linprog itself calls
 (scipy.optimize._highspy._core), with linprog's options for
 method="highs" and feasibility tightened to 1e-9, so residual noise on
-already-added rows stays far below tau. The model starts as its n
-columns (C >= 0 with the weights as costs); every row then goes in
-through addRows: the first batch holds the precedence rows and the
-starting cuts, and each separated cut is a batch of one. The first run
+already-added rows stays far below tau. Each thread keeps one HiGHS
+solver, given those options once, and each LP clears its model. The
+model starts as its n columns (C >= 0 with the weights as costs);
+every row then goes in through addRows: the first batch holds the
+precedence rows and the starting cuts, and each separated cut is a
+batch of one. The first run
 has no basis yet, so it is a solve from scratch, bit-identical to public
 linprog on the same rows (tests/test_lp.py pins that). Each later round
 runs again after its cut's row: the previous optimal basis, with the new
@@ -46,9 +51,8 @@ vertex. At most 10 n^2 rounds are run.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Optional
 
 # the public package first: imported only as the parent of the private
@@ -94,27 +98,43 @@ _HIGHS_OPTIONS = {
 # for the same reason, no tau below the inner solver's tolerance can be certified
 TAU_MIN = _HIGHS_OPTIONS["primal_feasibility_tolerance"]
 
+_OPTIONS = HighsOptions()
+for _name, _value in _HIGHS_OPTIONS.items():
+    setattr(_OPTIONS, _name, _value)
+_solvers = threading.local()  # .highs: this thread's HiGHS solver
+
 
 @dataclass(frozen=True)
 class Cut:
-    """One subset constraint: sum_{j in jobs} p_j C_j >= rhs."""
+    """One subset constraint: sum_{j in jobs} p_j C_j >= rhs, with the
+    float rhs r_min p(U) + p(U)^2/2."""
 
     jobs: tuple[int, ...]
-    rhs: Fraction
+    rhs: float
 
 
-def make_cut(instance: Instance, jobs) -> Cut:
-    """Build the subset cut for the job set `jobs` with rhs computed in
-    exact arithmetic. Repeated ids count once."""
+def _cut(jobs, p: list[float], r: list[float]) -> Cut:
+    """The subset cut on the job set `jobs`, repeated ids counted once,
+    from the per-job floats p and r."""
     jobs = tuple(sorted(set(jobs)))
     if not jobs:
         raise ValueError("cut subset must be nonempty")
-    if not 0 <= jobs[0] <= jobs[-1] < instance.n:
-        raise ValueError(f"cut subset {jobs} names a job outside 0..{instance.n - 1}")
-    # int times on input, float once lifted (p summed in float): exact as Fractions
-    p_total = Fraction(sum(instance.jobs[j].p for j in jobs))
-    r_min = Fraction(min(instance.jobs[j].r for j in jobs))
+    if not 0 <= jobs[0] <= jobs[-1] < len(p):
+        raise ValueError(f"cut subset {jobs} names a job outside 0..{len(p) - 1}")
+    p_total = sum(p[j] for j in jobs)
+    r_min = min(r[j] for j in jobs)
     return Cut(jobs, r_min * p_total + p_total * p_total / 2)
+
+
+def _floats(instance: Instance) -> tuple[list[float], list[float]]:
+    return [float(job.p) for job in instance.jobs], [float(job.r) for job in instance.jobs]
+
+
+def make_cut(instance: Instance, jobs) -> Cut:
+    """Build the subset cut for the job set `jobs`, with its rhs computed in
+    float from the instance's p and r (exact while the horizon stays within
+    MAX_HORIZON and the times are integers). Repeated ids count once."""
+    return _cut(jobs, *_floats(instance))
 
 
 def _round_cap(n: int) -> int:
@@ -151,7 +171,7 @@ def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[
     -------
     Cut or None
         The subset maximizing rhs - sum p_j C_j if that maximum exceeds
-        tau, with exact rhs; None otherwise. Ties keep the lowest mask.
+        tau; None otherwise. Ties keep the lowest mask.
     """
     n = instance.n
     if n > N_EXHAUSTIVE:
@@ -159,8 +179,7 @@ def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[
             f"exhaustive separation is capped at n = {N_EXHAUSTIVE} (got {n}); "
             "use separate_fast"
         )
-    p = [float(job.p) for job in instance.jobs]
-    r = [float(job.r) for job in instance.jobs]
+    p, r = _floats(instance)
     Cf = [float(c) for c in C]
     size = 1 << n
     psum = [0.0] * size
@@ -184,8 +203,7 @@ def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[
             best_mask = mask
     if not best_mask:
         return None
-    jobs = tuple(j for j in range(n) if best_mask >> j & 1)
-    return make_cut(instance, jobs)
+    return _cut((j for j in range(n) if best_mask >> j & 1), p, r)
 
 
 def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
@@ -204,8 +222,7 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
     order and then prefixes from the shortest.
     """
     jobs = instance.jobs
-    p = [float(job.p) for job in jobs]
-    r = [float(job.r) for job in jobs]
+    p, r = _floats(instance)
     Cf = [float(c) for c in C]
     order = sorted(range(instance.n), key=lambda j: (Cf[j], j))
     best_v = tau
@@ -226,7 +243,7 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
                 best = pool[:length]
     if best is None:
         return None
-    return make_cut(instance, best)
+    return _cut(best, p, r)
 
 
 def _accept(status: HighsStatus, what: str) -> None:
@@ -236,13 +253,15 @@ def _accept(status: HighsStatus, what: str) -> None:
 
 
 def _new_highs(cost: list[float]) -> _Highs:
-    """A HiGHS solver set up with _HIGHS_OPTIONS, holding min cost.C over
-    C >= 0 and no rows yet."""
-    options = HighsOptions()
-    for name, value in _HIGHS_OPTIONS.items():
-        setattr(options, name, value)
-    highs = _Highs()
-    _accept(highs.passOptions(options), "the inner solver options")
+    """This thread's HiGHS solver, set up with _HIGHS_OPTIONS when the
+    thread first asks for it, with its model cleared to min cost.C over
+    C >= 0 and no rows."""
+    highs = getattr(_solvers, "highs", None)
+    if highs is None:
+        highs = _Highs()
+        _accept(highs.passOptions(_OPTIONS), "the inner solver options")
+        _solvers.highs = highs
+    _accept(highs.clearModel(), "clearing the LP model")
     n = len(cost)
     _accept(highs.addVars(n, [0.0] * n, [kHighsInf] * n), "the LP columns")
     _accept(highs.changeColsCost(n, range(n), cost), "the LP costs")
@@ -253,7 +272,7 @@ def _add_rows(highs: _Highs, p: list[float], cuts, pairs=()) -> None:
     """Append to the model, in one addRows, the row C_j - C_k <= 0 of each
     pair (j, k), then the row -sum_{j in U} p_j C_j <= -rhs of each cut."""
     rows = [((j, k), (1.0, -1.0), 0.0) for j, k in pairs]
-    rows += [(cut.jobs, [-p[j] for j in cut.jobs], -float(cut.rhs)) for cut in cuts]
+    rows += [(cut.jobs, [-p[j] for j in cut.jobs], -cut.rhs) for cut in cuts]
     start, index, value, upper = [], [], [], []
     for columns, coefficients, bound in rows:
         start.append(len(index))
@@ -295,11 +314,12 @@ def solve_lp(
     Starts from the precedence rows plus all singleton subset cuts and the
     `warm` cuts, then alternates LP solves with the prefix oracle
     `separate_fast` until no subset constraint is violated by more than
-    tau. The precedence rows are those of the cover pairs only. The model
-    starts as its columns, takes the starting rows in one addRows and is
-    solved from scratch; each later round appends the new cut's row to
-    the live model and re-solves it from the previous optimal basis (see
-    the module docstring), for at most 10 n^2 rounds.
+    tau. The precedence rows are those of the cover pairs only. The model,
+    on this thread's HiGHS solver cleared for it, starts as its columns,
+    takes the starting rows in one addRows and is solved from scratch;
+    each later round appends the new cut's row to the live model and
+    re-solves it from the previous optimal basis (see the module
+    docstring), for at most 10 n^2 rounds.
 
     Parameters
     ----------
@@ -313,10 +333,11 @@ def solve_lp(
     warm : iterable of job subsets
         Subsets whose cuts enter the model from the start, for example the
         cuts that bound a parent LP, renumbered to this instance. Each
-        rhs is computed from this instance's releases by make_cut, so any
-        subset gives a valid cut and the optimum does not change; only the
-        number of rounds does. Duplicates (of each other or of the
-        singletons) are dropped. Warm cuts appear in `LpSolution.cuts`.
+        float rhs is computed from this instance's p and r, as make_cut
+        computes it, so any subset gives a valid cut and the optimum does
+        not change; only the number of rounds does. Duplicates (of each
+        other or of the singletons) are dropped. Warm cuts appear in
+        `LpSolution.cuts`.
 
     Returns
     -------
@@ -344,11 +365,12 @@ def solve_lp(
     if n == 0:
         return LpSolution((), 0.0, (), 0, ())
 
-    cuts = {}  # by job subset, in the order of their rows
-    for subset in chain(((j,) for j in range(n)), warm):
-        cut = make_cut(instance, subset)
+    p, r = _floats(instance)
+    # by job subset, in the order of their rows: the singletons, then warm
+    cuts = {(j,): _cut((j,), p, r) for j in range(n)}
+    for subset in warm:
+        cut = _cut(subset, p, r)
         cuts.setdefault(cut.jobs, cut)
-    p = [float(job.p) for job in instance.jobs]
     w = [float(job.w) for job in instance.jobs]
     highs = _new_highs(w)
     _add_rows(highs, p, cuts.values(), instance.cover)
@@ -375,4 +397,4 @@ def solve_lp(
 def cut_violation_of(cut: Cut, C, instance: Instance) -> float:
     """rhs minus sum p_j C_j for this cut; positive means violated."""
     lhs = sum(float(instance.jobs[j].p) * float(C[j]) for j in cut.jobs)
-    return float(cut.rhs) - lhs
+    return cut.rhs - lhs

@@ -292,6 +292,15 @@ def enumerate_type_guesses_ref(instance, epsilon, L, beta):
     return out
 
 
+def subset_rhs_ref(instance, jobs) -> Fraction:
+    """The subset inequality's right-hand side r_min(U) p(U) + p(U)^2/2
+    for U = set(jobs), in exact rational arithmetic."""
+    members = set(jobs)
+    load = sum((frac(instance.jobs[j].p) for j in members), Fraction(0))
+    earliest = min(frac(instance.jobs[j].r) for j in members)
+    return earliest * load + load * load / 2
+
+
 def separate_exhaustive_ref(C, instance, tau):
     """Most violated subset constraint by scanning itertools.combinations.
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,11 @@ from prec_sched import (
     solve_lp,
 )
 from prec_sched.harness import FAMILIES
+from prec_sched.instance import MAX_HORIZON, validate
 from prec_sched.lp import TAU_LP, cut_violation_of
 from .auditors import check_lp_lemmas
 from .conftest import random_instance
-from .oracles import separate_exhaustive_ref
+from .oracles import separate_exhaustive_ref, subset_rhs_ref
 
 TOL = 1e-6
 
@@ -330,6 +332,100 @@ class TestWarmStart:
             solve_lp(make_instance([(1, 0, 1)]), warm=[(0, 1)])
 
 
+class TestCutRhs:
+    def test_every_cut_rhs_is_a_float(self):
+        parent, lp, sub = chains_block(1)
+        sols = [lp, solve_lp(sub.instance, warm=sub.warm)]
+        sols += [solve_lp(random_instance(seed, 9, density=0.2)) for seed in range(5)]
+        assert all(type(cut.rhs) is float for sol in sols for cut in sol.cuts)
+
+    def test_starting_and_separated_cuts_equal_make_cut(self):
+        # offset 0.37 puts block floors, and so lifted releases, off the integers
+        parent, lp, _ = chains_block(1)
+        solved = [(parent, lp)]
+        for b in (0.0, 0.37):
+            for sub in partition_jobs(parent, lp, build_grid(1, b, max(lp.completion))):
+                solved.append((sub.instance, solve_lp(sub.instance, warm=sub.warm)))
+        assert any(job.r != int(job.r) for instance, _ in solved for job in instance.jobs)
+        for instance, sol in solved:
+            for cut in sol.cuts:
+                assert cut.rhs.hex() == make_cut(instance, cut.jobs).rhs.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_float_rhs_is_exact_on_integer_instances(self, data):
+        n = data.draw(st.integers(1, 12))
+        p = data.draw(st.lists(st.integers(1, MAX_HORIZON // n), min_size=n, max_size=n))
+        room = MAX_HORIZON - sum(p)
+        r = data.draw(st.lists(st.integers(0, room), min_size=n, max_size=n))
+        instance = make_instance(list(zip(p, r, [1] * n)))
+        assert validate(instance).ok
+        subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        assert make_cut(instance, subset).rhs == subset_rhs_ref(instance, subset)
+
+    def test_float_rhs_is_exact_at_the_horizon_bound(self):
+        # p(U) = MAX_HORIZON gives the largest rhs, H^2/2; an odd p(U)
+        # gives p(U)^2/2 a fractional half
+        half = MAX_HORIZON // 2
+        for jobs in ([(MAX_HORIZON - 1, 0, 1), (1, 0, 1)], [(half - 1, half, 1), (1, half - 1, 1)]):
+            instance = make_instance(jobs)
+            assert validate(instance).ok
+            for subset in ((0,), (1,), (0, 1)):
+                assert make_cut(instance, subset).rhs == subset_rhs_ref(instance, subset)
+
+
+class TestReusedSolver:
+    """Every LP on a thread runs on that thread's one HiGHS solver, cleared
+    for it; nothing of one LP may reach the next."""
+
+    def test_nothing_leaks_between_lps(self):
+        a = random_instance(3, 7, density=0.3)
+        b = random_instance(4, 11, density=0.5)
+        first = solve_lp(a)
+        solve_lp(b)
+        assert solve_lp(a) == first
+
+    def test_lp_after_an_iteration_limit_solves_as_if_fresh(self, monkeypatch):
+        instance = random_instance(5, 9, density=0.2)
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(solve_lp(instance)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        with monkeypatch.context() as patch:
+            patch.setattr(prec_sched.lp, "_round_cap", lambda n: 1)
+            with pytest.raises(LpIterationLimitError):
+                solve_lp(random_instance(6, 12))
+        assert solve_lp(instance) == fresh[0]
+
+    def test_two_threads_match_a_serial_run(self):
+        instances = [random_instance(seed, 4 + seed % 6, density=0.3) for seed in range(12)]
+        serial = [solve_lp(instance) for instance in instances]
+        results, solvers = {}, {}
+
+        def run(name, order):
+            results[name] = {i: solve_lp(instances[i]) for i in order}
+            solvers[name] = prec_sched.lp._solvers.highs
+
+        threads = [
+            threading.Thread(target=run, args=("forward", range(12))),
+            threading.Thread(target=run, args=("backward", range(11, -1, -1))),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-LP
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert solvers["forward"] is not solvers["backward"]
+        for name in ("forward", "backward"):
+            assert [results[name][i] for i in range(12)] == serial
+
+
 def dense_rows(model):
     """The constraint matrix of a HiGHS model, stored row- or column-wise,
     as a dense array."""
@@ -367,11 +463,12 @@ class TestInnerSolve:
         after a row was added, reaches linprog's objective on the live
         rows to a relative 1e-9."""
         real = prec_sched.lp.linprog
-        solvers = []  # each LP's HiGHS model, kept alive so that none is mistaken for another
         checked = {"first": 0, "later": 0}
 
         def compared(highs):
-            first = all(highs is not seen for seen in solvers)
+            # every LP runs on its thread's one solver, cleared for it, so
+            # a round without a basis yet is its LP's first
+            first = not highs.getBasis().valid
             x, z, duals = real(highs)
             model = highs.getLp()
             n, m = model.num_col_, model.num_row_
@@ -384,7 +481,6 @@ class TestInnerSolve:
             )
             assert ref.success
             if first:
-                solvers.append(highs)
                 assert x == ref.x.tolist()
                 assert z == ref.fun
                 assert duals == ref.ineqlin.marginals.tolist()
