@@ -91,9 +91,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="full decompose-and-solve pipeline")
     p.add_argument("instance")
     p.add_argument("--epsilon", required=True, type=_fraction)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--seed", type=int, help="random offset from this seed")
-    group.add_argument("--derandomize", action="store_true", help="best over all offsets (default)")
+    p.add_argument("--seed", type=int, help="random offset from this seed; default: best over all offsets")
     p.add_argument("--bounded-mode", choices=MODES, default="exhaustive")
     p.add_argument("--budget", type=int)
 

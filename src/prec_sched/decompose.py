@@ -16,8 +16,7 @@ partition exactly.
 
 Growth rate e^a must be at least 3 (epsilon at most 3/ln 3), otherwise a
 group's schedule could outgrow its interval and the union argument
-breaks. The grid constructor enforces this; grid_from_scale bypasses the
-epsilon check for callers reasoning directly in terms of a.
+breaks. The grid constructor enforces this.
 
 Offsets are pruned by a bound from the parent LP's dual y (clamped to
 y <= 0, one entry per cover-pair row and per cut row of the final round).
@@ -35,12 +34,15 @@ where H bounds every completion time. A^T y includes the precedence
 rows, +1 at j and -1 at k for each cover pair (j, k). The residual term
 makes the bound hold for a dual that is only feasible up to float noise;
 H is the top ceiling 3 t_{q+1} plus the tolerance, which block
-containment asserts on every run. Offsets are evaluated in (bound, index) order, and one whose bound
-exceeds the best cost so far by more than the relative margin SKIP_REL
-is skipped: its cost is then strictly above that best cost, so it cannot
-win by (cost, index), and the schedule, cost, offset, grid and block
-outcomes are exactly those of evaluating every offset. A skipped
-offset's blocks are not solved, so none of their guesses run.
+containment asserts on every run. The first sum runs over the cut rows
+with a nonzero dual only, as the others add nothing to it.
+
+Offsets are evaluated in (bound, index) order, and one whose bound exceeds
+the best cost so far by more than the relative margin SKIP_REL is skipped:
+its cost is then strictly above that best cost, so it cannot win by (cost,
+index), and the schedule, cost, offset, grid and block outcomes are
+exactly those of evaluating every offset. A skipped offset's blocks are
+not solved, so none of their guesses run.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ import logging
 import math
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .bounded import _check_arguments, solve_bounded
 from .errors import InvariantViolationError
@@ -87,40 +88,19 @@ class IntervalGrid:
         """t_i by formula, valid beyond the stored range (e.g. t_{q+1})."""
         return math.exp(self.a * (i - 3) + self.b)
 
+    def floor(self, i: int) -> float:
+        """3 t_i: block i's release floor and block i - 1's ceiling."""
+        return 3.0 * self.t(i)
+
     def index_of(self, c: float) -> int:
-        """The i with t_i <= c < t_{i+1}."""
-        i = int(math.floor((math.log(c) - self.b) / self.a)) + 3
-        # float guard: move across a boundary if the formula says so
-        while self.t(i + 1) <= c:
-            i += 1
-        while self.t(i) > c:
-            i -= 1
-        return i
+        """The i with t_i <= c < t_{i+1}, by bisection, for c in [t_1, t_q].
 
-
-def grid_from_scale(a: float, b: float, cmax: float) -> IntervalGrid:
-    """Build a grid directly from the growth scale a (no epsilon check).
-
-    q is minimal with cmax <= t_q. cmax must be positive, and a small
-    enough that the top ceiling 3 t_{q+1} < 3 e^(2a) cmax is a float.
-    """
-    if a <= 0:
-        raise ValueError("scale a must be positive")
-    if not 0 <= b <= a:
-        raise ValueError(f"offset b must lie in [0, {a}], got {b}")
-    if cmax <= 0:
-        raise ValueError("cmax must be positive")
-    a_max = (math.log(sys.float_info.max) - math.log(3.0 * cmax)) / 2
-    if a >= a_max:  # a = 3/epsilon, so this bounds epsilon from below
-        raise ValueError(f"epsilon must exceed {3.0 / a_max:.4g} at Cmax {cmax:g}, or t_i overflow")
-    breakpoints = []
-    i = 1
-    while True:
-        t_i = math.exp(a * (i - 3) + b)
-        breakpoints.append(t_i)
-        if cmax <= t_i:
-            return IntervalGrid(a, b, tuple(breakpoints))
-        i += 1
+        Every LP completion time lies in that range: C_j >= 1/2 > 1/3 >=
+        e^(-a) >= t_1, and C_j <= Cmax <= t_q.
+        """
+        if not (self.breakpoints and self.breakpoints[0] <= c <= self.breakpoints[-1]):
+            raise ValueError(f"{c} lies outside the grid's range [t_1, t_q]")
+        return bisect_right(self.breakpoints, c)
 
 
 def _scale_of(epsilon) -> float:
@@ -136,13 +116,26 @@ def _scale_of(epsilon) -> float:
 
 
 def build_grid(epsilon, b: float, cmax: float) -> IntervalGrid:
-    """Grid for a given epsilon; rejects epsilon outside (0, 3/ln 3].
+    """The grid of scale a = 3/epsilon and offset b up to cmax.
 
-    The upper limit is what makes each subproblem fit its interval: the
+    q is minimal with cmax <= t_q. epsilon must lie in (0, 3/ln 3]: the
     breakpoint ratio e^(3/epsilon) must be at least 3 so that a bounded
-    block starting at 3 t_i can finish by 3 t_{i+1}.
+    block starting at 3 t_i can finish by 3 t_{i+1}. b must lie in
+    [0, a], cmax must be positive, and epsilon large enough that the top
+    ceiling 3 t_{q+1} < 3 e^(2a) cmax is a float.
     """
-    return grid_from_scale(_scale_of(epsilon), b, cmax)
+    a = _scale_of(epsilon)
+    if not 0 <= b <= a:
+        raise ValueError(f"offset b must lie in [0, {a}], got {b}")
+    if cmax <= 0:
+        raise ValueError("cmax must be positive")
+    a_max = (math.log(sys.float_info.max) - math.log(3.0 * cmax)) / 2
+    if a >= a_max:  # a = 3/epsilon, so this bounds epsilon from below
+        raise ValueError(f"epsilon must exceed {3.0 / a_max:.4g} at Cmax {cmax:g}, or t_i overflow")
+    t = []  # t_i for i = len(t) + 1, the expression IntervalGrid.t evaluates
+    while not t or t[-1] < cmax:
+        t.append(math.exp(a * (len(t) - 2) + b))
+    return IntervalGrid(a, b, tuple(t))
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
     beta = math.exp(grid.a)
     for i in sorted(groups):
         ids = tuple(groups[i])
-        floor = 3.0 * grid.t(i)
+        floor = grid.floor(i)
         jobs = tuple(
             Job(instance.jobs[j].p, float(max(instance.jobs[j].r, floor)), instance.jobs[j].w)
             for j in ids
@@ -229,33 +222,35 @@ def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...
     docstring). No LP is solved.
     """
     n = instance.n
-    cover = np.array(instance.cover, dtype=np.intp).reshape(-1, 2)
-    n_prec = len(cover)
-    p = np.array([float(job.p) for job in instance.jobs])
-    r = np.array([float(job.r) for job in instance.jobs])
-    y = np.minimum(np.asarray(lp.duals, dtype=float), 0.0)
-    member = np.zeros((len(lp.cuts), n), dtype=bool)
-    for c, cut in enumerate(lp.cuts):
-        member[c, list(cut.jobs)] = True
-    y_prec, y_cut = y[:n_prec], -y[n_prec:]
-    p_cut = member @ p
-    # A^T y: cut row c is -p_j on its jobs, the row of cover pair (j, k)
-    # is +1 at j and -1 at k
-    aty = (
-        p * (y_cut @ member)
-        + np.bincount(cover[:, 0], y_prec, minlength=n)
-        - np.bincount(cover[:, 1], y_prec, minlength=n)
+    p = [float(job.p) for job in instance.jobs]
+    r = [float(job.r) for job in instance.jobs]
+    y = [min(v, 0.0) for v in lp.duals]
+    # A^T y by job: cut row c is -p_j on its jobs, the row of cover pair
+    # (j, k) is +1 at j and -1 at k
+    y_cuts = [0.0] * n  # -y_c summed over the cut rows holding the job
+    rows = []  # (-y_c, jobs, p(U_c)) of each cut row with a nonzero dual
+    for cut, y_c in zip(lp.cuts, y[len(instance.cover):]):
+        if y_c:
+            for j in cut.jobs:
+                y_cuts[j] -= y_c
+            rows.append((-y_c, cut.jobs, sum(p[j] for j in cut.jobs)))
+    y_out, y_in = [0.0] * n, [0.0] * n
+    for (j, k), y_jk in zip(instance.cover, y):
+        y_out[j] += y_jk
+        y_in[k] += y_jk
+    deficit = sum(
+        max(p[j] * y_cuts[j] + y_out[j] - y_in[j] - float(job.w), 0.0)
+        for j, job in enumerate(instance.jobs)
     )
-    w = np.array([float(job.w) for job in instance.jobs])
-    deficit = float(np.maximum(aty - w, 0.0).sum())
-    tol = instance.tol()
     bounds = []
     for grid in grids:
-        floor = np.array([3.0 * grid.t(grid.index_of(c)) for c in lp.completion])
-        r_min = np.where(member, np.maximum(r, floor), np.inf).min(axis=1)
-        top = 3.0 * grid.t(grid.q + 1) + tol
-        rhs = r_min * p_cut + 0.5 * p_cut * p_cut
-        bounds.append(float(y_cut @ rhs) - deficit * top)
+        lifted = [max(rj, grid.floor(grid.index_of(c))) for rj, c in zip(r, lp.completion)]
+        top = grid.floor(grid.q + 1) + instance.tol()
+        dual = sum(
+            y_c * (min(lifted[j] for j in jobs) * p_c + 0.5 * p_c * p_c)
+            for y_c, jobs, p_c in rows
+        )
+        bounds.append(dual - deficit * top)
     return tuple(bounds)
 
 
@@ -330,7 +325,7 @@ def _solve_partition(
         tight = tighten(res.schedule, sub.instance)
         lo = min(tight.start)
         hi = max(s + job.p for s, job in zip(tight.start, sub.instance.jobs))
-        ceiling = 3.0 * grid.t(sub.index + 1)
+        ceiling = grid.floor(sub.index + 1)
         if lo < sub.floor - tol or hi > ceiling + tol:
             raise InvariantViolationError(
                 f"block {sub.index} escaped its interval: spans [{lo}, {hi}] "

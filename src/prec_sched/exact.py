@@ -16,6 +16,8 @@ from __future__ import annotations
 from .instance import Instance, Schedule
 
 EXACT_CAP = 12
+# no cap admits more jobs: 2^n frontiers (n = 18, an antichain: 9 s, 150 MB)
+EXACT_MAX = 18
 
 
 class _Entry:
@@ -49,13 +51,15 @@ def exact_opt(instance: Instance, cap: int = EXACT_CAP):
     instance : Instance
         Validated; n must not exceed cap (state count is 2^n).
     cap : int
-        Job-count limit for the subset dynamic program.
+        Job-count limit for the subset dynamic program; limits above
+        EXACT_MAX count as EXACT_MAX.
 
     Returns
     -------
     (cost, Schedule)
     """
     n = instance.n
+    cap = min(cap, EXACT_MAX)
     if n > cap:
         raise ValueError(f"exact solver is capped at n = {cap} (got {n})")
     if n == 0:

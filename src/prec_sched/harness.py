@@ -16,8 +16,8 @@ from .instance import (
     feasibility_violations,
     make_instance,
     normalize_release_times,
-    require_valid,
     schedule_cost,
+    validate,
 )
 from .listsched import list_schedule, list_schedule_strict, order_from_lp
 from .util import canonical_json
@@ -39,15 +39,15 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.n < 1 or self.p_max < 1 or self.r_max < 0 or self.w_max < 0:
-            raise ValueError("ranges must be positive (n, p_max >= 1; r_max, w_max >= 0)")
+        if self.n < 1 or self.p_max < 1 or self.r_max < 0 or self.w_max < 0 or self.m < 1:
+            raise ValueError("ranges must be positive (n, p_max, m >= 1; r_max, w_max >= 0)")
         if not 0.0 <= self.prec_density <= 1.0:
             raise ValueError("prec_density must lie in [0, 1]")
 
 
 def generate(config: GeneratorConfig) -> Instance:
-    """Deterministic instance from the config's seed; validated and
-    release-normalized on the way out."""
+    """Deterministic instance from the config's seed; validated (a
+    ValueError names the first finding) and release-normalized on the way out."""
     rng = random.Random(config.seed)
     n = config.n
     prec: list[tuple[int, int]] = []
@@ -74,7 +74,9 @@ def generate(config: GeneratorConfig) -> Instance:
         elif config.family == "uniform":
             prec = _random_dag(rng, n, config.prec_density)
     instance = make_instance(jobs, prec)
-    require_valid(instance)
+    findings = validate(instance).findings
+    if findings:
+        raise ValueError(f"generator config gives an invalid instance: {findings[0]}")
     return normalize_release_times(instance)
 
 

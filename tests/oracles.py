@@ -13,6 +13,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def frac(x) -> Fraction:
     return Fraction(*x.as_integer_ratio()) if isinstance(x, float) else Fraction(x)
@@ -356,5 +358,49 @@ def tighten_ref(instance, start):
 
 
 def partition_signature(C, a, b):
-    """Interval index of each completion value, straight from the formula."""
-    return tuple(int(math.floor((math.log(c) - b) / a)) + 3 for c in C)
+    """Interval index i of each completion value, t_i <= c < t_{i+1} with
+    t_i = e^(a(i-3)+b): the log formula, then moved across a boundary
+    where the rounded log put c on the wrong side of a breakpoint."""
+
+    def t(i):
+        return math.exp(a * (i - 3) + b)
+
+    def index(c):
+        i = int(math.floor((math.log(c) - b) / a)) + 3
+        while t(i + 1) <= c:
+            i += 1
+        while t(i) > c:
+            i -= 1
+        return i
+
+    return tuple(index(c) for c in C)
+
+
+def offset_bounds_dense(instance, lp, grids):
+    """Each grid's dual lower bound (decompose.offset_bounds) from a dense
+    cut-by-job membership matrix over every cut row, zero duals included."""
+    n = instance.n
+    cover = np.array(instance.cover, dtype=np.intp).reshape(-1, 2)
+    p = np.array([float(job.p) for job in instance.jobs])
+    r = np.array([float(job.r) for job in instance.jobs])
+    w = np.array([float(job.w) for job in instance.jobs])
+    y = np.minimum(np.asarray(lp.duals, dtype=float), 0.0)
+    member = np.zeros((len(lp.cuts), n), dtype=bool)
+    for c, cut in enumerate(lp.cuts):
+        member[c, list(cut.jobs)] = True
+    y_prec, y_cut = y[: len(cover)], -y[len(cover):]
+    p_cut = member @ p
+    aty = (
+        p * (y_cut @ member)
+        + np.bincount(cover[:, 0], y_prec, minlength=n)
+        - np.bincount(cover[:, 1], y_prec, minlength=n)
+    )
+    deficit = float(np.maximum(aty - w, 0.0).sum())
+    bounds = []
+    for grid in grids:
+        floor = np.array([3.0 * grid.t(grid.index_of(c)) for c in lp.completion])
+        r_min = np.where(member, np.maximum(r, floor), np.inf).min(axis=1)
+        top = 3.0 * grid.t(grid.q + 1) + instance.tol()
+        rhs = r_min * p_cut + 0.5 * p_cut * p_cut
+        bounds.append(float(y_cut @ rhs) - deficit * top)
+    return tuple(bounds)

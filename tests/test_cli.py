@@ -12,6 +12,7 @@ import pytest
 import prec_sched.cli
 from prec_sched.cli import main
 from prec_sched.errors import InvariantViolationError
+from prec_sched.exact import EXACT_MAX
 from prec_sched.instance import MAX_HORIZON, MAX_WEIGHT
 
 REFERENCE = {
@@ -50,6 +51,20 @@ class TestGen:
         one = run(capsys, "gen", "--n", "5", "--seed", "3")
         two = run(capsys, "gen", "--n", "5", "--seed", "3")
         assert one == two
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--family", "paper_example", "--M", "0"), "ranges must be positive"),
+            (("--n", "5", "--p-max", "5000"), f"exceeds {MAX_HORIZON}"),
+            (("--w-max", "2000000"), f"exceeds {MAX_WEIGHT}"),
+        ],
+    )
+    def test_config_giving_an_invalid_instance_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_output_round_trips_through_validate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "--n", "6", "--seed", "1", "--family", "chains")
@@ -155,6 +170,12 @@ class TestExact:
         assert code == 1
         assert "capped at n = 1" in err
 
+    def test_above_the_ceiling_refused_whatever_the_cap(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {"jobs": [{"p": 1, "r": 0, "w": 1}] * 21, "prec": []})
+        code, out, err = run(capsys, "exact", path, "--cap", "64")
+        assert (code, out) == (1, "")
+        assert err == f"error: exact solver is capped at n = {EXACT_MAX} (got 21)\n"
+
 
 class TestBounded:
     def test_single_job_guess(self, capsys, tmp_path):
@@ -258,13 +279,11 @@ class TestSolve:
         assert one[0] == 0
         assert one == two
 
-    def test_seed_conflicts_with_derandomize(self, capsys, reference_path):
-        code, _, err = run(
-            capsys,
-            "solve", reference_path, "--epsilon", "1", "--seed", "5", "--derandomize",
-        )
-        assert code == 1
-        assert "not allowed with" in err
+    def test_derandomize_flag_is_usage_error(self, capsys, reference_path):
+        # derandomized offsets are the default; there is no flag to ask for them
+        code, out, err = run(capsys, "solve", reference_path, "--epsilon", "1", "--derandomize")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --derandomize" in err
 
     def test_epsilon_out_of_range(self, capsys, reference_path):
         for bad in ("4", "0"):

@@ -34,11 +34,11 @@ from prec_sched import (
     tighten,
 )
 from prec_sched.bounded import MODES
-from prec_sched.decompose import EPS_MAX, _solve_partition, grid_from_scale
+from prec_sched.decompose import EPS_MAX, IntervalGrid, _solve_partition, offset_bounds
 from prec_sched.harness import FAMILIES
 from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
-from .oracles import partition_signature
+from .oracles import offset_bounds_dense, partition_signature
 
 
 def fake_lp(completion):
@@ -49,27 +49,25 @@ def fake_lp(completion):
 
 class TestGrids:
     def test_unit_scale_breakpoints(self):
-        grid = grid_from_scale(1.0, 0.0, 1.0)
+        grid = build_grid(1, 0.0, 1.0)
         assert grid.q == 3
         assert grid.breakpoints == pytest.approx(
-            (math.exp(-2), math.exp(-1), 1.0)
+            (math.exp(-6), math.exp(-3), 1.0)
         )
-        assert grid.t(4) == pytest.approx(math.e)
+        assert grid.t(4) == pytest.approx(math.exp(3))
 
     def test_offset_shifts_and_shrinks(self):
-        grid = grid_from_scale(1.0, 1.0, 1.0)
+        grid = build_grid(1, 3.0, 1.0)
         assert grid.q == 2
-        assert grid.breakpoints == pytest.approx((math.exp(-1), 1.0))
+        assert grid.breakpoints == pytest.approx((math.exp(-3), 1.0))
 
     def test_scale_arguments_validated(self):
-        with pytest.raises(ValueError, match="scale"):
-            grid_from_scale(0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="offset"):
-            grid_from_scale(1.0, -0.1, 1.0)
+            build_grid(1, -0.1, 1.0)
         with pytest.raises(ValueError, match="offset"):
-            grid_from_scale(1.0, 1.5, 1.0)
+            build_grid(1, 3.5, 1.0)
         with pytest.raises(ValueError, match="cmax"):
-            grid_from_scale(1.0, 0.0, 0.0)
+            build_grid(1, 0.0, 0.0)
 
     def test_epsilon_range_enforced(self):
         for bad in (4, 3, 0, -1):
@@ -85,27 +83,52 @@ class TestGrids:
     def test_scale_too_large_for_floats_rejected(self):
         # a = 3/epsilon: t_{q+1} can reach e^(2a) cmax, and e^709.8 is the float limit
         with pytest.raises(ValueError, match="epsilon must exceed"):
-            grid_from_scale(450.0, 0.0, 10.0)
-        assert grid_from_scale(300.0, 300.0, 1e4).t(4) < math.inf
+            build_grid(Fraction(1, 150), 0.0, 10.0)
+        assert build_grid(Fraction(1, 100), 300.0, 1e4).t(4) < math.inf
 
     def test_index_of_brackets_and_matches_formula(self):
-        grid = grid_from_scale(0.7, 0.3, 60.0)
         rng = random.Random(11)
-        for _ in range(300):
-            c = math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
-            i = grid.index_of(c)
-            assert grid.t(i) <= c < grid.t(i + 1)
-            assert i == partition_signature((c,), 0.7, 0.3)[0]
+        for epsilon in (Fraction(1), Fraction(1, 2), EPS_MAX):
+            for _ in range(20):
+                grid = build_grid(epsilon, rng.uniform(0.0, 3.0 / float(epsilon)), 60.0)
+                lo, hi = grid.breakpoints[0], grid.breakpoints[-1]
+                for _ in range(50):
+                    c = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                    i = grid.index_of(c)
+                    assert grid.t(i) <= c < grid.t(i + 1)
+                    assert i == partition_signature((c,), grid.a, grid.b)[0]
 
     def test_index_of_on_breakpoints(self):
-        grid = grid_from_scale(0.7, 0.3, 60.0)
-        for i in range(1, 7):
-            assert grid.index_of(grid.t(i)) == i
+        for epsilon in (Fraction(1), Fraction(1, 2), EPS_MAX):
+            a = 3.0 / float(epsilon)
+            for b in (0.0, 0.3, 0.6 * a, a):
+                grid = build_grid(epsilon, b, 60.0)
+                lo, hi = grid.breakpoints[0], grid.breakpoints[-1]
+                for i, t_i in enumerate(grid.breakpoints, start=1):
+                    assert grid.index_of(t_i) == i
+                    for c in (math.nextafter(t_i, 0.0), t_i, math.nextafter(t_i, math.inf)):
+                        if lo <= c <= hi:
+                            assert grid.index_of(c) == partition_signature((c,), a, b)[0]
+
+    def test_index_of_outside_the_range_rejected(self):
+        grid = build_grid(1, 0.3, 60.0)
+        lo, hi = grid.breakpoints[0], grid.breakpoints[-1]
+        assert (grid.index_of(lo), grid.index_of(hi)) == (1, grid.q)
+        for c in (0.0, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), grid.t(grid.q + 1)):
+            with pytest.raises(ValueError, match="outside the grid"):
+                grid.index_of(c)
+
+    def test_floor_is_three_breakpoints(self):
+        grid = build_grid(Fraction(1, 2), 1.1, 60.0)
+        for i in range(1, grid.q + 2):
+            assert grid.floor(i) == 3.0 * grid.t(i)
 
 
 class TestPartitionJobs:
     def test_two_groups_with_lifted_releases(self):
-        grid = grid_from_scale(1.0, math.log(0.5) + 1.0, 5.0)
+        # scale a = 1, which no epsilon in (0, 3/ln 3] gives
+        b = math.log(0.5) + 1.0
+        grid = IntervalGrid(1.0, b, tuple(math.exp(i - 3 + b) for i in range(1, 6)))
         assert grid.t(2) == pytest.approx(0.5)
         instance = make_instance([(1, 0, 1), (2, 1, 1)])
         subs = partition_jobs(instance, fake_lp((0.6, 5.0)), grid)
@@ -377,6 +400,16 @@ class TestOffsetPruning:
         assert order == sorted(order)
         lines = [rec.getMessage() for rec in caplog.records if "skipped" in rec.getMessage()]
         assert len(lines) == skipped
+
+    @pytest.mark.parametrize("family", ["chains", "uniform"])
+    def test_bounds_match_the_dense_reference(self, family):
+        for seed in range(20):
+            instance = generate(GeneratorConfig(n=12, seed=seed, r_max=48, family=family))
+            lp = solve_lp(instance)
+            cmax = max(lp.completion)
+            grids = [build_grid(1, b, cmax) for b in derandomize_b(lp, 3.0)]
+            got = offset_bounds(instance, lp, grids)
+            assert got == pytest.approx(offset_bounds_dense(instance, lp, grids), rel=1e-9)
 
     def test_random_mode_evaluates_its_one_offset(self):
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)

@@ -13,7 +13,7 @@ from prec_sched import (
     make_instance,
     schedule_cost,
 )
-from prec_sched.exact import EXACT_CAP
+from prec_sched.exact import EXACT_CAP, EXACT_MAX
 from .auditors import exact_contribution
 from .conftest import random_instance
 from .oracles import brute_force_opt
@@ -71,6 +71,14 @@ class TestExactOpt:
         instance = make_instance([(1, 0, 1)] * (EXACT_CAP + 1))
         with pytest.raises(ValueError, match="capped at n = 12"):
             exact_opt(instance)
+
+    def test_no_cap_admits_more_than_the_ceiling(self):
+        # refused before the 2^n frontiers are allocated; the benchmark's
+        # exact check needs n = 14
+        assert 14 <= EXACT_MAX < 21
+        instance = make_instance([(1, 0, 1)] * 21)
+        with pytest.raises(ValueError, match=f"capped at n = {EXACT_MAX} \\(got 21\\)"):
+            exact_opt(instance, cap=64)
 
     def test_cap_parameter_is_honored(self):
         instance = make_instance([(1, 0, 1)] * 5)

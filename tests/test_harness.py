@@ -97,6 +97,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="prec_density"):
             GeneratorConfig(n=2, seed=0, prec_density=1.5)
 
+    def test_invalid_instance_is_value_error(self):
+        with pytest.raises(ValueError, match="ranges"):
+            GeneratorConfig(n=2, seed=0, family="paper_example", m=0)
+        with pytest.raises(ValueError, match="invalid instance: horizon"):
+            generate(GeneratorConfig(n=5, seed=0, p_max=5000))
+        with pytest.raises(ValueError, match="invalid instance: job .* weight"):
+            generate(GeneratorConfig(n=6, seed=0, w_max=2 * 10**6))
+
 
 class TestDigest:
     def test_shape_and_stability(self):
