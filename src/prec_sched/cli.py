@@ -5,8 +5,8 @@ bounded, solve, bench, gen. Results are JSON on stdout (times and costs
 as round-trip float strings, guessed starts as rationals like "5/3");
 only bench and validate take --output, to print a plain table instead.
 Exit codes: 0 success, 1 usage error or failed write to stdout, 2
-invalid, unreadable or infeasible input, 3 broken internal invariant (a
-bug, e.g. a block escaping its interval).
+invalid or unreadable input, 3 broken internal invariant (a bug, e.g. a
+block escaping its interval).
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from fractions import Fraction
 
 from .bounded import MODES, solve_bounded
 from .decompose import decompose_and_solve
-from .errors import (
-    InfeasibleScheduleError,
-    InvariantViolationError,
-    LpIterationLimitError,
-    SchedulingError,
-    ValidationError,
-)
+from .errors import InvariantViolationError, LpIterationLimitError, SchedulingError, ValidationError
 from .exact import EXACT_CAP, exact_opt
 from .harness import FAMILIES, GeneratorConfig, bench, generate
 from .instance import load_instance
@@ -51,10 +45,10 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
-def _load(path: str, normalize: bool = False):
+def _load(path: str):
     """load_instance; an unreadable file or malformed JSON exits 2."""
     try:
-        return load_instance(path, normalize=normalize)
+        return load_instance(path)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error reading input: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -125,7 +119,7 @@ def main(argv=None) -> int:
         code = _dispatch(args)
         sys.stdout.flush()
         return code
-    except (ValidationError, InfeasibleScheduleError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # _load handles reads, so a write to stdout failed
@@ -171,7 +165,7 @@ def _dispatch(args) -> int:
         _emit(generate(config).to_dict())
         return 0
 
-    inst = None if cmd == "bench" else _load(args.instance, normalize=True)
+    inst = None if cmd == "bench" else _load(args.instance)
 
     if cmd == "lp":
         sol = solve_lp(inst, tau=args.tol)

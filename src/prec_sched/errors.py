@@ -21,10 +21,6 @@ class CycleError(ValidationError):
         super().__init__([f"precedence cycle: {' -> '.join(map(str, self.cycle))}"])
 
 
-class InfeasibleScheduleError(SchedulingError):
-    """A schedule violates a release, overlap, or precedence constraint."""
-
-
 class LpIterationLimitError(SchedulingError):
     """The cutting-plane loop hit its iteration cap with a cut still violated."""
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CycleError, InfeasibleScheduleError, ValidationError
+from .errors import CycleError, ValidationError
 from .util import decimal_str
 
 REL_TOL = 1e-9
@@ -116,7 +116,7 @@ def make_instance(jobs: Sequence[tuple], prec: Iterable[tuple[int, int]] = ()) -
     """Build an Instance from (p, r, w) triples and precedence pairs.
 
     Closes the relation transitively; raises CycleError on a cyclic
-    relation. Does not otherwise validate (see validate / require_valid).
+    relation. Does not otherwise validate (see validate).
     """
     pairs = transitive_closure(frozenset((int(j), int(k)) for j, k in prec))
     return Instance(tuple(Job(p, r, w) for p, r, w in jobs), pairs)
@@ -142,17 +142,9 @@ def transitive_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int,
     return frozenset((j, k) for k in order for j in ancestors[k])
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def validate(instance: Instance) -> ValidationReport:
-    """Report every violated structural invariant; empty report iff well-formed.
+def validate(instance: Instance) -> tuple[str, ...]:
+    """The findings of every violated structural invariant; empty iff
+    well-formed. A caller that must stop raises on them.
 
     Checked: field ranges (p >= 1, r >= 0, 0 <= w <= MAX_WEIGHT), the
     horizon max r + sum p against MAX_HORIZON (in exact arithmetic, so an
@@ -201,14 +193,7 @@ def validate(instance: Instance) -> ValidationReport:
                 findings.extend(exc.findings)
             else:
                 findings.extend(f"missing transitive edge {e}" for e in missing)
-    return ValidationReport(tuple(findings))
-
-
-def require_valid(instance: Instance) -> Instance:
-    report = validate(instance)
-    if not report.ok:
-        raise ValidationError(report.findings)
-    return instance
+    return tuple(findings)
 
 
 def lift_releases(instance: Instance, floor: Sequence, intervals: Iterable[tuple] = ()) -> list:
@@ -295,12 +280,8 @@ def is_feasible(schedule: Schedule, instance: Instance) -> bool:
     return not feasibility_violations(schedule, instance)
 
 
-def schedule_cost(schedule: Schedule, instance: Instance, check: bool = False) -> float:
-    """Weighted sum of completion times, a float; optionally verifies feasibility first."""
-    if check:
-        violations = feasibility_violations(schedule, instance)
-        if violations:
-            raise InfeasibleScheduleError(violations[0])
+def schedule_cost(schedule: Schedule, instance: Instance) -> float:
+    """Weighted sum of completion times, a float; checks no constraint."""
     return sum((job.w * (s + job.p) for s, job in zip(schedule.start, instance.jobs)), 0.0)
 
 
@@ -345,8 +326,10 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     return Schedule(tuple(start))
 
 
-def load_instance(source, normalize: bool = False) -> Instance:
-    """Parse the instance JSON format, close the precedence relation, validate.
+def load_instance(source) -> Instance:
+    """Parse the instance JSON format and return the validated,
+    release-normalized instance (see normalize_release_times), as
+    generate does.
 
     source may be a path, a file object, or an already-parsed document. Job
     ids are array positions; "prec" pairs need not be transitively closed.
@@ -402,10 +385,10 @@ def load_instance(source, normalize: bool = False) -> Instance:
         raise ValidationError(findings)
 
     instance = make_instance(jobs, [tuple(e) for e in pairs])
-    require_valid(instance)
-    if normalize:
-        instance = normalize_release_times(instance)
-    return instance
+    findings = validate(instance)
+    if findings:
+        raise ValidationError(findings)
+    return normalize_release_times(instance)
 
 
 def _is_int(v) -> bool:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import prec_sched.bounded
 from prec_sched.decompose import IntervalGrid, partition_jobs
 from prec_sched.exact import exact_opt
-from prec_sched.instance import Instance, Schedule, ValidationReport
+from prec_sched.instance import Instance, Schedule
 from prec_sched.lp import TAU_LP, LpSolution
 
 
@@ -43,7 +43,7 @@ def feasibility_violations_pairwise(schedule: Schedule, instance: Instance) -> l
     return out
 
 
-def check_ls_property(trace: Schedule, instance: Instance, order) -> ValidationReport:
+def check_ls_property(trace: Schedule, instance: Instance, order) -> tuple[str, ...]:
     """Check the no-idle-while-available property of a list-scheduling trace.
 
     At every event time t at which the machine is available and some job
@@ -80,7 +80,7 @@ def check_ls_property(trace: Schedule, instance: Instance, order) -> ValidationR
                 f"machine free at t = {t} with job {j} released and unstarted, "
                 "but no job of its priority or higher starts then"
             )
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def check_busy_interval_bounds(
@@ -89,7 +89,7 @@ def check_busy_interval_bounds(
     order,
     lp_completion,
     tau: float = 1e-6,
-) -> ValidationReport:
+) -> tuple[str, ...]:
     """Check the three busy-interval inequalities on every job of a trace.
 
     For each job j, let t be the smallest time such that [t, C_j^sigma]
@@ -149,7 +149,7 @@ def check_busy_interval_bounds(
                     f"job {j}: window opens at completion of job {k} but "
                     f"r_min(U) = {r_min} does not exceed its start {start[k]}"
                 )
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def check_lp_lemmas(
@@ -157,7 +157,7 @@ def check_lp_lemmas(
     instance: Instance,
     tau: float = TAU_LP,
     subset_samples: int = 2000,
-) -> ValidationReport:
+) -> tuple[str, ...]:
     """Verify the two subset-family consequences on a converged solution.
 
     Checks, up to tau: the per-job lower bound C_j >= r_j + p_j/2
@@ -201,7 +201,7 @@ def check_lp_lemmas(
             findings.append(
                 f"subset {jobs}: total processing {ps} exceeds 2*Cmax - 2*rmin = {2 * cm - 2 * rm}"
             )
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def grid_shift(schedule: Schedule, instance: Instance, epsilon) -> Schedule:

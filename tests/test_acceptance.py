@@ -286,10 +286,10 @@ def test_no_idle_time_while_work_is_available(
     findings = []
     checked = 0
     for inst, run in ls_runs_200:
-        findings += list(check_ls_property(run.schedule, inst, run.order).findings)
+        findings += check_ls_property(run.schedule, inst, run.order)
         checked += 1
     for _, adjusted, run in all_traces(bounded_runs_100, pipeline_runs_100):
-        findings += list(check_ls_property(run.schedule, adjusted, run.order).findings)
+        findings += check_ls_property(run.schedule, adjusted, run.order)
         checked += 1
     ok = not findings and checked >= 300
     verdict(7, ok, "no list schedule idles while an available job waits")
@@ -303,7 +303,7 @@ def test_busy_interval_bounds_hold_on_all_traces(bounded_runs_100, pipeline_runs
         report = check_busy_interval_bounds(
             run.schedule, adjusted, run.order, run.lp.completion, tau=1e-6
         )
-        findings += list(report.findings)
+        findings += report
         checked += adjusted.n
     ok = not findings and checked > 0
     verdict(8, ok, "busy-interval completion bounds hold on every adjusted-instance trace")

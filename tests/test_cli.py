@@ -3,11 +3,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prec_sched.cli
 from prec_sched.cli import main
@@ -328,6 +332,10 @@ class TestBench:
         assert "family=p_le_r" in out
         assert "max_ratio_lpls_lp" in out
 
+    def test_negative_trials_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--trials", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: trials must be >= 0, got -1\n"
 
     def test_instances_above_the_guess_cap_run(self, capsys):
         # exhaustive guessing is capped at N_GUESS = 10 jobs; larger
@@ -531,3 +539,68 @@ class TestMagnitudes:
         code, _, err = run(capsys, "solve", write_doc(tmp_path, {"jobs": [job]}), "--epsilon", "1")
         assert code == 2
         assert message in err and err.count("\n") == 1
+
+
+# JSON values of every kind, and integers at and beyond the magnitude bounds
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.sampled_from([MAX_HORIZON, MAX_WEIGHT + 1, 10**400, -(10**400)]),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+_JOBS = st.one_of(
+    _SCALARS,
+    st.lists(
+        st.one_of(
+            st.fixed_dictionaries({}, optional={"p": _SCALARS, "r": _SCALARS, "w": _SCALARS}),
+            _SCALARS,
+        ),
+        max_size=5,
+    ),
+)
+_PREC = st.one_of(
+    _SCALARS,
+    st.lists(st.one_of(st.lists(st.integers(-1, 5), max_size=3), _SCALARS), max_size=6),
+)
+# well-shaped documents, whose pairs may still be out of range or cyclic
+_WELL_SHAPED = st.fixed_dictionaries(
+    {
+        "jobs": st.lists(
+            st.fixed_dictionaries(
+                {"p": st.integers(1, 6), "r": st.integers(0, 8), "w": st.integers(0, 5)}
+            ),
+            max_size=5,
+        )
+    },
+    optional={"prec": st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=6)},
+)
+_DOCUMENTS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.fixed_dictionaries({}, optional={"jobs": _JOBS, "prec": _PREC}),
+    _WELL_SHAPED,
+)
+
+
+class TestExitContract:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_any_document_exits_zero_or_two(self, tmp_path_factory, doc):
+        """Whatever its shape, a document is solved (0) or refused as bad
+        input (2), on one stderr line except by validate, which prints its
+        findings; no exception escapes main."""
+        path = tmp_path_factory.getbasetemp() / "exit-contract.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["lp"], ["lpls"], ["exact"], ["solve", "--epsilon", "1"]):
+            argv.insert(1, str(path))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # an unreadable file exits from the loader
+                    code = exc.code
+            assert code in (0, 2), (argv[0], code, err.getvalue())
+            if code == 2 and argv[0] != "validate":
+                assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -10,6 +10,7 @@ import pytest
 from prec_sched import (
     Schedule,
     exact_opt,
+    feasibility_violations,
     make_instance,
     schedule_cost,
 )
@@ -59,7 +60,8 @@ class TestExactOpt:
             # integer inputs keep both solvers in integer arithmetic
             assert cost == ref_cost
             assert isinstance(cost, int)
-            assert schedule_cost(schedule, instance, check=True) == cost
+            assert not feasibility_violations(schedule, instance)
+            assert schedule_cost(schedule, instance) == cost
 
     def test_integer_starts_on_integer_input(self):
         for seed in range(10):

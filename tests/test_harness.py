@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import prec_sched.harness
 from prec_sched import (
     GeneratorConfig,
     bench,
@@ -53,7 +54,7 @@ class TestGenerate:
     def test_single_job_instance_is_valid(self):
         instance = generate(GeneratorConfig(n=1, seed=3))
         assert instance.n == 1
-        assert validate(instance).ok
+        assert not validate(instance)
 
     def test_deterministic_per_seed(self):
         config = GeneratorConfig(n=6, seed=11, family="chains")
@@ -74,7 +75,7 @@ class TestGenerate:
     def test_every_family_valid_and_normalized(self):
         for family in FAMILIES:
             instance = generate(GeneratorConfig(n=5, seed=8, family=family))
-            assert validate(instance).ok
+            assert not validate(instance)
             renorm = normalize_release_times(instance)
             assert [j.r for j in renorm.jobs] == [j.r for j in instance.jobs]
 
@@ -104,6 +105,16 @@ class TestGenerate:
             generate(GeneratorConfig(n=5, seed=0, p_max=5000))
         with pytest.raises(ValueError, match="invalid instance: job .* weight"):
             generate(GeneratorConfig(n=6, seed=0, w_max=2 * 10**6))
+
+    def test_jobs_checked_before_precedence_is_drawn(self, monkeypatch):
+        # a 3,000-job uniform instance fails the horizon check; drawing
+        # its 4.5 million precedence pairs first would cost minutes
+        def draw(*args):
+            raise AssertionError("precedence drawn before the jobs were checked")
+
+        monkeypatch.setattr(prec_sched.harness, "_random_dag", draw)
+        with pytest.raises(ValueError, match="invalid instance: horizon"):
+            generate(GeneratorConfig(n=3000, seed=1))
 
 
 class TestDigest:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from prec_sched import (
     CycleError,
     GeneratorConfig,
-    InfeasibleScheduleError,
     Instance,
     Job,
     Schedule,
@@ -24,7 +23,6 @@ from prec_sched import (
     load_instance,
     make_instance,
     normalize_release_times,
-    require_valid,
     schedule_cost,
     tighten,
     transitive_closure,
@@ -43,38 +41,32 @@ from .oracles import (
 
 class TestValidate:
     def test_single_job_is_well_formed(self):
-        report = validate(make_instance([(1, 0, 1)]))
-        assert report.ok
-        assert report.findings == ()
+        assert validate(make_instance([(1, 0, 1)])) == ()
 
     def test_two_cycle_reported(self):
         instance = Instance((Job(1, 0, 1), Job(1, 0, 1)), frozenset({(0, 1), (1, 0)}))
-        report = validate(instance)
-        assert not report.ok
-        assert any("cycle" in f for f in report.findings)
+        assert any("cycle" in f for f in validate(instance))
 
     def test_missing_transitive_edge_reported(self):
         instance = Instance(
             (Job(1, 0, 1), Job(1, 0, 1), Job(1, 0, 1)),
             frozenset({(0, 1), (1, 2)}),
         )
-        report = validate(instance)
-        assert any("missing transitive edge (0, 2)" in f for f in report.findings)
+        assert any("missing transitive edge (0, 2)" in f for f in validate(instance))
 
     def test_zero_processing_time_rejected(self):
-        report = validate(make_instance([(0, 0, 1)]))
-        assert any("processing time 0" in f for f in report.findings)
+        assert any("processing time 0" in f for f in validate(make_instance([(0, 0, 1)])))
 
     def test_negative_fields_reported(self):
-        report = validate(make_instance([(1, -2, -3)]))
-        assert any("release" in f for f in report.findings)
-        assert any("weight" in f for f in report.findings)
+        findings = validate(make_instance([(1, -2, -3)]))
+        assert any("release" in f for f in findings)
+        assert any("weight" in f for f in findings)
 
     def test_out_of_range_and_reflexive_pairs(self):
         instance = Instance((Job(1, 0, 1),), frozenset({(0, 5)}))
-        assert any("out of range" in f for f in validate(instance).findings)
+        assert any("out of range" in f for f in validate(instance))
         instance = Instance((Job(1, 0, 1),), frozenset({(0, 0)}))
-        assert any("reflexive" in f for f in validate(instance).findings)
+        assert any("reflexive" in f for f in validate(instance))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(0, 7))
@@ -100,7 +92,7 @@ class TestValidate:
         elif kind == "range":
             pairs.add(data.draw(st.sampled_from([(-1, 0), (0, n), (n, n + 1)])))
         jobs = tuple(Job(1, 0, 1) for _ in range(n))
-        findings = validate(Instance(jobs, frozenset(pairs))).findings
+        findings = validate(Instance(jobs, frozenset(pairs)))
         expected = precedence_findings_ref(pairs, n)
         if expected == ["precedence cycle"]:
             assert len(findings) == 1 and findings[0].startswith("precedence cycle: ")
@@ -109,10 +101,10 @@ class TestValidate:
         else:
             assert list(findings) == expected
 
-    def test_require_valid_raises_with_findings(self):
+    def test_load_raises_with_findings(self):
         with pytest.raises(ValidationError) as err:
-            require_valid(make_instance([(0, 0, 1)]))
-        assert err.value.findings
+            load_instance({"jobs": [{"p": 0, "r": 0, "w": 1}]})
+        assert err.value.findings == validate(make_instance([(0, 0, 1)]))
 
 
 class TestTransitiveClosure:
@@ -256,18 +248,18 @@ class TestScheduleCost:
 
     def test_check_rejects_release_violation(self):
         instance = make_instance([(2, 5, 1)])
-        with pytest.raises(InfeasibleScheduleError, match="before release"):
-            schedule_cost(Schedule((0.0,)), instance, check=True)
+        (finding,) = feasibility_violations(Schedule((0.0,)), instance)
+        assert "before release" in finding
 
     def test_check_rejects_overlap(self):
         instance = make_instance([(4, 0, 1), (4, 0, 1)])
-        with pytest.raises(InfeasibleScheduleError, match="overlap"):
-            schedule_cost(Schedule((0.0, 2.0)), instance, check=True)
+        (finding,) = feasibility_violations(Schedule((0.0, 2.0)), instance)
+        assert "overlap" in finding
 
     def test_check_rejects_precedence_violation(self):
         instance = make_instance([(2, 0, 1), (2, 0, 1)], [(0, 1)])
-        with pytest.raises(InfeasibleScheduleError, match="predecessor"):
-            schedule_cost(Schedule((4.0, 0.0)), instance, check=True)
+        (finding,) = feasibility_violations(Schedule((4.0, 0.0)), instance)
+        assert "predecessor" in finding
 
     def test_violation_listing_is_deterministic(self):
         instance = make_instance([(4, 2, 1), (4, 2, 1)])
@@ -417,13 +409,12 @@ class TestJsonInterface:
         assert len(info.value.findings) == 1
         assert "\n" not in str(info.value)
 
-    def test_load_normalize_flag(self):
+    def test_load_normalizes_releases(self):
         doc = {
             "jobs": [{"p": 1, "r": 5, "w": 1}, {"p": 1, "r": 0, "w": 1}],
             "prec": [[0, 1]],
         }
-        assert load_instance(doc).jobs[1].r == 0
-        assert load_instance(doc, normalize=True).jobs[1].r == 5
+        assert load_instance(doc).jobs[1].r == 5
 
     def test_schedule_to_dict_uses_decimal_strings(self):
         instance = make_instance([(2, 0, 3)])
