@@ -280,12 +280,14 @@ def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) ->
 
 @dataclass(frozen=True)
 class BoundedResult:
+    """Best schedule, its cost on the original releases, guesses run and
+    failed, and the winning guess; the caller knows the mode it chose."""
+
     schedule: Schedule
     cost: float
     guesses_tried: int
     guesses_failed: int
     best_guess: object
-    mode: str
 
 
 def solve_bounded(
@@ -370,4 +372,4 @@ def solve_bounded(
             best = cost, run.schedule, g
     if best is None:
         raise SchedulingError(f"all {len(guesses)} guesses failed to produce a schedule")
-    return BoundedResult(best[1], best[0], len(guesses), failed, best[2], mode)
+    return BoundedResult(best[1], best[0], len(guesses), failed, best[2])

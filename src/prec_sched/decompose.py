@@ -256,12 +256,11 @@ def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...
 
 @dataclass(frozen=True)
 class IntervalOutcome:
-    """Diagnostics for one solved subproblem."""
+    """Diagnostics for the block of grid interval `index`, which spans
+    [grid.floor(index), grid.floor(index + 1)]."""
 
     index: int
     jobs: tuple[int, ...]
-    floor: float
-    ceiling: float
     cost: float
     guesses_tried: int
 
@@ -270,14 +269,14 @@ class IntervalOutcome:
 class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
-    `bounds` holds one dual lower bound per entry of `candidates`, and
-    `evaluated` the candidate indices whose blocks were solved, in the
-    order they were; the others were skipped. Neither enters to_dict.
+    The winning offset is grid.b, and the grid bounds each block. `bounds`
+    holds one dual lower bound per entry of `candidates`, and `evaluated`
+    the candidate indices whose blocks were solved, in the order they
+    were; the others were skipped. Neither enters to_dict.
     """
 
     schedule: Schedule
     cost: float
-    b: float
     grid: IntervalGrid
     candidates: tuple[float, ...]
     intervals: tuple[IntervalOutcome, ...]
@@ -287,13 +286,13 @@ class DecomposeResult:
 
     def to_dict(self, instance: Instance) -> dict:
         doc = self.schedule.to_dict(instance)
-        doc["b"] = self.b
+        doc["b"] = self.grid.b
         doc["t"] = [decimal_str(t) for t in self.grid.breakpoints]
         doc["intervals"] = [
             {
                 "jobs": list(iv.jobs),
                 "cost": decimal_str(iv.cost),
-                "floor": decimal_str(iv.floor),
+                "floor": decimal_str(self.grid.floor(iv.index)),
                 "guesses_tried": iv.guesses_tried,
             }
             for iv in self.intervals
@@ -333,16 +332,8 @@ def _solve_partition(
             )
         for pos, j in enumerate(sub.jobs):
             start[j] = tight.start[pos]
-        outcomes.append(
-            IntervalOutcome(
-                sub.index,
-                sub.jobs,
-                sub.floor,
-                ceiling,
-                schedule_cost(tight, sub.instance),
-                res.guesses_tried,
-            )
-        )
+        cost = schedule_cost(tight, sub.instance)
+        outcomes.append(IntervalOutcome(sub.index, sub.jobs, cost, res.guesses_tried))
     union = Schedule(tuple(start))
     violations = feasibility_violations(union, instance)
     if violations:
@@ -390,7 +381,7 @@ def decompose_and_solve(
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
-            Schedule(()), 0.0, 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
+            Schedule(()), 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
         )
     cmax = max(lp.completion)
     if mode == "random":
@@ -419,6 +410,5 @@ def decompose_and_solve(
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
     return DecomposeResult(
-        union, cost, candidates[i], grids[i], tuple(candidates), outcomes, lp,
-        bounds, tuple(evaluated),
+        union, cost, grids[i], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
     )

@@ -64,7 +64,7 @@ def exact_opt(instance: Instance, cap: int = EXACT_CAP):
         raise ValueError(f"exact solver is capped at n = {cap} (got {n})")
     if n == 0:
         return 0, Schedule(())
-    preds_mask = [sum(1 << j for j in preds) for preds in instance.predecessors]
+    preds_mask = instance.masks
     p = [job.p for job in instance.jobs]
     r = [job.r for job in instance.jobs]
     w = [job.w for job in instance.jobs]

@@ -117,7 +117,7 @@ def run_pipeline(instance: Instance, epsilon) -> dict:
         "epsilon": str(Fraction(epsilon)),
         "Z_lp": result.lp.value,
         "alg_cost": result.cost,
-        "b": result.b,
+        "b": result.grid.b,
         "guesses_tried": sum(iv.guesses_tried for iv in result.intervals),
         "wall_time": wall,
     }

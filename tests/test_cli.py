@@ -16,8 +16,14 @@ from hypothesis import strategies as st
 import prec_sched.cli
 from prec_sched.cli import main
 from prec_sched.errors import InvariantViolationError
-from prec_sched.exact import EXACT_MAX
-from prec_sched.instance import MAX_HORIZON, MAX_WEIGHT
+from prec_sched.exact import EXACT_MAX, exact_opt
+from prec_sched.instance import (
+    MAX_HORIZON,
+    MAX_WEIGHT,
+    Schedule,
+    feasibility_violations,
+    load_instance,
+)
 
 REFERENCE = {
     "jobs": [{"p": 1, "r": 1, "w": 10}, {"p": 10, "r": 0, "w": 0}],
@@ -539,6 +545,43 @@ class TestMagnitudes:
         code, _, err = run(capsys, "solve", write_doc(tmp_path, {"jobs": [job]}), "--epsilon", "1")
         assert code == 2
         assert message in err and err.count("\n") == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 7))
+    def test_pipeline_holds_its_guarantee_up_to_the_bounds(self, tmp_path_factory, data, n):
+        """Horizons up to MAX_HORIZON, weights 0, 1, MAX_WEIGHT or any, a
+        random DAG: each solve is feasible, within 2(1+eps)^2 of the exact
+        optimum, and prints the same bytes twice."""
+        horizon = data.draw(st.one_of(st.just(MAX_HORIZON), st.integers(n, MAX_HORIZON)))
+        p = data.draw(st.lists(st.integers(1, horizon // n), min_size=n, max_size=n))
+        r = data.draw(st.lists(st.integers(0, horizon - sum(p)), min_size=n, max_size=n))
+        weight = st.one_of(st.sampled_from([0, 1, MAX_WEIGHT]), st.integers(0, MAX_WEIGHT))
+        w = data.draw(st.lists(weight, min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        prec = [
+            [order[i], order[k]]
+            for i in range(n)
+            for k in range(i + 1, n)
+            if data.draw(st.booleans())
+        ]
+        doc = {"jobs": [{"p": pj, "r": rj, "w": wj} for pj, rj, wj in zip(p, r, w)], "prec": prec}
+        path = tmp_path_factory.getbasetemp() / "magnitudes.json"
+        path.write_text(json.dumps(doc))
+        instance = load_instance(str(path))
+        opt, _ = exact_opt(instance)
+        for eps, mode in ((1, "typed"), (0.5, "exhaustive"), (1, "empty-guess")):
+            argv = ["solve", str(path), "--epsilon", str(eps), "--bounded-mode", mode]
+            outs = []
+            for _ in range(2):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                outs.append(out.getvalue())
+            assert outs[0] == outs[1]
+            result = json.loads(outs[0])
+            schedule = Schedule(tuple(float(s) for s in result["start"]))
+            assert feasibility_violations(schedule, instance) == []
+            assert float(result["cost"]) <= 2 * (1 + eps) ** 2 * opt * (1 + 1e-9), (mode, eps)
 
 
 # JSON values of every kind, and integers at and beyond the magnitude bounds

@@ -215,7 +215,7 @@ class TestDecomposeAndSolve:
         instance = make_instance([(2, 3, 1)])
         result = decompose_and_solve(instance, 1)
         assert result.cost == pytest.approx(5.0)
-        assert result.b in result.candidates
+        assert result.grid.b in result.candidates
         assert is_feasible(result.schedule, instance)
 
     def test_reference_two_jobs_within_guarantee(self, two_job_reference):
@@ -246,12 +246,12 @@ class TestDecomposeAndSolve:
         instance = random_instance(3, 5)
         one = decompose_and_solve(instance, 1, mode="random", seed=42)
         two = decompose_and_solve(instance, 1, mode="random", seed=42)
-        assert one.b == two.b
+        assert one.grid.b == two.grid.b
         assert one.cost == two.cost
-        assert 0.0 <= one.b <= 3.0
+        assert 0.0 <= one.grid.b <= 3.0
         assert len(one.candidates) == 1
         other = decompose_and_solve(instance, 1, mode="random", seed=43)
-        assert other.b != one.b
+        assert other.grid.b != one.grid.b
 
     def test_epsilon_validated_before_solving(self):
         instance = make_instance([(1, 0, 1)])
@@ -306,8 +306,7 @@ class TestDecomposeAndSolve:
             assert result.cost == pytest.approx(
                 schedule_cost(result.schedule, instance)
             )
-            assert result.b in result.candidates
-            assert result.grid.b == result.b
+            assert result.grid.b in result.candidates
             assert result.grid.a == pytest.approx(3.0)
 
     def test_guess_traces_reach_block_solver(self):
@@ -382,7 +381,7 @@ class TestOffsetPruning:
             assert result.bounds[i] <= cost
             runs.append((cost, i, union.start, outcomes))
         cost, i, start, outcomes = min(runs, key=lambda run: run[:2])
-        assert (result.cost, result.b, result.schedule.start, result.intervals) == (
+        assert (result.cost, result.grid.b, result.schedule.start, result.intervals) == (
             cost, result.candidates[i], start, outcomes
         )
         assert i in result.evaluated

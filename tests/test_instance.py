@@ -67,6 +67,15 @@ class TestValidate:
         assert any("out of range" in f for f in validate(instance))
         instance = Instance((Job(1, 0, 1),), frozenset({(0, 0)}))
         assert any("reflexive" in f for f in validate(instance))
+        jobs = (Job(1, 0, 1),) * 3
+        instance = Instance(jobs, frozenset({(2, 2), (0, 5), (0, 1), (1, 1), (-1, 0), (3, 3)}))
+        assert validate(instance) == (
+            "precedence pair (-1, 0) out of range",
+            "precedence pair (0, 5) out of range",
+            "precedence pair (1, 1) is reflexive",
+            "precedence pair (2, 2) is reflexive",
+            "precedence pair (3, 3) out of range",
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(0, 7))
@@ -100,6 +109,18 @@ class TestValidate:
             assert all(edge in pairs for edge in zip(cycle, cycle[1:]))
         else:
             assert list(findings) == expected
+
+    def test_mask_check_beyond_64_jobs(self):
+        """The closedness test reads masks wider than a machine word: the
+        missing pair (100, 250) shows only in bit 100."""
+        jobs = [(1, 0, 1)] * 300
+        chain = make_instance(jobs, [(i, i + 1) for i in range(299)])
+        assert validate(chain) == ()
+        unclosed = Instance(chain.jobs, chain.prec - {(100, 250)})
+        assert validate(unclosed) == ("missing transitive edge (100, 250)",)
+        cyclic = Instance(chain.jobs, chain.prec | {(250, 3)})
+        (finding,) = validate(cyclic)
+        assert finding.startswith("precedence cycle: ")
 
     def test_load_raises_with_findings(self):
         with pytest.raises(ValidationError) as err:
