@@ -102,12 +102,14 @@ class Instance:
         """Comparison tolerance for this instance's time magnitudes."""
         return REL_TOL * max(1.0, self.time_scale)
 
-    def with_jobs(self, jobs: tuple[Job, ...]) -> Instance:
+    def with_jobs(self, jobs: tuple[Job, ...], computed_only: bool = False) -> Instance:
         """This precedence on `jobs`, which replace the jobs one for one;
-        its predecessors, successors, masks and cover are shared."""
+        its predecessors, successors, masks and cover are shared, or with
+        computed_only those of them this instance has already computed."""
         out = Instance(jobs, self.prec)
         for name in ("predecessors", "successors", "masks", "cover"):
-            out.__dict__[name] = getattr(self, name)  # as cached_property stores it
+            if not computed_only or name in self.__dict__:
+                out.__dict__[name] = getattr(self, name)  # as cached_property stores it
         return out
 
     def to_dict(self) -> dict:
@@ -222,11 +224,13 @@ def normalize_release_times(instance: Instance) -> Instance:
 
     Any feasible schedule already satisfies S_k >= C_j >= r_j for j
     preceding k, so the set of feasible schedules (and the optimum) is
-    unchanged. Idempotent; the least such lift (see lift_releases).
+    unchanged. Idempotent; the least such lift (see lift_releases). The
+    result shares the precedence caches already computed, such as the
+    predecessors the lift reads, and computes none of the others.
     """
     r = lift_releases(instance, [job.r for job in instance.jobs])
     jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    return Instance(jobs, instance.prec)
+    return instance.with_jobs(jobs, computed_only=True)
 
 
 @dataclass(frozen=True)

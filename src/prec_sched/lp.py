@@ -30,7 +30,11 @@ the tests cross-check against.
 
 Each LP lives in one HiGHS model, reached through the binding that scipy
 ships and that scipy.optimize.linprog itself calls
-(scipy.optimize._highspy._core), with linprog's options for
+(scipy.optimize._highspy._core). The package loads only that binding's
+file, so importing it does not run scipy.optimize; where the file cannot
+be found or loaded, it imports the binding through scipy.optimize. numpy
+still loads at the first LP, as the binding's array arguments need it.
+The model is solved with linprog's options for
 method="highs" and feasibility tightened to 1e-9, so residual noise on
 already-added rows stays far below tau. Each thread keeps one HiGHS
 solver, given those options once, and each LP clears its model. The
@@ -50,34 +54,60 @@ vertex. At most 10 n^2 rounds are run.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-# the public package first: imported only as the parent of the private
-# module below, scipy.optimize took about 0.25 s longer to import in the
-# benchmark's set-up (perfbench/run.py --setup-only, 2-core VM)
-import scipy.optimize  # noqa: F401
+from .errors import LpIterationLimitError, SchedulingError
+from .instance import Instance
+
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding():
+    """scipy's HiGHS binding, loaded from its own file and registered under
+    its name, without running scipy.optimize/__init__ (0.6 s of imports).
+    The plain import is taken instead when sys.modules already has an entry
+    (a pybind11 module loaded twice registers its types twice; a None entry
+    makes that import fail), or when the file is missing or does not load
+    (say, for want of a DLL directory that only scipy/__init__ adds)."""
+    spec = importlib.util.find_spec("scipy")
+    if _BINDING not in sys.modules and spec is not None:
+        folder = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_core" + suffix)
+            if os.path.isfile(path):
+                file_spec = importlib.util.spec_from_file_location(_BINDING, path)
+                try:
+                    module = importlib.util.module_from_spec(file_spec)
+                    sys.modules[_BINDING] = module
+                    file_spec.loader.exec_module(module)
+                except ImportError:
+                    sys.modules.pop(_BINDING, None)
+                    break
+                return module
+    return importlib.import_module(_BINDING)
+
 
 try:
-    from scipy.optimize._highspy._core import (
-        HighsDebugLevel,
-        HighsModelStatus,
-        HighsOptions,
-        HighsStatus,
-        _Highs,
-        kHighsInf,
-        simplex_constants,
-    )
+    _core = _load_binding()
 except ImportError as exc:
     raise ImportError(
         "prec_sched needs scipy >= 1.15: the LP rounds call the HiGHS binding "
         "scipy.optimize._highspy._core, which older scipy releases do not ship"
     ) from exc
-
-from .errors import LpIterationLimitError, SchedulingError
-from .instance import Instance
+HighsDebugLevel = _core.HighsDebugLevel
+HighsModelStatus = _core.HighsModelStatus
+HighsOptions = _core.HighsOptions
+HighsStatus = _core.HighsStatus
+_Highs = _core._Highs
+kHighsInf = _core.kHighsInf
+simplex_constants = _core.simplex_constants
 
 TAU_LP = 1e-7
 N_EXHAUSTIVE = 18

@@ -227,6 +227,16 @@ class TestNormalizeReleaseTimes:
         )
         assert [j.r for j in normalize_release_times(instance).jobs] == [3, 3, 3, 3]
 
+    def test_shares_only_the_computed_precedence_caches(self):
+        instance = make_instance([(1, 5, 1), (1, 0, 1), (2, 1, 1)], [(0, 1), (1, 2)])
+        assert not validate(instance)  # computes masks, from predecessors
+        lifted = normalize_release_times(instance)
+        assert lifted.predecessors is instance.predecessors
+        assert lifted.masks is instance.masks
+        assert "successors" not in lifted.__dict__ and "cover" not in lifted.__dict__
+        assert "successors" not in instance.__dict__ and "cover" not in instance.__dict__
+        assert lifted.cover == ((0, 1), (1, 2))
+
     def test_idempotent_on_random_instances(self):
         for seed in range(30):
             instance = random_instance(seed, 6, normalize=False)

@@ -510,6 +510,46 @@ class TestInnerSolve:
         assert "ImportError: prec_sched needs scipy >= 1.15" in proc.stderr
 
 
+def run_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this
+    checkout's prec_sched; fails the test if it exits nonzero."""
+    src = str(Path(prec_sched.lp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBindingLoad:
+    """lp.py loads the HiGHS binding from its file, without scipy.optimize."""
+
+    def test_import_leaves_scipy_optimize_out(self):
+        code = "import sys, prec_sched; print('scipy.optimize' in sys.modules)"
+        assert run_python(code).split() == ["False"]
+
+    def test_scipy_optimize_imported_first_gives_its_module(self):
+        code = (
+            "import scipy.optimize, prec_sched; "
+            "print(prec_sched.lp._Highs is scipy.optimize._highspy._core._Highs)"
+        )
+        assert run_python(code).split() == ["True"]
+
+    def test_plain_import_when_the_file_is_not_found(self):
+        # no extension file name can match, so lp.py takes the plain import;
+        # solve_lp gives the value it gives in this process
+        jobs, prec = [(3, 0, 2), (1, 2, 5), (2, 1, 1), (2, 0, 3)], [(0, 2), (1, 3)]
+        code = (
+            "import importlib.machinery, sys; importlib.machinery.EXTENSION_SUFFIXES.clear(); "
+            "from prec_sched import make_instance, normalize_release_times, solve_lp; "
+            f"instance = normalize_release_times(make_instance({jobs!r}, {prec!r})); "
+            "print('scipy.optimize' in sys.modules, repr(solve_lp(instance).value))"
+        )
+        value = solve_lp(normalize_release_times(make_instance(jobs, prec))).value
+        assert run_python(code).split() == ["True", repr(value)]
+
+
 class TestCheckLpLemmas:
     def test_converged_solutions_are_clean(self):
         for seed in range(15):
