@@ -143,12 +143,13 @@ def enumerate_guesses(
     """
     eps = _check_arguments(epsilon, beta, budget=budget)
     items = {j: (job.p, job.r) for j, job in enumerate(instance.jobs)}
-    yield from _guesses(Guess, items, instance.prec, eps, beta, budget, stats)
+    yield from _guesses(Guess, items, instance.masks, eps, beta, budget, stats)
 
 
-def _guesses(make, items: dict, prec, eps: Fraction, beta, budget, stats) -> Iterator:
+def _guesses(make, items: dict, masks, eps: Fraction, beta, budget, stats) -> Iterator:
     """Both modes' guess stream: make(keys, starts) over `items`, which maps
-    each key to (size, smallest release). Resets `stats`; `budget` truncates."""
+    each key to (size, smallest release), key j preceding key k iff masks[k]
+    has bit j. Resets `stats`; `budget` truncates."""
     stats = {} if stats is None else stats
     stats.update(yielded=0, pruned_release=0, pruned_overlap=0, pruned_prec=0)
     if budget == 0:
@@ -170,7 +171,7 @@ def _guesses(make, items: dict, prec, eps: Fraction, beta, budget, stats) -> Ite
                     continue
                 at = dict(zip(chosen, starts))
                 pairs = permutations(chosen, 2)
-                if any((j, k) in prec and at[j] + items[j][0] > at[k] for j, k in pairs):
+                if any(masks[k] >> j & 1 and at[j] + items[j][0] > at[k] for j, k in pairs):
                     stats["pruned_prec"] += 1
                     continue
                 stats["yielded"] += 1
@@ -261,7 +262,7 @@ def enumerate_type_guesses(
         i, power = _pow_ceil(size, eps)
         if Lf < power < hi:
             items[i] = (power, Fraction(r_min[size]))
-    yield from _guesses(TypeGuess, items, frozenset(), eps, beta, budget, stats)
+    yield from _guesses(TypeGuess, items, dict.fromkeys(items, 0), eps, beta, budget, stats)
 
 
 def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) -> Instance:

@@ -159,11 +159,11 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
 
     Every job lands in exactly one group; empty groups are dropped. Each
     group's release times are lifted to its floor 3 t_i, as floats, and
-    precedence is restricted to the group (restriction of a transitive
-    relation is transitive; the block computes its own cover from it).
-    Precedence across groups always points forward because the LP orders
-    C along precedence; violated means a bug upstream. One pass over the
-    precedence pairs both checks and restricts them.
+    keeps the pairs of prec inside it. Every pair points forward because
+    the LP orders C along precedence; violated means a bug upstream. One
+    pass over the pairs both checks and restricts them, exactly: a path of
+    pairs between two jobs of a group never leaves it, as it never goes
+    back a group, so the group's pairs generate the order on it.
 
     Each group also carries the parent LP's cut subsets restricted to it,
     renumbered to block ids, nonempty, deduplicated and sorted: every

@@ -48,8 +48,8 @@ def generate(config: GeneratorConfig) -> Instance:
     """Deterministic instance from the config's seed, validated and
     release-normalized as load_instance returns one. The jobs are checked
     before precedence is drawn (a ValueError names the first finding); the
-    pairs run along index order or along disjoint chains, so the closed
-    relation needs no check."""
+    pairs run along index order or along disjoint chains, so their order
+    needs no check."""
     rng = random.Random(config.seed)
     n = config.n
     if config.family == "paper_example":

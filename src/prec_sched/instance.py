@@ -1,9 +1,10 @@
 """Problem instances and schedules for 1|r_j,prec|sum w_j C_j.
 
 An instance is a set of jobs, each with an integer processing time p >= 1,
-a release time r >= 0, and a weight w >= 0, plus a precedence DAG that is
-kept transitively closed. A schedule assigns a start time to every job;
-its cost is the weighted sum of completion times.
+a release time r >= 0, and a weight w >= 0, plus pairs (j, k), j preceding
+k, whose transitive closure, held only as bitmasks (Instance.masks), is
+the precedence order. A schedule assigns a start time to every job; its
+cost is the weighted sum of completion times.
 
 Each layer uses one numeric type: input instances are integral (the
 exact oracle relies on it), the releases of the blocks they are split
@@ -56,42 +57,42 @@ class Instance:
         return len(self.jobs)
 
     @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for j, k in self.prec:
-            preds[k].append(j)
-        return tuple(tuple(sorted(ps)) for ps in preds)
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        succs: list[list[int]] = [[] for _ in range(self.n)]
-        for j, k in self.prec:
-            succs[j].append(k)
-        return tuple(tuple(sorted(ss)) for ss in succs)
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
-        """Predecessor bitmasks, of any width: bit j of masks[k] is set iff
-        (j, k) is in prec. Needs every pair in range."""
-        return tuple(sum(1 << j for j in ps) for ps in self.predecessors)
+        """Closed predecessor bitmasks, of any width: bit j of masks[k] is
+        set iff j precedes k. The one place the closure is computed, by a
+        Kahn pass over prec: a job taken passes its mask and its own bit
+        on to each successor. A job never taken raises CycleError with the
+        cycle graphlib finds, jobs in order. Needs every pair in range."""
+        succs, waiting = successor_lists(self)  # waiting: predecessors not yet taken
+        masks = [0] * self.n
+        taken = [k for k in range(self.n) if not waiting[k]]
+        for j in taken:  # the list grows as jobs are taken
+            for k in succs[j]:
+                masks[k] |= masks[j] | 1 << j
+                waiting[k] -= 1
+                if not waiting[k]:
+                    taken.append(k)
+        if len(taken) < self.n:
+            preds: dict[int, set[int]] = defaultdict(set)
+            for j, k in self.prec:
+                preds[k].add(j)
+            try:
+                graphlib.TopologicalSorter({k: preds[k] for k in sorted(preds)}).prepare()
+            except graphlib.CycleError as exc:
+                raise CycleError(exc.args[1]) from None
+        return tuple(masks)
 
     @cached_property
     def cover(self) -> tuple[tuple[int, int], ...]:
-        """The cover pairs of the closed relation prec, sorted: (j, k) in
-        prec with no m such that (j, m) and (m, k) are in prec. This is the
-        transitive reduction (Hasse diagram) of prec, and its closure is
-        prec, so order constraints on these pairs imply all the others.
-        Computed from this instance's own masks, never by restricting
-        another instance's cover, which would lose a pair whose path ran
-        through a job left out."""
+        """The cover pairs of the order, sorted: j precedes k with no job
+        between them. Order constraints on this transitive reduction imply
+        all the others. Pairs that generate an order hold its cover: (j, k)
+        in prec is one unless j precedes another predecessor of k in prec."""
         masks = self.masks
-        pairs = []
-        for k, ps in enumerate(self.predecessors):
-            implied = 0  # jobs that precede some predecessor of k
-            for m in ps:
-                implied |= masks[m]
-            pairs.extend((j, k) for j in ps if not implied >> j & 1)
-        return tuple(sorted(pairs))
+        implied = [0] * self.n  # jobs that precede some predecessor of k in prec
+        for j, k in self.prec:
+            implied[k] |= masks[j]
+        return tuple(sorted((j, k) for j, k in self.prec if not implied[k] >> j & 1))
 
     @cached_property
     def time_scale(self) -> float:
@@ -102,51 +103,51 @@ class Instance:
         """Comparison tolerance for this instance's time magnitudes."""
         return REL_TOL * max(1.0, self.time_scale)
 
-    def with_jobs(self, jobs: tuple[Job, ...], computed_only: bool = False) -> Instance:
-        """This precedence on `jobs`, which replace the jobs one for one;
-        its predecessors, successors, masks and cover are shared, or with
-        computed_only those of them this instance has already computed."""
+    def with_jobs(self, jobs: tuple[Job, ...]) -> Instance:
+        """This precedence on `jobs`, which replace the jobs one for one,
+        sharing the masks and cover this instance has computed."""
         out = Instance(jobs, self.prec)
-        for name in ("predecessors", "successors", "masks", "cover"):
-            if not computed_only or name in self.__dict__:
-                out.__dict__[name] = getattr(self, name)  # as cached_property stores it
+        for name in ("masks", "cover"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]  # as cached_property stores it
         return out
 
     def to_dict(self) -> dict:
         return {
             "jobs": [{"p": j.p, "r": j.r, "w": j.w} for j in self.jobs],
-            "prec": sorted([j, k] for j, k in self.prec),
+            "prec": [list(pair) for pair in _closed_pairs(self)],
         }
 
 
 def make_instance(jobs: Sequence[tuple], prec: Iterable[tuple[int, int]] = ()) -> Instance:
-    """Build an Instance from (p, r, w) triples and precedence pairs.
-
-    Closes the relation transitively; raises CycleError on a cyclic
-    relation. Does not otherwise validate (see validate).
+    """Build an Instance from (p, r, w) triples and precedence pairs, kept
+    as given. Raises CycleError on a cyclic relation whose pairs are all in
+    range; does not otherwise validate (see validate, which reports pairs
+    out of range before it looks for cycles).
     """
-    pairs = transitive_closure(frozenset((int(j), int(k)) for j, k in prec))
-    return Instance(tuple(Job(p, r, w) for p, r, w in jobs), pairs)
+    pairs = frozenset((int(j), int(k)) for j, k in prec)
+    instance = Instance(tuple(Job(p, r, w) for p, r, w in jobs), pairs)
+    if all(0 <= j < instance.n and 0 <= k < instance.n for j, k in pairs):
+        instance.masks  # raises on a cycle
+    return instance
 
 
-def transitive_closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Transitive closure of a precedence relation given as ordered pairs.
+def successor_lists(instance: Instance) -> tuple[list[list[int]], list[int]]:
+    """Each job's successors in prec, and its number of predecessors there."""
+    succs: list[list[int]] = [[] for _ in range(instance.n)]
+    indeg = [0] * instance.n
+    for j, k in instance.prec:
+        succs[j].append(k)
+        indeg[k] += 1
+    return succs, indeg
 
-    Idempotent. Raises CycleError naming a witness cycle if the relation
-    is not acyclic (a pair (j, j) counts as a self-cycle). Ancestor sets
-    are united in graphlib's topological order.
-    """
-    preds: dict[int, set[int]] = defaultdict(set)
-    for j, k in pairs:
-        preds[k].add(j)
-    try:
-        order = list(graphlib.TopologicalSorter({k: preds[k] for k in sorted(preds)}).static_order())
-    except graphlib.CycleError as exc:
-        raise CycleError(exc.args[1]) from None
-    ancestors: dict[int, set[int]] = {}
-    for k in order:
-        ancestors[k] = preds[k].union(*(ancestors[j] for j in preds[k]))
-    return frozenset((j, k) for k in order for j in ancestors[k])
+
+def _closed_pairs(instance: Instance) -> list[tuple[int, int]]:
+    """Every pair (j, k) of the order, j preceding k, sorted."""
+    pairs = []
+    for k, mask in enumerate(instance.masks):
+        pairs.extend((j, k) for j, bit in enumerate(reversed(bin(mask))) if bit == "1")
+    return sorted(pairs)
 
 
 def validate(instance: Instance) -> tuple[str, ...]:
@@ -156,11 +157,8 @@ def validate(instance: Instance) -> tuple[str, ...]:
     Checked: field ranges (p >= 1, r >= 0, 0 <= w <= MAX_WEIGHT), the
     horizon max r + sum p against MAX_HORIZON (in exact arithmetic, so an
     integer beyond the float range is reported, not converted), precedence
-    indices in range, irreflexivity, acyclicity (with witness), and
-    transitive closure. The relation is closed iff pred(j) lies within
-    pred(k) for every pair (j, k), and then, being irreflexive, acyclic;
-    the closure is computed only to word a finding. Cost: O(n + |prec| n
-    / 64), one mask test per pair; only the pairs reported are sorted.
+    indices in range, irreflexivity, and acyclicity (with witness), which
+    the closure in masks checks in O(n + |prec| n / 64).
     """
     findings: list[str] = []
     n = instance.n
@@ -189,29 +187,28 @@ def validate(instance: Instance) -> tuple[str, ...]:
         findings.append(f"precedence pair ({j}, {k}) {kind}")
 
     if not bad:
-        masks = instance.masks
-        if any(masks[j] & ~masks[k] for j, k in instance.prec):
-            try:
-                missing = sorted(transitive_closure(instance.prec) - instance.prec)
-            except CycleError as exc:
-                findings.extend(exc.findings)
-            else:
-                findings.extend(f"missing transitive edge {e}" for e in missing)
+        try:
+            instance.masks
+        except CycleError as exc:
+            findings.extend(exc.findings)
     return tuple(findings)
 
 
 def lift_releases(instance: Instance, floor: Sequence, intervals: Iterable[tuple] = ()) -> list:
     """The least releases r, a list by job id, such that r_j >= floor[j],
     r_j <= r_k whenever j precedes k, and no r_j lies inside an open
-    interval ]s, e[ of `intervals`. One pass by predecessor count, an order
-    that is topological as the relation is closed: each job takes the
-    largest of its floor and its predecessors' releases (the first on
+    interval ]s, e[ of `intervals`. One pass by predecessor count, a
+    topological order: each job takes the largest of its floor and its
+    cover predecessors' releases, which bound the others' (the first on
     ties), then the end of each interval it falls inside, in start order.
     """
-    preds = instance.predecessors
+    masks = instance.masks
+    preds: list[list[int]] = [[] for _ in range(instance.n)]
+    for j, k in instance.cover:
+        preds[k].append(j)
     spans = sorted(intervals)
     r = list(floor)
-    for k in sorted(range(instance.n), key=lambda k: len(preds[k])):
+    for k in sorted(range(instance.n), key=lambda k: masks[k].bit_count()):
         x = max([r[k], *(r[j] for j in preds[k])])
         for s, e in spans:
             x = e if s < x < e else x
@@ -225,12 +222,14 @@ def normalize_release_times(instance: Instance) -> Instance:
     Any feasible schedule already satisfies S_k >= C_j >= r_j for j
     preceding k, so the set of feasible schedules (and the optimum) is
     unchanged. Idempotent; the least such lift (see lift_releases). The
-    result shares the precedence caches already computed, such as the
-    predecessors the lift reads, and computes none of the others.
+    result holds the cover as prec, so that one order given two ways loads
+    as equal instances, and shares the masks and cover.
     """
     r = lift_releases(instance, [job.r for job in instance.jobs])
     jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    return instance.with_jobs(jobs, computed_only=True)
+    out = Instance(jobs, frozenset(instance.cover))
+    out.__dict__.update(masks=instance.masks, cover=instance.cover)  # as cached_property stores them
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,10 +270,10 @@ def feasibility_violations(schedule: Schedule, instance: Instance) -> list[str]:
     out.extend(f"jobs {j} and {k} overlap" for j, k in sorted(pairs))
     # when every cover pair holds, every implied pair (j, k) holds with
     # margin p_m - tol > 0 for a job m between them (p_m >= 1, and tol < 1
-    # below a time scale of 1e9), so the closed relation is walked only
-    # to word the findings of a violated cover pair
+    # below a time scale of 1e9), so every pair of the order is listed
+    # only to word the findings of a violated cover pair
     if any(start[k] < comp[j] - tol for j, k in instance.cover):
-        for j, k in sorted(instance.prec):
+        for j, k in _closed_pairs(instance):
             if start[k] < comp[j] - tol:
                 out.append(
                     f"job {k} starts at {start[k]} before predecessor {j} completes at {comp[j]}"
@@ -338,7 +337,7 @@ def load_instance(source) -> Instance:
     generate does.
 
     source may be a path, a file object, or an already-parsed document. Job
-    ids are array positions; "prec" pairs need not be transitively closed.
+    ids are array positions; "prec" may hold any pairs that generate the order.
     A document that is not an object with a "jobs" array of objects with
     integer fields p, r, w, and an optional "prec" array of integer pairs,
     raises ValidationError, as do non-UTF-8 text, an integer too long to

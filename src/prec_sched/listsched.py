@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .instance import Instance, Schedule
+from .instance import Instance, Schedule, successor_lists
 from .lp import LpSolution, solve_lp
 
 
@@ -46,9 +46,10 @@ def list_schedule(instance: Instance, order) -> Schedule:
     Two heaps drive it: `pending` holds the jobs whose predecessors are
     all scheduled, keyed by (release, id), and `ready` those of them
     released by the current time, keyed by priority. Each job enters and
-    leaves each heap once, so a run costs O(n log n + |prec|). An idle
-    machine jumps to the smallest pending release; jobs on a cycle never
-    unlock, which raises ValueError.
+    leaves each heap once, so a run costs O(n log n + |prec|). A job
+    unlocks with its predecessors in prec, which hold its cover
+    predecessors. An idle machine jumps to the smallest pending release;
+    jobs on a cycle never unlock, which raises ValueError.
     """
     n = instance.n
     if sorted(order) != list(range(n)):
@@ -58,7 +59,7 @@ def list_schedule(instance: Instance, order) -> Schedule:
     pos = [0] * n
     for i, j in enumerate(order):
         pos[j] = i
-    indeg = [len(instance.predecessors[j]) for j in range(n)]
+    succs, indeg = successor_lists(instance)
     pending = [(jobs[j].r, j) for j in range(n) if indeg[j] == 0]
     heapq.heapify(pending)
     ready = []
@@ -75,7 +76,7 @@ def list_schedule(instance: Instance, order) -> Schedule:
         _, j = heapq.heappop(ready)
         start[j] = t
         t = t + jobs[j].p
-        for k in instance.successors[j]:
+        for k in succs[j]:
             indeg[k] -= 1
             if indeg[k] == 0:
                 heapq.heappush(pending, (jobs[k].r, k))
@@ -108,14 +109,14 @@ def order_from_lp(solution: LpSolution, instance: Instance) -> tuple[int, ...]:
     """
     n = instance.n
     C = solution.completion
-    indeg = [len(instance.predecessors[j]) for j in range(n)]
+    succs, indeg = successor_lists(instance)
     heap = [(C[j], j) for j in range(n) if indeg[j] == 0]
     heapq.heapify(heap)
     out = []
     while heap:
         _, j = heapq.heappop(heap)
         out.append(j)
-        for k in instance.successors[j]:
+        for k in succs[j]:
             indeg[k] -= 1
             if indeg[k] == 0:
                 heapq.heappush(heap, (C[k], k))

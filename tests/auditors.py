@@ -22,6 +22,7 @@ from prec_sched.decompose import IntervalGrid, partition_jobs
 from prec_sched.exact import exact_opt
 from prec_sched.instance import Instance, Schedule
 from prec_sched.lp import TAU_LP, LpSolution
+from .oracles import closure_by_squaring
 
 
 def feasibility_violations_pairwise(schedule: Schedule, instance: Instance) -> list[str]:
@@ -37,7 +38,7 @@ def feasibility_violations_pairwise(schedule: Schedule, instance: Instance) -> l
         for k in range(j + 1, instance.n):
             if start[j] < comp[k] - tol and start[k] < comp[j] - tol:
                 out.append(f"jobs {j} and {k} overlap")
-    for j, k in sorted(instance.prec):
+    for j, k in sorted(closure_by_squaring(instance.prec, instance.n)):
         if start[k] < comp[j] - tol:
             out.append(f"job {k} starts at {start[k]} before predecessor {j} completes at {comp[j]}")
     return out

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prec_sched
 from prec_sched import GeneratorConfig, Schedule, generate, make_instance, normalize_release_times
 
 
@@ -69,11 +74,7 @@ def random_feasible_schedule(seed, instance, slack=5):
     placed = []
     remaining = set(range(n))
     while remaining:
-        ready = [
-            j
-            for j in remaining
-            if all(h not in remaining for h in instance.predecessors[j])
-        ]
+        ready = [j for j in remaining if not any(instance.masks[j] >> h & 1 for h in remaining)]
         placed.append(rng.choice(ready))
         remaining.discard(placed[-1])
     start = [0.0] * n
@@ -83,6 +84,18 @@ def random_feasible_schedule(seed, instance, slack=5):
         start[j] = t
         t += instance.jobs[j].p
     return Schedule(tuple(start))
+
+
+def run_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this
+    checkout's prec_sched; fails the test if it exits nonzero."""
+    src = str(Path(prec_sched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

@@ -46,13 +46,20 @@ def transitive_reduction_ref(pairs, n: int) -> set:
     return {e for e in pairs if e not in closure_by_squaring(pairs - {e}, n)}
 
 
+def predecessors_ref(instance) -> list:
+    """Each job's set of predecessors in the closure of the instance's pairs."""
+    preds = [set() for _ in range(instance.n)]
+    for j, k in closure_by_squaring(instance.prec, instance.n):
+        preds[k].add(j)
+    return preds
+
+
 def precedence_findings_ref(pairs, n: int) -> list:
     """validate's precedence findings, derived from the full closure.
 
     Out-of-range and reflexive pairs in sorted order; failing those, the
     bare "precedence cycle" if the closure relates some job to itself
-    (which cycle to name is the implementation's choice), else each pair
-    of the closure missing from the relation.
+    (which cycle to name is the implementation's choice), else none.
     """
     pairs = set(pairs)
     findings = []
@@ -63,10 +70,9 @@ def precedence_findings_ref(pairs, n: int) -> list:
             findings.append(f"precedence pair ({j}, {j}) is reflexive")
     if findings:
         return findings
-    closed = closure_by_squaring(pairs, n)
-    if any(j == k for j, k in closed):
+    if any(j == k for j, k in closure_by_squaring(pairs, n)):
         return ["precedence cycle"]
-    return [f"missing transitive edge ({j}, {k})" for j, k in sorted(closed - pairs)]
+    return []
 
 
 def brute_force_opt(instance):
@@ -108,6 +114,7 @@ def reference_list_schedule(instance, order):
     """
     rank = {j: i for i, j in enumerate(order)}
     n = instance.n
+    preds = predecessors_ref(instance)
     unscheduled = set(range(n))
     done = {}
     start = [0.0] * n
@@ -117,7 +124,7 @@ def reference_list_schedule(instance, order):
             j
             for j in unscheduled
             if instance.jobs[j].r <= t
-            and all(h in done and done[h] <= t for h in instance.predecessors[j])
+            and all(h in done and done[h] <= t for h in preds[j])
         ]
         if can_run:
             j = min(can_run, key=rank.__getitem__)
@@ -186,7 +193,7 @@ def enumerate_guesses_ref(instance, epsilon, beta):
     eps = frac(epsilon)
     bound = log2_ceil((1 + eps) * frac(beta))
     n = instance.n
-    prec = set(instance.prec)
+    prec = closure_by_squaring(instance.prec, n)
 
     def grid(j):
         p = instance.jobs[j].p
@@ -332,13 +339,14 @@ def tighten_ref(instance, start):
     minimal-start computation is what differs here.
     """
     n = instance.n
+    preds = predecessors_ref(instance)
     start = list(start)
     moved = True
     while moved:
         moved = False
         for j in sorted(range(n), key=lambda i: (start[i], i)):
             lb = instance.jobs[j].r
-            for h in instance.predecessors[j]:
+            for h in preds[j]:
                 lb = max(lb, start[h] + instance.jobs[h].p)
             while True:
                 clash = [

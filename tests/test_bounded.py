@@ -233,8 +233,6 @@ class TestSharedPrecedence:
         block = random_instance(3, 6, r_max=4, density=0.5)
         lifted = adjust_release_times(block, EMPTY_GUESS)
         assert lifted.cover is block.cover
-        assert lifted.predecessors is block.predecessors
-        assert lifted.successors is block.successors
         assert lifted.masks is block.masks
 
     def test_rounded_and_typed_lift_reuse_it_too(self):

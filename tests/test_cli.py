@@ -24,6 +24,7 @@ from prec_sched.instance import (
     feasibility_violations,
     load_instance,
 )
+from .oracles import closure_by_squaring, transitive_reduction_ref
 
 REFERENCE = {
     "jobs": [{"p": 1, "r": 1, "w": 10}, {"p": 10, "r": 0, "w": 0}],
@@ -108,6 +109,20 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", write_doc(tmp_path, doc))
         assert code == 2
         assert any("cycle" in f for f in json.loads(out)["findings"])
+
+    def test_cycle_stops_loading_before_other_findings(self, capsys, tmp_path):
+        # the cycle is found while the instance is built, so the zero-length
+        # job 3 is never reported, and the witness starts at the least job
+        doc = {
+            "jobs": [{"p": 1, "r": 0, "w": 1}] * 3 + [{"p": 0, "r": 0, "w": 1}],
+            "prec": [[0, 1], [1, 2], [2, 0], [2, 3]],
+        }
+        path = write_doc(tmp_path, doc)
+        finding = "precedence cycle: 0 -> 1 -> 2 -> 0"
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (2, "")
+        assert out == json.dumps({"ok": False, "findings": [finding]}, indent=2) + "\n"
+        assert run(capsys, "solve", path, "--epsilon", "1") == (2, "", f"error: {finding}\n")
 
 
 class TestLp:
@@ -582,6 +597,41 @@ class TestMagnitudes:
             schedule = Schedule(tuple(float(s) for s in result["start"]))
             assert feasibility_violations(schedule, instance) == []
             assert float(result["cost"]) <= 2 * (1 + eps) ** 2 * opt * (1 + 1e-9), (mode, eps)
+
+
+class TestPrecedenceForms:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_one_order_written_three_ways(self, tmp_path_factory, data, n):
+        """A DAG on shuffled ids, written as drawn, as its cover and as its
+        closure, each pair list shuffled: all three load as one instance,
+        which stores the cover, and solve to the same bytes."""
+        job = st.fixed_dictionaries(
+            {"p": st.integers(1, 6), "r": st.integers(0, 8), "w": st.integers(0, 5)}
+        )
+        jobs = data.draw(st.lists(job, min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        drawn = {
+            (order[i], order[k])
+            for i in range(n)
+            for k in range(i + 1, n)
+            if data.draw(st.booleans())
+        }
+        closed = closure_by_squaring(drawn, n)
+        cover = transitive_reduction_ref(closed, n)
+        path = tmp_path_factory.getbasetemp() / "forms.json"
+        instances, outs = [], []
+        for pairs in (drawn, cover, closed):
+            prec = data.draw(st.permutations(sorted(pairs)))
+            path.write_text(json.dumps({"jobs": jobs, "prec": [list(e) for e in prec]}))
+            instances.append(load_instance(str(path)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["solve", str(path), "--epsilon", "1"]) == 0
+            outs.append(out.getvalue())
+        assert instances[0] == instances[1] == instances[2]
+        assert instances[0].prec == frozenset(cover)
+        assert outs[0] == outs[1] == outs[2]
 
 
 # JSON values of every kind, and integers at and beyond the magnitude bounds

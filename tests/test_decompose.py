@@ -165,6 +165,10 @@ class TestPartitionJobs:
                     if j in back and k in back
                 }
                 assert sub.instance.prec == frozenset(inside)
+                # the block is convex, so its pairs give the parent's order on it
+                for b, k in enumerate(sub.jobs):
+                    for a, j in enumerate(sub.jobs):
+                        assert sub.instance.masks[b] >> a & 1 == instance.masks[k] >> j & 1
 
     def test_backward_cross_interval_precedence_rejected(self):
         instance = make_instance([(1, 0, 1), (1, 0, 1)], prec=[(0, 1)])

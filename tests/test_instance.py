@@ -25,11 +25,10 @@ from prec_sched import (
     normalize_release_times,
     schedule_cost,
     tighten,
-    transitive_closure,
     validate,
 )
 from .auditors import feasibility_violations_pairwise
-from .conftest import dag_variants, random_feasible_schedule, random_instance
+from .conftest import dag_variants, random_feasible_schedule, random_instance, run_python
 from .oracles import (
     brute_force_opt,
     closure_by_squaring,
@@ -46,13 +45,6 @@ class TestValidate:
     def test_two_cycle_reported(self):
         instance = Instance((Job(1, 0, 1), Job(1, 0, 1)), frozenset({(0, 1), (1, 0)}))
         assert any("cycle" in f for f in validate(instance))
-
-    def test_missing_transitive_edge_reported(self):
-        instance = Instance(
-            (Job(1, 0, 1), Job(1, 0, 1), Job(1, 0, 1)),
-            frozenset({(0, 1), (1, 2)}),
-        )
-        assert any("missing transitive edge (0, 2)" in f for f in validate(instance))
 
     def test_zero_processing_time_rejected(self):
         assert any("processing time 0" in f for f in validate(make_instance([(0, 0, 1)])))
@@ -81,7 +73,7 @@ class TestValidate:
     @given(data=st.data(), n=st.integers(0, 7))
     def test_findings_match_closure_reference(self, data, n):
         """Closed, unclosed, cyclic, reflexive and out-of-range relations:
-        the closedness fast path reports what the full closure does."""
+        validate reports what the closure by squaring implies."""
         order = data.draw(st.permutations(range(n)))
         dag = {
             (order[i], order[k])
@@ -111,13 +103,13 @@ class TestValidate:
             assert list(findings) == expected
 
     def test_mask_check_beyond_64_jobs(self):
-        """The closedness test reads masks wider than a machine word: the
-        missing pair (100, 250) shows only in bit 100."""
+        """The closure is held in masks wider than a machine word: the
+        implied pair (100, 250) shows only in bit 100, and a pair back
+        from job 250 to job 3 closes a cycle."""
         jobs = [(1, 0, 1)] * 300
         chain = make_instance(jobs, [(i, i + 1) for i in range(299)])
         assert validate(chain) == ()
-        unclosed = Instance(chain.jobs, chain.prec - {(100, 250)})
-        assert validate(unclosed) == ("missing transitive edge (100, 250)",)
+        assert chain.masks[250] == (1 << 250) - 1 and chain.masks[250] >> 100 & 1
         cyclic = Instance(chain.jobs, chain.prec | {(250, 3)})
         (finding,) = validate(cyclic)
         assert finding.startswith("precedence cycle: ")
@@ -128,16 +120,26 @@ class TestValidate:
         assert err.value.findings == validate(make_instance([(0, 0, 1)]))
 
 
+def order_pairs(instance):
+    """The pairs (j, k), j preceding k, that the instance's masks hold."""
+    n = instance.n
+    return {(j, k) for k, mask in enumerate(instance.masks) for j in range(n) if mask >> j & 1}
+
+
 class TestTransitiveClosure:
+    """The closure of the pairs given to make_instance, as masks holds it."""
+
     def test_chain_of_three(self):
-        assert transitive_closure({(0, 1), (1, 2)}) == {(0, 1), (1, 2), (0, 2)}
+        chain = make_instance([(1, 0, 1)] * 3, [(0, 1), (1, 2)])
+        assert order_pairs(chain) == {(0, 1), (1, 2), (0, 2)}
 
     def test_empty_relation(self):
-        assert transitive_closure(set()) == frozenset()
+        assert make_instance([(1, 0, 1)] * 2).masks == (0, 0)
 
     def test_idempotent(self):
-        once = transitive_closure({(0, 1), (1, 2), (2, 4)})
-        assert transitive_closure(once) == once
+        jobs = [(1, 0, 1)] * 5
+        once = make_instance(jobs, [(0, 1), (1, 2), (2, 4)])
+        assert make_instance(jobs, order_pairs(once)).masks == once.masks
 
     def test_matches_matrix_powering_on_random_dags(self):
         n = 6
@@ -153,14 +155,10 @@ class TestTransitiveClosure:
             rng.shuffle(perm)
             relabelled = {(perm[i], perm[j]) for i, j in pairs}
             # the chains family's covering pairs: its ids are shuffled
-            closed = generate(GeneratorConfig(n=n, seed=seed, family="chains")).prec
-            chains = {
-                (j, k)
-                for j, k in closed
-                if not any((j, m) in closed and (m, k) in closed for m in range(n))
-            }
+            chains = generate(GeneratorConfig(n=n, seed=seed, family="chains")).prec
             for dag in (pairs, relabelled, chains):
-                assert transitive_closure(dag) == closure_by_squaring(dag, n)
+                closed = order_pairs(make_instance([(1, 0, 1)] * n, dag))
+                assert closed == closure_by_squaring(dag, n)
 
     def test_cycle_witness_on_random_cyclic_relations(self):
         n = 6
@@ -171,7 +169,7 @@ class TestTransitiveClosure:
             if not any(j == k for j, k in closure_by_squaring(pairs, n)):
                 continue
             with pytest.raises(CycleError) as err:
-                transitive_closure(pairs)
+                make_instance([(1, 0, 1)] * n, pairs)
             cycle = err.value.cycle
             assert len(cycle) >= 3 and cycle[0] == cycle[-1]
             assert all(pair in pairs for pair in zip(cycle, cycle[1:]))
@@ -180,31 +178,33 @@ class TestTransitiveClosure:
 
     def test_cycle_raises_with_witness(self):
         with pytest.raises(CycleError) as err:
-            transitive_closure({(0, 1), (1, 2), (2, 0)})
+            make_instance([(1, 0, 1)] * 3, {(0, 1), (1, 2), (2, 0)})
         cycle = err.value.cycle
         assert cycle[0] == cycle[-1]
         assert len(cycle) == 4
 
     def test_self_loop_is_a_cycle(self):
         with pytest.raises(CycleError):
-            transitive_closure({(3, 3)})
+            make_instance([(1, 0, 1)] * 4, {(3, 3)})
 
 
 class TestCover:
     def test_chain_with_shortcut(self):
-        instance = make_instance([(1, 0, 1)] * 4, [(0, 1), (1, 2), (0, 3)])
-        assert (0, 2) in instance.prec
+        instance = make_instance([(1, 0, 1)] * 4, [(0, 1), (1, 2), (0, 3), (0, 2)])
+        assert instance.masks[2] == 0b11
         assert instance.cover == ((0, 1), (0, 3), (1, 2))
 
     def test_matches_reduction_reference_and_closes_to_prec(self):
         checked = 0
         for seed in range(30):
             for instance in dag_variants(seed, 2 + seed % 8, density=0.5):
-                assert list(instance.cover) == sorted(
-                    transitive_reduction_ref(instance.prec, instance.n)
-                )
-                assert transitive_closure(instance.cover) == instance.prec
-                checked += len(instance.cover) < len(instance.prec)
+                closed = closure_by_squaring(instance.prec, instance.n)
+                full = Instance(instance.jobs, frozenset(closed))
+                assert list(full.cover) == sorted(transitive_reduction_ref(closed, instance.n))
+                assert closure_by_squaring(full.cover, instance.n) == closed
+                # generated instances store the cover
+                assert instance.prec == frozenset(full.cover) == frozenset(instance.cover)
+                checked += len(full.cover) < len(closed)
         assert checked > 20  # most relations had implied pairs to drop
 
     def test_no_precedence(self):
@@ -228,14 +228,11 @@ class TestNormalizeReleaseTimes:
         assert [j.r for j in normalize_release_times(instance).jobs] == [3, 3, 3, 3]
 
     def test_shares_only_the_computed_precedence_caches(self):
-        instance = make_instance([(1, 5, 1), (1, 0, 1), (2, 1, 1)], [(0, 1), (1, 2)])
-        assert not validate(instance)  # computes masks, from predecessors
+        instance = make_instance([(1, 5, 1), (1, 0, 1), (2, 1, 1)], [(0, 1), (1, 2), (0, 2)])
         lifted = normalize_release_times(instance)
-        assert lifted.predecessors is instance.predecessors
-        assert lifted.masks is instance.masks
-        assert "successors" not in lifted.__dict__ and "cover" not in lifted.__dict__
-        assert "successors" not in instance.__dict__ and "cover" not in instance.__dict__
-        assert lifted.cover == ((0, 1), (1, 2))
+        assert lifted.prec == {(0, 1), (1, 2)}  # the cover, not the pairs as given
+        assert lifted.masks is instance.masks and lifted.cover is instance.cover
+        assert "time_scale" not in lifted.__dict__
 
     def test_idempotent_on_random_instances(self):
         for seed in range(30):
@@ -411,7 +408,37 @@ class TestJsonInterface:
             "jobs": [{"p": 1, "r": 0, "w": 1}] * 3,
             "prec": [[0, 1], [1, 2]],
         }
-        assert (0, 2) in load_instance(doc).prec
+        instance = load_instance(doc)
+        assert instance.prec == {(0, 1), (1, 2)} and instance.masks[2] == 0b11
+
+    def test_ten_thousand_job_chain_loads_in_bounded_memory(self):
+        # a chain as long as MAX_HORIZON admits: its closure has 5 * 10^7
+        # pairs, which the instance never holds as pairs
+        code = (
+            "import resource\n"
+            "from prec_sched import load_instance, validate\n"
+            "n = 10**4\n"
+            "doc = {'jobs': [{'p': 1, 'r': 0, 'w': 1}] * n,"
+            " 'prec': [[i, i + 1] for i in range(n - 1)]}\n"
+            "instance = load_instance(doc)\n"
+            "print(len(instance.prec), validate(instance))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        pairs, findings, peak_kib = run_python(code).split()  # ru_maxrss is in KiB on Linux
+        assert (pairs, findings) == ("9999", "()")
+        assert int(peak_kib) < 200 * 1024
+
+    def test_pairs_out_of_range_are_reported_before_cycles(self):
+        # as validate does on any instance: the pairs as given, no closure
+        doc = {"jobs": [{"p": 1, "r": 0, "w": 1}] * 2, "prec": [[5, 0], [0, 7], [1, 6], [6, 1]]}
+        with pytest.raises(ValidationError) as err:
+            load_instance(doc)
+        assert err.value.findings == (
+            "precedence pair (0, 7) out of range",
+            "precedence pair (1, 6) out of range",
+            "precedence pair (5, 0) out of range",
+            "precedence pair (6, 1) out of range",
+        )
 
     def test_load_rejects_non_integer_fields(self):
         doc = {"jobs": [{"p": 1.5, "r": 0, "w": 1}], "prec": []}

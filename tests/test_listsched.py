@@ -43,11 +43,7 @@ def consistent_order(rng, instance):
     remaining = set(range(n))
     order = []
     while remaining:
-        ready = [
-            j
-            for j in remaining
-            if all(h not in remaining for h in instance.predecessors[j])
-        ]
+        ready = [j for j in remaining if not any(instance.masks[j] >> h & 1 for h in remaining)]
         order.append(rng.choice(ready))
         remaining.discard(order[-1])
     return tuple(order)

@@ -39,8 +39,8 @@ from prec_sched.harness import FAMILIES
 from prec_sched.instance import MAX_HORIZON, validate
 from prec_sched.lp import TAU_LP, cut_violation_of
 from .auditors import check_lp_lemmas
-from .conftest import random_instance
-from .oracles import separate_exhaustive_ref, subset_rhs_ref
+from .conftest import random_instance, run_python
+from .oracles import closure_by_squaring, separate_exhaustive_ref, subset_rhs_ref
 
 TOL = 1e-6
 
@@ -90,7 +90,7 @@ class TestSolveLp:
     def test_precedence_rows_respected(self):
         instance = random_instance(5, 7, density=0.5)
         sol = solve_lp(instance)
-        for j, k in instance.prec:
+        for j, k in closure_by_squaring(instance.prec, instance.n):
             assert sol.completion[j] <= sol.completion[k] + 1e-9
 
     def test_no_cut_left_violated(self):
@@ -104,7 +104,7 @@ class TestSolveLp:
             instance = random_instance(seed + 300, 7, density=0.4)
             sol = solve_lp(instance)
             # one row per cover pair, not per pair of the closed relation
-            assert len(instance.cover) < len(instance.prec)
+            assert len(instance.cover) < len(closure_by_squaring(instance.prec, instance.n))
             assert len(sol.duals) == len(instance.cover) + len(sol.cuts)
             assert max(sol.duals) <= 1e-9
             # precedence rows have rhs 0, so the cut rows carry the dual value
@@ -113,10 +113,10 @@ class TestSolveLp:
             assert dual_value == pytest.approx(sol.value, rel=1e-7)
 
     def test_block_relation_keeps_the_order_of_a_path_outside_it(self):
-        # a -> m -> b with m outside the block {a, b}: the block's relation
-        # is the parent's closure restricted to it, as partition_jobs
-        # builds it, and its own cover keeps (a, b), which the parent's
-        # cover restricted to the block would lose
+        # a -> m -> b with m outside the block {a, b}: the parent's cover
+        # restricted to the block would lose (a, b), so a block given the
+        # parent's order restricted to it keeps (a, b) as its own cover
+        # (partition_jobs forms no such block: its blocks are convex)
         parent = make_instance([(4, 0, 1), (1, 0, 1), (1, 0, 5)], [(0, 1), (1, 2)])
         assert parent.cover == ((0, 1), (1, 2))
         jobs = (parent.jobs[0], parent.jobs[2])
@@ -508,18 +508,6 @@ class TestInnerSolve:
         )
         assert proc.returncode == 1
         assert "ImportError: prec_sched needs scipy >= 1.15" in proc.stderr
-
-
-def run_python(code: str) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this
-    checkout's prec_sched; fails the test if it exits nonzero."""
-    src = str(Path(prec_sched.lp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 class TestBindingLoad:
