@@ -31,9 +31,9 @@ A fast mode rounds processing times up to powers of (1+eps) first and
 guesses per rounded-size class instead of per job. Guesses are exact
 rationals (grid starts, rounded sizes, their classes): guess identity
 must not depend on float rounding, and a float (1+eps)^i can put a job
-in class i+1. The lift converts each exact floor and guessed interval
-to float once; the lifted instance, and every schedule and cost after
-it, is float.
+in class i+1. The lift converts each exact start and size to float
+before it meets a float release; the lifted instance, and every
+schedule and cost after it, is float.
 
 Both modes run one guess stream and one lift. A mode is its items (keys
 with a size and a smallest release) plus each job's key: the jobs
@@ -185,7 +185,8 @@ def _lift(instance: Instance, key_of, keys, sizes, starts) -> Instance:
     starts at starts[i] and occupies [starts[i], starts[i] + sizes[i]]; job
     j has key key_of[j]. Raises on a bug (see adjust_release_times)."""
     early = dict(zip(keys, starts))
-    floor = [float(max(job.r, early.get(k, job.p))) for k, job in zip(key_of, instance.jobs)]
+    # the exact floor, rounded: rounding to float is monotone
+    floor = [max(float(job.r), float(early.get(k, job.p))) for k, job in zip(key_of, instance.jobs)]
     intervals = [(float(s), float(s + size)) for s, size in zip(starts, sizes)]
     r = lift_releases(instance, floor, intervals)
     for j in range(instance.n):

@@ -140,16 +140,14 @@ def build_grid(epsilon, b: float, cmax: float) -> IntervalGrid:
 
 @dataclass(frozen=True)
 class SubInstance:
-    """One bounded subproblem: parent jobs `jobs`, floor L = 3 t_i.
-
-    `warm` holds the subsets of the parent LP's cuts, restricted to the
-    block and renumbered to block ids, for warm-starting the block's LPs.
+    """One bounded subproblem: parent jobs `jobs` in grid interval `index`,
+    whose bounds L = grid.floor(index) = 3 t_i and beta = e^a the grid
+    holds. `warm` holds the subsets of the parent LP's cuts, restricted to
+    the block and renumbered to block ids, for warm-starting its LPs.
     """
 
     jobs: tuple[int, ...]
     index: int
-    floor: float
-    beta: float
     instance: Instance
     warm: tuple[tuple[int, ...], ...] = ()
 
@@ -163,7 +161,8 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
     the LP orders C along precedence; violated means a bug upstream. One
     pass over the pairs both checks and restricts them, exactly: a path of
     pairs between two jobs of a group never leaves it, as it never goes
-    back a group, so the group's pairs generate the order on it.
+    back a group, so the group's pairs generate the order on it, and are
+    its cover when prec is the parent's, as on a normalized instance.
 
     Each group also carries the parent LP's cut subsets restricted to it,
     renumbered to block ids, nonempty, deduplicated and sorted: every
@@ -184,7 +183,6 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
         if block[j] == block[k]:
             prec[block[j]].add((back[j], back[k]))
     subs = []
-    beta = math.exp(grid.a)
     for i in sorted(groups):
         ids = tuple(groups[i])
         floor = grid.floor(i)
@@ -195,7 +193,7 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
         warm = {tuple(back[j] for j in cut.jobs if block[j] == i) for cut in lp.cuts}
         warm.discard(())
         block_instance = Instance(jobs, frozenset(prec[i]))
-        subs.append(SubInstance(ids, i, floor, beta, block_instance, tuple(sorted(warm))))
+        subs.append(SubInstance(ids, i, block_instance, tuple(sorted(warm))))
     return subs
 
 
@@ -312,11 +310,12 @@ def _solve_partition(
     start = [0.0] * instance.n
     outcomes = []
     for sub in subs:
+        floor, ceiling = grid.floor(sub.index), grid.floor(sub.index + 1)
         res = solve_bounded(
             sub.instance,
             epsilon,
-            L=sub.floor,
-            beta=sub.beta,
+            L=floor,
+            beta=math.exp(grid.a),
             mode=bounded_mode,
             budget=budget,
             warm=sub.warm,
@@ -324,11 +323,10 @@ def _solve_partition(
         tight = tighten(res.schedule, sub.instance)
         lo = min(tight.start)
         hi = max(s + job.p for s, job in zip(tight.start, sub.instance.jobs))
-        ceiling = grid.floor(sub.index + 1)
-        if lo < sub.floor - tol or hi > ceiling + tol:
+        if lo < floor - tol or hi > ceiling + tol:
             raise InvariantViolationError(
                 f"block {sub.index} escaped its interval: spans [{lo}, {hi}] "
-                f"vs [{sub.floor}, {ceiling}]"
+                f"vs [{floor}, {ceiling}]"
             )
         for pos, j in enumerate(sub.jobs):
             start[j] = tight.start[pos]

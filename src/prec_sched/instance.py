@@ -8,9 +8,10 @@ cost is the weighted sum of completion times.
 
 Each layer uses one numeric type: input instances are integral (the
 exact oracle relies on it), the releases of the blocks they are split
-into float, the block solver's guesses exact rationals (see bounded),
-and its lifted instances, with every schedule and cost computed from
-them, float.
+into float, the block solver's guesses and the typed mode's rounded sizes
+exact rationals (see bounded), and its lifted instances, with every
+schedule and cost computed from them, float. Every derived instance holds
+its order as its cover (see Instance.with_jobs and partition_jobs).
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
 MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts
@@ -104,12 +105,11 @@ class Instance:
         return REL_TOL * max(1.0, self.time_scale)
 
     def with_jobs(self, jobs: tuple[Job, ...]) -> Instance:
-        """This precedence on `jobs`, which replace the jobs one for one,
-        sharing the masks and cover this instance has computed."""
-        out = Instance(jobs, self.prec)
-        for name in ("masks", "cover"):
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]  # as cached_property stores it
+        """This order on `jobs`, which replace the jobs one for one: the
+        result holds the cover as prec and shares this instance's masks
+        and cover, computed first if needed (CycleError if cyclic)."""
+        out = Instance(jobs, frozenset(self.cover))
+        out.__dict__.update(masks=self.masks, cover=self.cover)  # as cached_property stores them
         return out
 
     def to_dict(self) -> dict:
@@ -222,14 +222,11 @@ def normalize_release_times(instance: Instance) -> Instance:
     Any feasible schedule already satisfies S_k >= C_j >= r_j for j
     preceding k, so the set of feasible schedules (and the optimum) is
     unchanged. Idempotent; the least such lift (see lift_releases). The
-    result holds the cover as prec, so that one order given two ways loads
-    as equal instances, and shares the masks and cover.
+    result comes from with_jobs, so it holds the cover as prec, and one
+    order given two ways loads as equal instances.
     """
     r = lift_releases(instance, [job.r for job in instance.jobs])
-    jobs = tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r))
-    out = Instance(jobs, frozenset(instance.cover))
-    out.__dict__.update(masks=instance.masks, cover=instance.cover)  # as cached_property stores them
-    return out
+    return instance.with_jobs(tuple(Job(job.p, rj, job.w) for job, rj in zip(instance.jobs, r)))
 
 
 @dataclass(frozen=True)

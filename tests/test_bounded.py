@@ -11,6 +11,8 @@ import pytest
 
 from prec_sched import (
     Guess,
+    Instance,
+    Job,
     SchedulingError,
     TypeGuess,
     ValidationError,
@@ -240,6 +242,14 @@ class TestSharedPrecedence:
         rounded = round_processing(block, 1)
         assert rounded.cover is block.cover
         assert adjust_release_times_typed(rounded, TypeGuess((), ()), 1).cover is block.cover
+
+    def test_an_untouched_block_shares_its_one_closure_with_the_rounding(self):
+        jobs = tuple(Job(p, 2, 1) for p in (3, 5, 2))
+        block = Instance(jobs, frozenset({(0, 1), (1, 2), (0, 2)}))
+        assert "masks" not in block.__dict__
+        rounded = round_processing(block, 1)
+        assert rounded.masks is block.masks and rounded.cover is block.cover
+        assert rounded.prec == {(0, 1), (1, 2)}
 
     def test_size_classes_computed_once_per_distinct_size(self, monkeypatch):
         instance = make_instance([(8, 2, 1), (6, 2, 1), (8, 3, 2), (4, 2, 1), (7, 2, 3), (6, 5, 1)])

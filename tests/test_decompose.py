@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from prec_sched import (
     GeneratorConfig,
+    Instance,
     InvariantViolationError,
     LpSolution,
     Schedule,
@@ -134,12 +135,11 @@ class TestPartitionJobs:
         subs = partition_jobs(instance, fake_lp((0.6, 5.0)), grid)
         assert [sub.jobs for sub in subs] == [(0,), (1,)]
         assert subs[0].index == 2
-        assert subs[0].floor == pytest.approx(1.5)
+        assert grid.floor(subs[0].index) == pytest.approx(1.5)
         assert subs[0].instance.jobs[0].r == pytest.approx(1.5)
         assert subs[1].index == 4
-        assert subs[1].floor == pytest.approx(1.5 * math.exp(2))
+        assert grid.floor(subs[1].index) == pytest.approx(1.5 * math.exp(2))
         assert subs[1].instance.jobs[0].r == pytest.approx(1.5 * math.exp(2))
-        assert all(sub.beta == pytest.approx(math.e) for sub in subs)
 
     def test_partition_properties_on_lp_solutions(self):
         for seed in range(8):
@@ -151,13 +151,13 @@ class TestPartitionJobs:
             covered = [j for sub in subs for j in sub.jobs]
             assert sorted(covered) == list(range(instance.n))
             for sub in subs:
-                assert sub.floor == pytest.approx(3.0 * grid.t(sub.index))
-                assert sub.beta == pytest.approx(math.exp(3))
+                floor = grid.floor(sub.index)
+                assert floor == pytest.approx(3.0 * grid.t(sub.index))
                 for pos, j in enumerate(sub.jobs):
                     assert grid.index_of(lp.completion[j]) == sub.index
                     job, sjob = instance.jobs[j], sub.instance.jobs[pos]
                     assert sjob.p == job.p and sjob.w == job.w
-                    assert sjob.r == max(job.r, sub.floor)
+                    assert sjob.r == max(job.r, floor)
                 back = {j: pos for pos, j in enumerate(sub.jobs)}
                 inside = {
                     (back[j], back[k])
@@ -236,10 +236,11 @@ class TestDecomposeAndSolve:
             assert result.cost == pytest.approx(
                 sum(iv.cost for iv in result.intervals)
             )
-            subs = partition_jobs(instance, result.lp, result.grid)
+            grid = result.grid
+            subs = partition_jobs(instance, result.lp, grid)
             assert [sub.index for sub in subs] == [iv.index for iv in result.intervals]
             for sub, iv in zip(subs, result.intervals):
-                res = solve_bounded(sub.instance, 1, sub.floor, sub.beta)
+                res = solve_bounded(sub.instance, 1, grid.floor(sub.index), math.exp(grid.a))
                 tight = tighten(res.schedule, sub.instance)
                 redo = schedule_cost(tight, sub.instance)
                 assert redo == pytest.approx(iv.cost)
@@ -320,6 +321,29 @@ class TestDecomposeAndSolve:
         assert traces
         assert len(traces) >= sum(iv.guesses_tried for iv in result.intervals)
 
+    def test_typed_blocks_compute_their_closure_once(self, monkeypatch):
+        instance = generate(GeneratorConfig(n=24, seed=11, prec_density=0.2))
+        instance.cover  # the parent's closure is computed before counting
+        calls = {"masks": 0, "cover": 0}
+        for name in calls:
+            prop = Instance.__dict__[name]
+
+            def counted(self, func=prop.func, name=name):
+                calls[name] += 1
+                return func(self)
+
+            monkeypatch.setattr(prop, "func", counted)
+        blocks = []
+
+        def partition(*args):
+            subs = partition_jobs(*args)
+            blocks.extend(subs)
+            return subs
+
+        monkeypatch.setattr("prec_sched.decompose.partition_jobs", partition)
+        decompose_and_solve(instance, Fraction(1, 2), bounded_mode="typed")
+        assert calls == {"masks": len(blocks), "cover": len(blocks)}
+
     def test_to_dict_shape(self):
         instance = make_instance([(2, 3, 1)])
         result = decompose_and_solve(instance, 1)
@@ -346,7 +370,7 @@ class TestBlockOptima:
                 block_opt, _ = exact_opt(sub.instance)
                 share = exact_contribution(instance, opt_sched, sub.jobs)
                 weight = sum(instance.jobs[j].w for j in sub.jobs)
-                assert block_opt <= share + sub.floor * weight + 1e-9
+                assert block_opt <= share + grid.floor(sub.index) * weight + 1e-9
 
     def test_subproblem_optimum_sum_matches_manual(self):
         instance = random_instance(9, 6, density=0.3)

@@ -227,12 +227,17 @@ class TestNormalizeReleaseTimes:
         )
         assert [j.r for j in normalize_release_times(instance).jobs] == [3, 3, 3, 3]
 
-    def test_shares_only_the_computed_precedence_caches(self):
+    def test_holds_the_cover_and_shares_the_precedence_caches(self):
         instance = make_instance([(1, 5, 1), (1, 0, 1), (2, 1, 1)], [(0, 1), (1, 2), (0, 2)])
         lifted = normalize_release_times(instance)
         assert lifted.prec == {(0, 1), (1, 2)}  # the cover, not the pairs as given
         assert lifted.masks is instance.masks and lifted.cover is instance.cover
         assert "time_scale" not in lifted.__dict__
+
+    def test_with_jobs_on_a_cyclic_relation_raises_at_once(self):
+        jobs = (Job(1, 0, 1), Job(1, 0, 1))
+        with pytest.raises(CycleError):
+            Instance(jobs, frozenset({(0, 1), (1, 0)})).with_jobs(jobs)
 
     def test_idempotent_on_random_instances(self):
         for seed in range(30):

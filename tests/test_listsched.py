@@ -3,6 +3,7 @@ trace checkers for the no-idle and busy-interval properties."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,19 +52,21 @@ def consistent_order(rng, instance):
 
 def lifted_blocks():
     """Block instances of the pipeline with lifted releases: partition_jobs
-    blocks run through both release lifts, so releases mix Fraction and
-    float values."""
+    blocks run through both release lifts, which return float sizes and
+    releases, most of them off the integers."""
     eps = Fraction(1, 2)
     out = []
     for seed in range(12):
         parent = random_instance(300 + seed, 9, p_max=8, r_max=4, density=0.3)
         lp = solve_lp(parent)
         grid = build_grid(eps, 1.0, max(lp.completion))
+        beta = math.exp(grid.a)
         for sub in partition_jobs(parent, lp, grid):
-            for guess in enumerate_guesses(sub.instance, eps, sub.beta, budget=4):
+            for guess in enumerate_guesses(sub.instance, eps, beta, budget=4):
                 out.append(adjust_release_times(sub.instance, guess))
             rounded = round_processing(sub.instance, eps)
-            for guess in enumerate_type_guesses(rounded, eps, sub.floor, sub.beta, budget=4):
+            floor = grid.floor(sub.index)
+            for guess in enumerate_type_guesses(rounded, eps, floor, beta, budget=4):
                 out.append(adjust_release_times_typed(rounded, guess, eps))
     return out
 
