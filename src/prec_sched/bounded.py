@@ -35,11 +35,13 @@ in class i+1. The lift converts each exact start and size to float
 before it meets a float release; the lifted instance, and every
 schedule and cost after it, is float.
 
-Both modes run one guess stream and one lift. A mode is its items (keys
-with a size and a smallest release) plus each job's key: the jobs
-(p_j, r_j) keyed by id in the exhaustive mode, whose stream also checks
-precedence; the eligible size classes ((1+eps)^i, the class's smallest
-release) in the typed mode, where a job's key is its rounded size.
+Both modes run one guess stream and one lift over one guess type, whose
+keys are job ids in the exhaustive mode and size classes i in the typed
+mode. A mode is its items (keys with a size and a smallest release) plus
+each job's key: the jobs (p_j, r_j) keyed by id in the exhaustive mode,
+whose stream also checks precedence; the eligible size classes
+((1+eps)^i, the class's smallest release) in the typed mode, where a
+job's key is its rounded size.
 """
 
 from __future__ import annotations
@@ -65,38 +67,21 @@ EPS_MIN = Fraction(1, 128)
 
 
 def early_bound(epsilon, beta) -> int:
-    """Largest possible number of early jobs: ceil(log2((1+eps) beta))."""
-    eps = Fraction(epsilon)
-    return math.ceil(math.log2(float((1 + eps) * Fraction(beta))) - 1e-12)
+    """Largest possible number of early jobs: ceil(log2((1+eps) beta)),
+    computed exactly, or 0 where that is negative (eps and beta positive)."""
+    x = (1 + Fraction(epsilon)) * Fraction(beta)
+    # 2^(k-1) < x <= 2^k exactly when 2^(k-1) <= ceil(x) - 1 < 2^k
+    return (math.ceil(x) - 1).bit_length()
 
 
 @dataclass(frozen=True)
 class Guess:
-    """Hypothesis: exactly `jobs` are early, job jobs[i] starting at starts[i]."""
+    """Hypothesis: exactly the keys in `keys` have an early job, key keys[i]
+    starting at starts[i]. A key is a job id, or in the typed mode a size
+    class, and then starts[i] is the smallest start among its jobs."""
 
-    jobs: tuple[int, ...]
+    keys: tuple[int, ...]
     starts: tuple[Fraction, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "jobs": list(self.jobs),
-            "starts": [str(s) for s in self.starts],
-        }
-
-
-@dataclass(frozen=True)
-class TypeGuess:
-    """Hypothesis per processing-size class: classes in `types` have an
-    early job, the smallest start among class i's jobs being starts[i]."""
-
-    types: tuple[int, ...]
-    starts: tuple[Fraction, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "types": list(self.types),
-            "starts": [str(s) for s in self.starts],
-        }
 
 
 def _check_arguments(epsilon, beta=1, mode=MODES[0], budget=None, L=1) -> Fraction:
@@ -143,11 +128,11 @@ def enumerate_guesses(
     """
     eps = _check_arguments(epsilon, beta, budget=budget)
     items = {j: (job.p, job.r) for j, job in enumerate(instance.jobs)}
-    yield from _guesses(Guess, items, instance.masks, eps, beta, budget, stats)
+    yield from _guesses(items, instance.masks, eps, beta, budget, stats)
 
 
-def _guesses(make, items: dict, masks, eps: Fraction, beta, budget, stats) -> Iterator:
-    """Both modes' guess stream: make(keys, starts) over `items`, which maps
+def _guesses(items: dict, masks, eps: Fraction, beta, budget, stats) -> Iterator[Guess]:
+    """Both modes' guess stream: Guess(keys, starts) over `items`, which maps
     each key to (size, smallest release), key j preceding key k iff masks[k]
     has bit j. Resets `stats`; `budget` truncates."""
     stats = {} if stats is None else stats
@@ -162,7 +147,7 @@ def _guesses(make, items: dict, masks, eps: Fraction, beta, budget, stats) -> It
         stats["pruned_release"] += len(grid) - len(options[key])
 
     # count 0 is the empty guess
-    for count in range(max(0, min(early_bound(eps, beta), len(items))) + 1):
+    for count in range(min(early_bound(eps, beta), len(items)) + 1):
         for chosen in combinations(items, count):
             for starts in product(*(options[k] for k in chosen)):
                 span = sorted((s, s + items[k][0]) for k, s in zip(chosen, starts))
@@ -175,7 +160,7 @@ def _guesses(make, items: dict, masks, eps: Fraction, beta, budget, stats) -> It
                     stats["pruned_prec"] += 1
                     continue
                 stats["yielded"] += 1
-                yield make(chosen, starts)
+                yield Guess(chosen, starts)
                 if stats["yielded"] == budget:
                     return
 
@@ -212,8 +197,8 @@ def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     the push out of early intervals in one topological pass. Raises if
     the result violates any rule (a bug).
     """
-    sizes = [instance.jobs[j].p for j in guess.jobs]
-    return _lift(instance, range(instance.n), guess.jobs, sizes, guess.starts)
+    sizes = [instance.jobs[j].p for j in guess.keys]
+    return _lift(instance, range(instance.n), guess.keys, sizes, guess.starts)
 
 
 def round_processing(instance: Instance, epsilon) -> Instance:
@@ -241,7 +226,7 @@ def enumerate_type_guesses(
     beta,
     budget: Optional[int] = None,
     stats: Optional[dict] = None,
-) -> Iterator[TypeGuess]:
+) -> Iterator[Guess]:
     """Yield guesses over processing-size classes of a rounded instance.
 
     Each rounded size (1+eps)^i is class i. Only classes present in the
@@ -263,10 +248,10 @@ def enumerate_type_guesses(
         i, power = _pow_ceil(size, eps)
         if Lf < power < hi:
             items[i] = (power, Fraction(r_min[size]))
-    yield from _guesses(TypeGuess, items, dict.fromkeys(items, 0), eps, beta, budget, stats)
+    yield from _guesses(items, dict.fromkeys(items, 0), eps, beta, budget, stats)
 
 
-def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) -> Instance:
+def adjust_release_times_typed(instance: Instance, guess: Guess, epsilon) -> Instance:
     """Release lift for a class-level guess on a rounded instance.
 
     Jobs of a guessed class get the class's guessed smallest start as a
@@ -276,20 +261,21 @@ def adjust_release_times_typed(instance: Instance, guess: TypeGuess, epsilon) ->
     its rounded size, the size of its class.
     """
     base = 1 + Fraction(epsilon)
-    sizes = [base**i for i in guess.types]
+    sizes = [base**i for i in guess.keys]
     return _lift(instance, [job.p for job in instance.jobs], sizes, sizes, guess.starts)
 
 
 @dataclass(frozen=True)
 class BoundedResult:
     """Best schedule, its cost on the original releases, guesses run and
-    failed, and the winning guess; the caller knows the mode it chose."""
+    failed, and the winning guess, whose keys are job ids or size classes
+    by the mode the caller chose."""
 
     schedule: Schedule
     cost: float
     guesses_tried: int
     guesses_failed: int
-    best_guess: object
+    best_guess: Guess
 
 
 def solve_bounded(
@@ -329,8 +315,10 @@ def solve_bounded(
     -------
     BoundedResult
         Cost is measured against the original release times; ties keep
-        the earliest guess in stream order. Guesses whose LP fails are
-        logged and skipped; if every guess fails, SchedulingError.
+        the earliest guess in stream order, and `best_guess` is that
+        Guess, keyed by size class in the typed mode and by job id
+        otherwise. Guesses whose LP fails are logged and skipped; if
+        every guess fails, SchedulingError.
     """
     eps = _check_arguments(epsilon, beta, mode, budget, L)
     low = min((job.r for job in instance.jobs), default=L)
@@ -351,7 +339,7 @@ def solve_bounded(
     else:
         # empty-guess mode streams no items: the empty guess, under the budget
         guesses = list(enumerate_guesses(instance, eps, beta, budget) if mode == "exhaustive"
-                       else _guesses(Guess, {}, (), eps, beta, budget, None))
+                       else _guesses({}, (), eps, beta, budget, None))
         lift = lambda g: adjust_release_times(instance, g)
     warm = tuple(warm)
     best = None

@@ -200,7 +200,9 @@ def _dispatch(args) -> int:
         )
         doc = res.schedule.to_dict(inst)
         doc["guesses_tried"] = res.guesses_tried
-        doc["best_guess"] = res.best_guess.to_dict()
+        keys = "types" if args.mode == "typed" else "jobs"
+        guess = res.best_guess
+        doc["best_guess"] = {keys: list(guess.keys), "starts": [str(s) for s in guess.starts]}
         _emit(doc)
         return 0
 

@@ -143,7 +143,8 @@ class SubInstance:
     """One bounded subproblem: parent jobs `jobs` in grid interval `index`,
     whose bounds L = grid.floor(index) = 3 t_i and beta = e^a the grid
     holds. `warm` holds the subsets of the parent LP's cuts, restricted to
-    the block and renumbered to block ids, for warm-starting its LPs.
+    the block and renumbered to block ids, for warm-starting its LPs: only
+    those of two or more jobs, as solve_lp starts from every singleton.
     """
 
     jobs: tuple[int, ...]
@@ -165,9 +166,10 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
     its cover when prec is the parent's, as on a normalized instance.
 
     Each group also carries the parent LP's cut subsets restricted to it,
-    renumbered to block ids, nonempty, deduplicated and sorted: every
-    subset inequality holds for every schedule, so they are valid cuts
-    for the block's LPs once make_cut recomputes their rhs.
+    renumbered to block ids, deduplicated and sorted, keeping those of two
+    or more jobs: every subset inequality holds for every schedule, so they
+    are valid cuts for the block's LPs once make_cut recomputes their rhs,
+    and solve_lp adds every singleton cut itself.
     """
     block = [grid.index_of(c) for c in lp.completion]
     groups: dict[int, list[int]] = {}
@@ -190,10 +192,9 @@ def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> li
             Job(instance.jobs[j].p, float(max(instance.jobs[j].r, floor)), instance.jobs[j].w)
             for j in ids
         )
-        warm = {tuple(back[j] for j in cut.jobs if block[j] == i) for cut in lp.cuts}
-        warm.discard(())
-        block_instance = Instance(jobs, frozenset(prec[i]))
-        subs.append(SubInstance(ids, i, block_instance, tuple(sorted(warm))))
+        restricted = {tuple(back[j] for j in cut.jobs if block[j] == i) for cut in lp.cuts}
+        warm = tuple(sorted(subset for subset in restricted if len(subset) > 1))
+        subs.append(SubInstance(ids, i, Instance(jobs, frozenset(prec[i])), warm))
     return subs
 
 

@@ -127,7 +127,8 @@ def make_instance(jobs: Sequence[tuple], prec: Iterable[tuple[int, int]] = ()) -
     """
     pairs = frozenset((int(j), int(k)) for j, k in prec)
     instance = Instance(tuple(Job(p, r, w) for p, r, w in jobs), pairs)
-    if all(0 <= j < instance.n and 0 <= k < instance.n for j, k in pairs):
+    n = instance.n
+    if all(0 <= j < n and 0 <= k < n for j, k in pairs):
         instance.masks  # raises on a cycle
     return instance
 

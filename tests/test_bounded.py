@@ -14,7 +14,6 @@ from prec_sched import (
     Instance,
     Job,
     SchedulingError,
-    TypeGuess,
     ValidationError,
     adjust_release_times,
     adjust_release_times_typed,
@@ -46,9 +45,7 @@ EMPTY_GUESS = Guess((), ())
 
 def canon(guess):
     """Order-free identity of a guess, for set comparison with the oracle."""
-    if isinstance(guess, TypeGuess):
-        return tuple(sorted(zip(guess.types, guess.starts)))
-    return tuple(sorted(zip(guess.jobs, guess.starts)))
+    return tuple(sorted(zip(guess.keys, guess.starts)))
 
 
 class TestEarlyBound:
@@ -66,6 +63,8 @@ class TestEarlyBound:
             (Fraction(1, 4), 20),
             (3, 2),
             (Fraction(2, 3), Fraction(15, 2)),
+            (1, 4 + Fraction(1, 2**40)),
+            (1, 4 - Fraction(1, 2**45)),
         ]
         for eps, beta in cases:
             expected = log2_ceil((1 + frac(eps)) * frac(beta))
@@ -150,14 +149,14 @@ class TestAdjustReleaseTimes:
             inst for seed in range(20) for inst in dag_variants(seed, 6, r_max=2, density=0.4)
         ):
             for guess in islice(enumerate_guesses(instance, Fraction(1, 4), 4), 15):
-                early = dict(zip(guess.jobs, guess.starts))
+                early = dict(zip(guess.keys, guess.starts))
                 floors = [
                     early.get(j, Fraction(instance.jobs[j].p))
                     for j in range(instance.n)
                 ]
                 intervals = [
                     (s, s + instance.jobs[j].p)
-                    for j, s in zip(guess.jobs, guess.starts)
+                    for j, s in zip(guess.keys, guess.starts)
                 ]
                 expected = naive_adjust(instance, floors, intervals)
                 adjusted = adjust_release_times(instance, guess)
@@ -195,13 +194,13 @@ class TestEnumerateTypeGuesses:
     def test_no_class_eligible_gives_only_empty(self):
         instance = make_instance([(2, 100, 1), (4, 100, 1)])
         out = list(enumerate_type_guesses(instance, 1, 100, E3))
-        assert out == [TypeGuess((), ())]
+        assert out == [Guess((), ())]
 
     def test_eligible_class_fully_pruned_by_release(self):
         instance = make_instance([(8, 7, 1)])
         stats = {}
         out = list(enumerate_type_guesses(instance, 1, 2, E3, stats=stats))
-        assert out == [TypeGuess((), ())]
+        assert out == [Guess((), ())]
         assert stats["pruned_release"] == 1
 
     def test_stats_carry_a_zero_precedence_count(self):
@@ -219,7 +218,7 @@ class TestEnumerateTypeGuesses:
         rounded = round_processing(make_instance([(8, 2, 1)]), Fraction(1, 2))
         assert rounded.jobs[0].p == Fraction(729, 64)
         out = list(enumerate_type_guesses(rounded, Fraction(1, 2), 2, E3))
-        assert out == [TypeGuess((), ()), TypeGuess((6,), (Fraction(729, 128),))]
+        assert out == [Guess((), ()), Guess((6,), (Fraction(729, 128),))]
 
     def test_matches_recursive_reference(self):
         for seed in range(6):
@@ -241,7 +240,7 @@ class TestSharedPrecedence:
         block = random_instance(4, 6, r_max=4, density=0.5)
         rounded = round_processing(block, 1)
         assert rounded.cover is block.cover
-        assert adjust_release_times_typed(rounded, TypeGuess((), ()), 1).cover is block.cover
+        assert adjust_release_times_typed(rounded, Guess((), ()), 1).cover is block.cover
 
     def test_an_untouched_block_shares_its_one_closure_with_the_rounding(self):
         jobs = tuple(Job(p, 2, 1) for p in (3, 5, 2))
@@ -275,7 +274,7 @@ class TestAdjustReleaseTimesTyped:
         rounded = round_processing(
             make_instance([(5, 1, 1), (1, 1, 1)], prec=[(0, 1)]), 1
         )
-        adjusted = adjust_release_times_typed(rounded, TypeGuess((), ()), 1)
+        adjusted = adjust_release_times_typed(rounded, Guess((), ()), 1)
         assert [job.r for job in adjusted.jobs] == [8, 8]
 
     def test_agrees_with_reference_fixpoint(self):
@@ -290,13 +289,13 @@ class TestAdjustReleaseTimesTyped:
             for guess in islice(
                 enumerate_type_guesses(rounded, eps, Fraction(1, 2), 4), 10
             ):
-                early = dict(zip(guess.types, guess.starts))
+                early = dict(zip(guess.keys, guess.starts))
                 floors = [
                     early.get(types[j], Fraction(rounded.jobs[j].p))
                     for j in range(rounded.n)
                 ]
                 intervals = [
-                    (s, s + base**i) for i, s in zip(guess.types, guess.starts)
+                    (s, s + base**i) for i, s in zip(guess.keys, guess.starts)
                 ]
                 expected = naive_adjust(rounded, floors, intervals)
                 adjusted = adjust_release_times_typed(rounded, guess, eps)
@@ -454,7 +453,7 @@ class TestSolveBounded:
             with guess_traces() as traces:
                 result = solve_bounded(instance, Fraction(1, 2), 2, E3, mode=mode)
             assert len(traces) == result.guesses_tried
-            assert traces[0][0] in (EMPTY_GUESS, TypeGuess((), ()))
+            assert traces[0][0] == EMPTY_GUESS
             for _, adjusted, run in traces:
                 assert len(run.schedule.start) == adjusted.n == instance.n
 

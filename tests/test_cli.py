@@ -203,17 +203,33 @@ class TestExact:
 
 
 class TestBounded:
-    def test_single_job_guess(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "mode, start, cost, tried, guess",
+        [
+            ("exhaustive", "6.0", "28.0", 2, {"jobs": [0], "starts": ["6"]}),
+            (
+                "typed",
+                "6.984919309616089",
+                "29.969838619232178",
+                2,
+                {"types": [10], "starts": ["29296875/4194304"]},
+            ),
+            ("empty-guess", "8.0", "32.0", 1, {"jobs": [], "starts": []}),
+        ],
+        ids=["exhaustive", "typed", "empty-guess"],
+    )
+    def test_single_job_guess(self, capsys, tmp_path, mode, start, cost, tried, guess):
         path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}], "prec": []})
         code, out, _ = run(
-            capsys, "bounded", path, "--L", "6", "--beta", "21", "--epsilon", "1/4"
+            capsys, "bounded", path, "--L", "6", "--beta", "21", "--epsilon", "1/4",
+            "--mode", mode,
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["start"] == ["6.0"]
-        assert doc["cost"] == "28.0"
-        assert doc["guesses_tried"] == 2
-        assert doc["best_guess"] == {"jobs": [0], "starts": ["6"]}
+        assert doc["start"] == [start]
+        assert doc["cost"] == cost
+        assert doc["guesses_tried"] == tried
+        assert doc["best_guess"] == guess
 
     def test_missing_l_is_usage_error(self, capsys, reference_path):
         code, _, err = run(capsys, "bounded", reference_path, "--beta", "21", "--epsilon", "1")
