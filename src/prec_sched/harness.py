@@ -1,10 +1,10 @@
-"""Instance generators, pipeline runner, and benchmark aggregation."""
+"""Seeded instance generators (five families) and the ratio benchmark,
+which checks the paper's certified bounds on generated instances."""
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,7 +18,7 @@ from .instance import (
     schedule_cost,
     validate,
 )
-from .listsched import list_schedule, list_schedule_strict, order_from_lp
+from .listsched import list_schedule, order_from_lp
 from .util import canonical_json
 
 FAMILIES = ("uniform", "p_le_r", "paper_example", "chains", "antichain")
@@ -94,64 +94,26 @@ def digest(instance: Instance) -> str:
 
 # the exact oracle runs on instances of at most this many jobs
 ORACLE_N = 9
-
-
-def run_pipeline(instance: Instance, epsilon) -> dict:
-    """Run the full solver on one instance and record metrics.
-
-    Reports the LP value and the pipeline cost, the exact optimum when
-    n <= ORACLE_N, the costs of two list-scheduling baselines ordered by
-    the pipeline's parent LP (plain LP+LS and strict-order LS), and the
-    ratios between them. The pipeline's schedule is checked against the
-    instance inside decompose_and_solve.
-    Blocks are solved in exhaustive mode up to N_GUESS jobs, the cap of
-    that mode, and in typed mode on larger instances.
-    """
-    bounded_mode = "exhaustive" if instance.n <= N_GUESS else "typed"
-    t0 = time.perf_counter()
-    result = decompose_and_solve(instance, epsilon, bounded_mode=bounded_mode)
-    wall = time.perf_counter() - t0
-    record = {
-        "digest": digest(instance),
-        "n": instance.n,
-        "epsilon": str(Fraction(epsilon)),
-        "Z_lp": result.lp.value,
-        "alg_cost": result.cost,
-        "b": result.grid.b,
-        "guesses_tried": sum(iv.guesses_tried for iv in result.intervals),
-        "wall_time": wall,
-    }
-    if result.lp.value > 0:
-        record["ratio_alg_lp"] = result.cost / result.lp.value
-    if instance.n <= ORACLE_N:
-        opt, _ = exact_opt(instance, ORACLE_N)
-        record["opt_cost"] = float(opt)
-        if opt > 0:
-            record["ratio_alg_opt"] = result.cost / float(opt)
-    order = order_from_lp(result.lp, instance)
-    record["lpls_cost"] = schedule_cost(list_schedule(instance, order), instance)
-    strict = list_schedule_strict(instance, order)
-    record["strict_cost"] = schedule_cost(strict, instance)
-    if "opt_cost" in record and record["opt_cost"] > 0:
-        record["ratio_lpls_opt"] = record["lpls_cost"] / record["opt_cost"]
-    if record["Z_lp"] > 0:
-        record["ratio_lpls_lp"] = record["lpls_cost"] / record["Z_lp"]
-    return record
-
-
-# certified bounds checked by bench, per family:
-#   p_le_r: plain LP+LS within 2x of the LP value
-#   any family with the oracle run: pipeline within 2(1+eps)^2 of optimal
 _BENCH_TOL = 1e-6
 
 
 def bench(configs, epsilons, trials: int) -> dict:
     """Run the pipeline over a config x epsilon grid and aggregate ratios.
 
-    Per row: max/mean of cost over optimum (when the oracle ran) and over
-    the LP value. Rows also carry any certified-bound violations; the
-    report's "violations" list is the union (the CLI exits nonzero on a
-    nonempty one). A negative trial count is a ValueError.
+    Each (config, epsilon) pair gives one row over `trials` instances
+    generated at seeds config.seed, config.seed + 1, ... A row holds the
+    family, n, epsilon (exact, as a string) and the trial count, then the
+    max and mean of three ratios: the pipeline's cost over the optimum
+    (the exact oracle runs when n <= ORACLE_N), and the costs of the
+    pipeline and of plain LP+LS (list scheduling ordered by the pipeline's
+    parent LP) over the LP value. A ratio is left out where its
+    denominator is 0. Blocks are solved exhaustively up to N_GUESS jobs,
+    the cap of that mode, and typed above.
+
+    Checked per instance: the pipeline within 2(1+eps)^2 of the optimum
+    when the oracle ran, and on the p_le_r family LP+LS within twice the
+    LP value. "violations" names each breach by the instance's digest (the
+    CLI exits nonzero on a nonempty list). Negative trials: ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -159,34 +121,41 @@ def bench(configs, epsilons, trials: int) -> dict:
     violations = []
     for config in configs:
         for epsilon in epsilons:
-            instances = [
-                generate(replace(config, seed=config.seed + t)) for t in range(trials)
-            ]
-            records = [run_pipeline(inst, epsilon) for inst in instances]
+            ratios = {key: [] for key in ("ratio_alg_opt", "ratio_alg_lp", "ratio_lpls_lp")}
+            pipeline_bound = 2.0 * (1.0 + float(Fraction(epsilon))) ** 2
+            for t in range(trials):
+                instance = generate(replace(config, seed=config.seed + t))
+                mode = "exhaustive" if instance.n <= N_GUESS else "typed"
+                result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
+                cost, z_lp = result.cost, result.lp.value
+                order = order_from_lp(result.lp, instance)
+                lpls_cost = schedule_cost(list_schedule(instance, order), instance)
+                if z_lp > 0:
+                    ratios["ratio_alg_lp"].append(cost / z_lp)
+                    ratios["ratio_lpls_lp"].append(lpls_cost / z_lp)
+                if instance.n <= ORACLE_N:
+                    opt = float(exact_opt(instance, ORACLE_N)[0])
+                    if opt > 0:
+                        ratios["ratio_alg_opt"].append(cost / opt)
+                    if cost > pipeline_bound * opt + _BENCH_TOL:
+                        violations.append(
+                            f"{config.family} seed-offset instance {digest(instance)[:12]}: "
+                            f"pipeline cost {cost} exceeds {pipeline_bound} x optimum {opt}"
+                        )
+                if config.family == "p_le_r" and lpls_cost > 2.0 * z_lp + _BENCH_TOL:
+                    violations.append(
+                        f"p_le_r instance {digest(instance)[:12]}: LP+LS cost "
+                        f"{lpls_cost} exceeds twice the LP value {z_lp}"
+                    )
             row = {
                 "family": config.family,
                 "n": config.n,
                 "epsilon": str(Fraction(epsilon)),
                 "trials": trials,
             }
-            for key in ("ratio_alg_opt", "ratio_alg_lp", "ratio_lpls_lp"):
-                vals = [rec[key] for rec in records if key in rec]
+            for key, vals in ratios.items():
                 if vals:
                     row[f"max_{key}"] = max(vals)
                     row[f"mean_{key}"] = sum(vals) / len(vals)
-            eps = float(Fraction(epsilon))
-            pipeline_bound = 2.0 * (1.0 + eps) ** 2
-            for rec in records:
-                if "opt_cost" in rec and rec["alg_cost"] > pipeline_bound * rec["opt_cost"] + _BENCH_TOL:
-                    violations.append(
-                        f"{config.family} seed-offset instance {rec['digest'][:12]}: "
-                        f"pipeline cost {rec['alg_cost']} exceeds {pipeline_bound} x optimum {rec['opt_cost']}"
-                    )
-                if config.family == "p_le_r" and "lpls_cost" in rec:
-                    if rec["lpls_cost"] > 2.0 * rec["Z_lp"] + _BENCH_TOL:
-                        violations.append(
-                            f"p_le_r instance {rec['digest'][:12]}: LP+LS cost "
-                            f"{rec['lpls_cost']} exceeds twice the LP value {rec['Z_lp']}"
-                        )
             rows.append(row)
     return {"rows": rows, "violations": violations}

@@ -4,12 +4,12 @@ The scheduler here is the available-job variant: whenever the machine is
 free, start the highest-priority job among those that are released,
 unscheduled, and have all predecessors complete. The pipeline never uses
 the strict variant (process the list in order, idling if the next listed
-job is not yet released); it stays as the baseline behind
-`lpls --ls-variant strict` and `run_pipeline`'s `strict_cost`, because
-it shows what the available-job variant gives up. On the paper's two-job
-family at M = 10 it idles until the short weighted job is released and
-reaches the optimum 20, where available-job list scheduling starts the
-long zero-weight job at time 0 and pays 110.
+job is not yet released); it stays only as the baseline behind
+`lpls --ls-variant strict`, because it shows what the available-job
+variant gives up. On the paper's two-job family at M = 10 it idles until
+the short weighted job is released and reaches the optimum 20, where
+available-job list scheduling starts the long zero-weight job at time 0
+and pays 110.
 
 Priorities come from sorting jobs by LP completion time.
 """

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import sys
@@ -369,6 +370,28 @@ class TestBench:
         assert "family=p_le_r" in out
         assert "max_ratio_lpls_lp" in out
 
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (
+                ("--n", "8", "--trials", "4", "--seed", "3"),
+                "da46adb7c7d4bc36832bcabf52e1c47935cd2f150cc40e962c43e805eeb6af90",
+            ),
+            (
+                ("--family", "p_le_r", "--family", "chains", "--n", "12",
+                 "--trials", "2", "--epsilon", "1/2", "--seed", "5"),
+                "2c981ee07a7730dc5c8e96327c22deae9179f26da24fcd97a845a6ed7533bff9",
+            ),
+        ],
+        ids=["exhaustive-with-oracle", "typed-without-oracle"],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, expected):
+        # n = 8 solves blocks exhaustively and runs the exact oracle;
+        # n = 12 lies above ORACLE_N and N_GUESS, so blocks are typed
+        code, out, _ = run(capsys, "bench", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
     def test_negative_trials_is_usage_error(self, capsys):
         code, out, err = run(capsys, "bench", "--trials", "-1")
         assert (code, out) == (1, "")
@@ -657,7 +680,7 @@ _SCALARS = st.one_of(
     st.integers(-2, 12),
     st.sampled_from([MAX_HORIZON, MAX_WEIGHT + 1, 10**400, -(10**400)]),
     st.floats(allow_nan=False),
-    st.text(max_size=3),
+    st.text(st.characters(max_codepoint=0xFF), max_size=3),
 )
 _JOBS = st.one_of(
     _SCALARS,

@@ -1,19 +1,22 @@
-"""Generators, the per-instance pipeline runner, and bench aggregation."""
+"""Generators and the bench ratio benchmark."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 import prec_sched.harness
 from prec_sched import (
     GeneratorConfig,
+    Schedule,
     bench,
     generate,
     make_instance,
     normalize_release_times,
-    run_pipeline,
     validate,
 )
+from prec_sched.cli import main
 from prec_sched.harness import FAMILIES, ORACLE_N, digest
 
 # digest(generate(...)) per (family, n, seed, r_max, prec_density): every
@@ -131,66 +134,6 @@ class TestDigest:
         assert digest(a) != digest(b)
 
 
-class TestRunPipeline:
-    def test_base_record_keys(self):
-        instance = generate(GeneratorConfig(n=4, seed=5))
-        record = run_pipeline(instance, 1)
-        assert set(record) == {
-            "digest",
-            "n",
-            "epsilon",
-            "Z_lp",
-            "alg_cost",
-            "b",
-            "guesses_tried",
-            "wall_time",
-            "ratio_alg_lp",
-            "opt_cost",
-            "ratio_alg_opt",
-            "lpls_cost",
-            "strict_cost",
-            "ratio_lpls_opt",
-            "ratio_lpls_lp",
-        }
-        assert record["n"] == 4
-        assert record["epsilon"] == "1"
-        assert record["digest"] == digest(instance)
-        assert record["ratio_alg_lp"] >= 1 - 1e-9
-        assert record["wall_time"] > 0
-
-    def test_fractional_epsilon_recorded_exactly(self):
-        instance = generate(GeneratorConfig(n=3, seed=6))
-        record = run_pipeline(instance, 0.5)
-        assert record["epsilon"] == "1/2"
-
-    def test_exact_cap_controls_the_oracle(self):
-        instance = generate(GeneratorConfig(n=ORACLE_N, seed=7))
-        with_oracle = run_pipeline(instance, 1)
-        assert with_oracle["ratio_alg_opt"] >= 1 - 1e-9
-        assert with_oracle["alg_cost"] == pytest.approx(
-            with_oracle["ratio_alg_opt"] * with_oracle["opt_cost"]
-        )
-        capped = run_pipeline(generate(GeneratorConfig(n=ORACLE_N + 1, seed=7)), 1)
-        assert "opt_cost" not in capped and "ratio_alg_opt" not in capped
-        assert "ratio_lpls_opt" not in capped and "lpls_cost" in capped
-
-    def test_baselines_on_the_reference_instance(self, two_job_reference):
-        record = run_pipeline(two_job_reference, 1)
-        assert record["lpls_cost"] == 110.0
-        assert record["strict_cost"] == 20.0
-        assert record["opt_cost"] == 20.0
-        assert record["ratio_lpls_opt"] == pytest.approx(5.5)
-        assert record["ratio_lpls_lp"] == pytest.approx(110.0 / 15.0)
-
-    def test_zero_weight_instance_omits_ratios(self):
-        instance = make_instance([(1, 0, 0), (2, 1, 0)])
-        record = run_pipeline(instance, 1)
-        assert record["Z_lp"] == pytest.approx(0.0, abs=1e-9)
-        assert "ratio_alg_lp" not in record
-        assert "ratio_alg_opt" not in record
-        assert "ratio_lpls_opt" not in record
-
-
 class TestBench:
     def test_small_grid_clean_and_aggregated(self):
         configs = [
@@ -217,3 +160,104 @@ class TestBench:
     def test_rows_are_deterministic(self):
         configs = [GeneratorConfig(n=3, seed=4, family="chains")]
         assert bench(configs, [1], 2) == bench(configs, [1], 2)
+
+    def test_fractional_epsilon_recorded_exactly(self):
+        report = bench([GeneratorConfig(n=3, seed=6)], [0.5], trials=1)
+        assert report["rows"][0]["epsilon"] == "1/2"
+
+    def test_exact_cap_controls_the_oracle(self):
+        at_cap = bench([GeneratorConfig(n=ORACLE_N, seed=7)], [1], trials=1)
+        assert at_cap["rows"][0]["max_ratio_alg_opt"] >= 1 - 1e-9
+        above = bench([GeneratorConfig(n=ORACLE_N + 1, seed=7)], [1], trials=1)
+        row = above["rows"][0]
+        assert "max_ratio_alg_opt" not in row and "mean_ratio_alg_opt" not in row
+        assert "max_ratio_lpls_lp" in row
+
+    def test_baselines_on_the_reference_pair(self):
+        config = GeneratorConfig(n=2, seed=0, family="paper_example")
+        row = bench([config], [1], trials=1)["rows"][0]
+        # the pipeline reaches the optimum 20; LP+LS pays 110 against Z = 15
+        assert row["max_ratio_alg_opt"] == 1.0
+        assert row["max_ratio_lpls_lp"] == pytest.approx(110.0 / 15.0)
+
+    def test_zero_weights_give_bare_rows(self):
+        # every cost, LP value and optimum is 0, so no ratio has a denominator
+        report = bench([GeneratorConfig(n=3, seed=0, w_max=0)], [1], trials=2)
+        assert report == {
+            "rows": [{"family": "uniform", "n": 3, "epsilon": "1", "trials": 2}],
+            "violations": [],
+        }
+
+    def test_clean_run_computes_no_digest(self, monkeypatch):
+        def refuse(instance):
+            raise AssertionError("digest computed on a clean run")
+
+        monkeypatch.setattr(prec_sched.harness, "digest", refuse)
+        configs = [GeneratorConfig(n=4, seed=0, family="p_le_r")]
+        report = bench(configs, [1], trials=2)
+        assert report["violations"] == []
+        assert len(report["rows"]) == 1
+
+
+def inflate_pipeline_cost(monkeypatch):
+    solve = prec_sched.harness.decompose_and_solve
+
+    def inflated(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        return dataclasses.replace(result, cost=10 * result.cost)
+
+    monkeypatch.setattr(prec_sched.harness, "decompose_and_solve", inflated)
+
+
+def delay_list_schedule(monkeypatch):
+    schedule = prec_sched.harness.list_schedule
+
+    def delayed(instance, order):
+        late = 100.0 * sum(job.p for job in instance.jobs)
+        return Schedule(tuple(s + late for s in schedule(instance, order).start))
+
+    monkeypatch.setattr(prec_sched.harness, "list_schedule", delayed)
+
+
+class TestBenchViolations:
+    def test_pipeline_bound(self, monkeypatch):
+        inflate_pipeline_cost(monkeypatch)
+        report = bench([GeneratorConfig(n=4, seed=0, family="p_le_r")], [1], trials=1)
+        assert report["violations"] == [
+            "p_le_r seed-offset instance c3f9fca15aed: "
+            "pipeline cost 3930.0 exceeds 8.0 x optimum 381.0"
+        ]
+
+    def test_lpls_bound(self, monkeypatch):
+        delay_list_schedule(monkeypatch)
+        config = GeneratorConfig(n=4, seed=0, family="p_le_r")
+        instance = generate(config)
+        report = bench([config], [1], trials=1)
+        assert len(report["violations"]) == 1
+        assert report["violations"][0].startswith(
+            f"p_le_r instance {digest(instance)[:12]}: LP+LS cost "
+        )
+        assert " exceeds twice the LP value " in report["violations"][0]
+
+    def test_lpls_bound_is_checked_on_p_le_r_only(self, monkeypatch):
+        delay_list_schedule(monkeypatch)
+        report = bench([GeneratorConfig(n=4, seed=0, family="uniform")], [1], trials=1)
+        assert report["violations"] == []
+
+    @pytest.mark.parametrize(
+        "patch", [inflate_pipeline_cost, delay_list_schedule], ids=["pipeline", "lpls"]
+    )
+    def test_cli_prints_each_violation_and_exits_3(self, monkeypatch, capsys, patch):
+        patch(monkeypatch)
+        configs = [GeneratorConfig(n=4, seed=0, family="p_le_r")]
+        expected = bench(configs, [1], trials=2)["violations"]
+        assert expected
+        code = main(
+            ["bench", "--family", "p_le_r", "--n", "4", "--trials", "2",
+             "--epsilon", "1", "--output", "table"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        assert [line for line in lines if line.startswith("VIOLATED: ")] == [
+            f"VIOLATED: {v}" for v in expected
+        ]
