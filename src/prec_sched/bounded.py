@@ -48,9 +48,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvariantViolationError, SchedulingError, ValidationError
@@ -112,7 +113,6 @@ def enumerate_guesses(
     instance: Instance,
     epsilon,
     beta,
-    budget: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[Guess]:
     """Yield every admissible guess, empty guess first, deterministically.
@@ -122,23 +122,20 @@ def enumerate_guesses(
     schedule are skipped and counted in `stats`: a start below the job's
     release time, two early processing intervals overlapping, or ordered
     jobs j preceding k with S'_j + p_j > S'_k. The set size is capped by
-    early_bound(epsilon, beta). `budget` (nonnegative) truncates the
-    stream after that many yields; the overlap and precedence counts in
-    `stats` then stop at the last guess yielded.
+    early_bound(epsilon, beta). The counts in `stats` cover the guesses
+    drawn so far.
     """
-    eps = _check_arguments(epsilon, beta, budget=budget)
+    eps = _check_arguments(epsilon, beta)
     items = {j: (job.p, job.r) for j, job in enumerate(instance.jobs)}
-    yield from _guesses(items, instance.masks, eps, beta, budget, stats)
+    yield from _guesses(items, instance.masks, eps, beta, stats)
 
 
-def _guesses(items: dict, masks, eps: Fraction, beta, budget, stats) -> Iterator[Guess]:
+def _guesses(items: dict, masks, eps: Fraction, beta, stats) -> Iterator[Guess]:
     """Both modes' guess stream: Guess(keys, starts) over `items`, which maps
     each key to (size, smallest release), key j preceding key k iff masks[k]
-    has bit j. Resets `stats`; `budget` truncates."""
+    has bit j. Resets `stats`."""
     stats = {} if stats is None else stats
     stats.update(yielded=0, pruned_release=0, pruned_overlap=0, pruned_prec=0)
-    if budget == 0:
-        return
     options = {}
     for key, (size, r_min) in items.items():
         # multiples m * eps * size with m * eps < 1: candidate starts below size
@@ -161,8 +158,6 @@ def _guesses(items: dict, masks, eps: Fraction, beta, budget, stats) -> Iterator
                     continue
                 stats["yielded"] += 1
                 yield Guess(chosen, starts)
-                if stats["yielded"] == budget:
-                    return
 
 
 def _lift(instance: Instance, key_of, keys, sizes, starts) -> Instance:
@@ -224,7 +219,6 @@ def enumerate_type_guesses(
     epsilon,
     L,
     beta,
-    budget: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[Guess]:
     """Yield guesses over processing-size classes of a rounded instance.
@@ -234,10 +228,9 @@ def enumerate_type_guesses(
     can have an early job. For each chosen class i, the candidate
     smallest start runs over multiples of eps * (1+eps)^i below
     (1+eps)^i, pruned below the class's smallest release time. Early
-    processing intervals must not overlap. `budget` truncates the stream
-    as in enumerate_guesses.
+    processing intervals must not overlap. `stats` as in enumerate_guesses.
     """
-    eps = _check_arguments(epsilon, beta, budget=budget, L=L)
+    eps = _check_arguments(epsilon, beta, L=L)
     r_min: dict = {}  # rounded size -> smallest release
     for job in instance.jobs:
         r_min[job.p] = min(r_min.get(job.p, job.r), job.r)
@@ -248,7 +241,7 @@ def enumerate_type_guesses(
         i, power = _pow_ceil(size, eps)
         if Lf < power < hi:
             items[i] = (power, Fraction(r_min[size]))
-    yield from _guesses(items, dict.fromkeys(items, 0), eps, beta, budget, stats)
+    yield from _guesses(items, dict.fromkeys(items, 0), eps, beta, stats)
 
 
 def adjust_release_times_typed(instance: Instance, guess: Guess, epsilon) -> Instance:
@@ -304,8 +297,8 @@ def solve_bounded(
         powers of (1+eps) and guesses per size class; empty-guess runs
         the single all-late guess.
     budget : int, optional
-        Truncate the guess stream after this many guesses, in every
-        mode; nonnegative.
+        Run only the first this many guesses of the mode's stream;
+        nonnegative. The one place a guess stream is truncated.
     warm : iterable of job subsets
         Warm-start cut subsets passed to every guess's LP (see solve_lp).
         Every guess gets the same set, so results do not depend on the
@@ -334,13 +327,13 @@ def solve_bounded(
     # the lift is picked once; it looks its function up by name on each call
     if mode == "typed":
         rounded = round_processing(instance, eps)
-        guesses = list(enumerate_type_guesses(rounded, eps, L, beta, budget))
+        stream = enumerate_type_guesses(rounded, eps, L, beta)
         lift = lambda g: adjust_release_times_typed(rounded, g, eps)
     else:
-        # empty-guess mode streams no items: the empty guess, under the budget
-        guesses = list(enumerate_guesses(instance, eps, beta, budget) if mode == "exhaustive"
-                       else _guesses({}, (), eps, beta, budget, None))
+        stream = enumerate_guesses(instance, eps, beta) if mode == "exhaustive" else [Guess((), ())]
         lift = lambda g: adjust_release_times(instance, g)
+    # islice takes no stop past sys.maxsize, and no stream is that long
+    guesses = list(islice(stream, None if budget is None else min(budget, sys.maxsize)))
     warm = tuple(warm)
     best = None
     failed = 0

@@ -378,7 +378,7 @@ def load_instance(source) -> Instance:
                 findings.append(f"job {i}: field '{field}' must be an integer, got {v!r}")
                 v = 0
             trip.append(v)
-        jobs.append(tuple(trip))
+        jobs.append(Job(*trip))
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))):
             findings.append(
@@ -387,7 +387,8 @@ def load_instance(source) -> Instance:
     if findings:
         raise ValidationError(findings)
 
-    instance = make_instance(jobs, [tuple(e) for e in pairs])
+    # no eager cycle check as in make_instance: validate reports every finding
+    instance = Instance(tuple(jobs), frozenset(map(tuple, pairs)))
     findings = validate(instance)
     if findings:
         raise ValidationError(findings)

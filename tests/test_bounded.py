@@ -100,22 +100,15 @@ class TestEnumerateGuesses:
         assert first == second
         assert first[0] == EMPTY_GUESS
 
-    def test_budget_truncates_stream(self):
-        instance = random_instance(7, 5, p_max=8, r_max=3)
-        full = list(enumerate_guesses(instance, Fraction(1, 4), 4))
-        assert len(full) > 3
+    def test_pruning_counts_overlap_and_precedence(self):
+        # grids {0, 4} and {0, 1}: both pairs starting job 0 at 0 overlap,
+        # and the two starting it at 4 end it after job 1 starts
+        instance = make_instance([(8, 0, 1), (2, 0, 1)], [(0, 1)])
         stats = {}
-        cut = list(enumerate_guesses(instance, Fraction(1, 4), 4, budget=3, stats=stats))
-        assert cut == full[:3]
-        assert stats["yielded"] == 3
-        assert list(enumerate_guesses(instance, Fraction(1, 4), 4, budget=0)) == []
-
-    def test_negative_budget_rejected(self):
-        instance = random_instance(7, 5, p_max=8, r_max=3)
-        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
-            list(enumerate_guesses(instance, Fraction(1, 4), 4, budget=-1))
-        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
-            list(enumerate_type_guesses(instance, Fraction(1, 4), 1, 4, budget=-1))
+        out = list(enumerate_guesses(instance, Fraction(1, 2), 2, stats=stats))
+        assert len(out) == stats["yielded"] == 5
+        assert all(len(g.keys) <= 1 for g in out)
+        assert (stats["pruned_overlap"], stats["pruned_prec"]) == (2, 2)
 
     def test_rejects_nonpositive_epsilon(self):
         instance = make_instance([(1, 0, 1)])
@@ -387,6 +380,35 @@ class TestSolveBounded:
         instance = make_instance([(1, 2, 1)] * 11)
         result = solve_bounded(instance, 1, 2, E3, budget=5)
         assert result.cost == 88.0  # back-to-back from t = 2
+
+    def test_budget_truncates_stream(self):
+        # every mode runs the first k guesses of its full stream
+        eps = Fraction(1, 2)
+        instance = normalize_release_times(
+            make_instance([(8, 2, 1), (6, 3, 2), (5, 2, 1)], [(0, 2)])
+        )
+        streams = {
+            "exhaustive": list(enumerate_guesses(instance, eps, E3)),
+            "typed": list(enumerate_type_guesses(round_processing(instance, eps), eps, 2, E3)),
+            "empty-guess": [EMPTY_GUESS],
+        }
+        assert len(streams["exhaustive"]) > 3 and len(streams["typed"]) > 3
+        for mode, full in streams.items():
+            for k in (0, 1, 3):
+                with guess_traces() as traces:
+                    if k:
+                        result = solve_bounded(instance, eps, 2, E3, mode=mode, budget=k)
+                        assert result.guesses_failed == 0
+                    else:
+                        with pytest.raises(SchedulingError, match="all 0 guesses failed"):
+                            solve_bounded(instance, eps, 2, E3, mode=mode, budget=k)
+                assert [g for g, _, _ in traces] == full[:k]
+
+    def test_negative_budget_rejected(self):
+        instance = make_instance([(1, 2, 1)])
+        for mode in MODES:
+            with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+                solve_bounded(instance, 1, 2, E3, mode=mode, budget=-1)
 
     def test_budget_zero_fails_loudly(self):
         # in every mode: empty-guess mode used to ignore the budget

@@ -111,19 +111,47 @@ class TestValidate:
         assert code == 2
         assert any("cycle" in f for f in json.loads(out)["findings"])
 
-    def test_cycle_stops_loading_before_other_findings(self, capsys, tmp_path):
-        # the cycle is found while the instance is built, so the zero-length
-        # job 3 is never reported, and the witness starts at the least job
-        doc = {
-            "jobs": [{"p": 1, "r": 0, "w": 1}] * 3 + [{"p": 0, "r": 0, "w": 1}],
-            "prec": [[0, 1], [1, 2], [2, 0], [2, 3]],
-        }
+    @pytest.mark.parametrize(
+        "doc, findings",
+        [
+            (
+                # the witness starts at the least job
+                {
+                    "jobs": [{"p": 1, "r": 0, "w": 1}] * 3 + [{"p": 0, "r": 0, "w": 1}],
+                    "prec": [[0, 1], [1, 2], [2, 0], [2, 3]],
+                },
+                [
+                    "job 3: processing time 0 < 1; remove or merge zero-length jobs before solving",
+                    "precedence cycle: 0 -> 1 -> 2 -> 0",
+                ],
+            ),
+            (
+                {
+                    "jobs": [{"p": 0, "r": -1, "w": 1}, {"p": 1, "r": 0, "w": 1}],
+                    "prec": [[0, 1], [1, 0]],
+                },
+                [
+                    "job 0: processing time 0 < 1; remove or merge zero-length jobs before solving",
+                    "job 0: negative release time -1",
+                    "precedence cycle: 0 -> 1 -> 0",
+                ],
+            ),
+            (
+                {"jobs": [{"p": 1, "r": 0, "w": 1}] * 3, "prec": [[0, 0], [1, 2]]},
+                ["precedence pair (0, 0) is reflexive"],
+            ),
+        ],
+        ids=["cycle-and-job", "cycle-and-fields", "reflexive"],
+    )
+    def test_cycle_reported_with_every_other_finding(self, capsys, tmp_path, doc, findings):
+        # a cycle is found by validate, with every other finding, not while
+        # the instance is built; solve stops on the same findings
         path = write_doc(tmp_path, doc)
-        finding = "precedence cycle: 0 -> 1 -> 2 -> 0"
         code, out, err = run(capsys, "validate", path)
         assert (code, err) == (2, "")
-        assert out == json.dumps({"ok": False, "findings": [finding]}, indent=2) + "\n"
-        assert run(capsys, "solve", path, "--epsilon", "1") == (2, "", f"error: {finding}\n")
+        assert out == json.dumps({"ok": False, "findings": findings}, indent=2) + "\n"
+        error = f"error: {'; '.join(findings)}\n"
+        assert run(capsys, "solve", path, "--epsilon", "1") == (2, "", error)
 
 
 class TestLp:
@@ -278,6 +306,19 @@ class TestBounded:
         assert code == 1
         assert out == ""
         assert "guess budget must be nonnegative, got -1" in err
+
+    def test_budget_past_sys_maxsize_runs_every_guess(self, capsys, tmp_path, reference_path):
+        # a budget no stream reaches, even beyond the largest slice stop
+        path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}], "prec": []}, "one.json")
+        huge = ["--budget", str(10**20)]
+        assert 10**20 > sys.maxsize
+        for argv in (
+            ["bounded", path, "--L", "6", "--beta", "21", "--epsilon", "1/4"],
+            ["solve", reference_path, "--epsilon", "1/2"],
+        ):
+            full = run(capsys, *argv)
+            assert full[0] == 0 and '"guesses_tried": 2' in full[1]
+            assert run(capsys, *argv, *huge) == full
 
     @pytest.mark.parametrize("beta", ["0", "-2"])
     def test_nonpositive_beta_is_usage_error(self, capsys, tmp_path, beta):

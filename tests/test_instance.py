@@ -119,6 +119,31 @@ class TestValidate:
             load_instance({"jobs": [{"p": 0, "r": 0, "w": 1}]})
         assert err.value.findings == validate(make_instance([(0, 0, 1)]))
 
+    @pytest.mark.parametrize(
+        "jobs, pairs, findings",
+        [
+            (
+                [(0, -1, 1), (1, 0, 1)],
+                [(0, 1), (1, 0)],
+                (
+                    "job 0: processing time 0 < 1; remove or merge zero-length jobs before solving",
+                    "job 0: negative release time -1",
+                    "precedence cycle: 0 -> 1 -> 0",
+                ),
+            ),
+            ([(1, 0, 1)] * 3, [(0, 0), (1, 2)], ("precedence pair (0, 0) is reflexive",)),
+        ],
+        ids=["cycle", "reflexive"],
+    )
+    def test_load_reports_every_finding(self, jobs, pairs, findings):
+        # loading checks the order only through validate, so a cycle or a
+        # reflexive pair hides no finding and is reported as validate does
+        doc = {"jobs": [dict(zip("prw", job)) for job in jobs], "prec": pairs}
+        with pytest.raises(ValidationError) as err:
+            load_instance(doc)
+        assert err.value.findings == findings
+        assert validate(Instance(tuple(Job(*job) for job in jobs), frozenset(pairs))) == findings
+
 
 def order_pairs(instance):
     """The pairs (j, k), j preceding k, that the instance's masks hold."""

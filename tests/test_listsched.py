@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -62,11 +63,11 @@ def lifted_blocks():
         grid = build_grid(eps, 1.0, max(lp.completion))
         beta = math.exp(grid.a)
         for sub in partition_jobs(parent, lp, grid):
-            for guess in enumerate_guesses(sub.instance, eps, beta, budget=4):
+            for guess in islice(enumerate_guesses(sub.instance, eps, beta), 4):
                 out.append(adjust_release_times(sub.instance, guess))
             rounded = round_processing(sub.instance, eps)
             floor = grid.floor(sub.index)
-            for guess in enumerate_type_guesses(rounded, eps, floor, beta, budget=4):
+            for guess in islice(enumerate_type_guesses(rounded, eps, floor, beta), 4):
                 out.append(adjust_release_times_typed(rounded, guess, eps))
     return out
 
