@@ -18,8 +18,9 @@ Growth rate e^a must be at least 3 (epsilon at most 3/ln 3), otherwise a
 group's schedule could outgrow its interval and the union argument
 breaks. The grid constructor enforces this.
 
-Offsets are pruned by a bound from the parent LP's dual y (clamped to
-y <= 0, one entry per cover-pair row and per cut row of the final round).
+Offsets are pruned by two lower bounds on their cost. The first comes
+from the parent LP's dual y (clamped to y <= 0, one entry per cover-pair
+row and per cut row of the final round).
 In the parent LP, min w.C subject to A C <= b and C >= 0, only the cut
 right-hand sides rhs_c = r_min(U_c) p(U_c) + p(U_c)^2/2 depend on
 release times; A and w do not. An offset's union schedule starts every
@@ -37,12 +38,30 @@ H is the top ceiling 3 t_{q+1} plus the tolerance, which block
 containment asserts on every run. The first sum runs over the cut rows
 with a nonzero dual only, as the others add nothing to it.
 
-Offsets are evaluated in (bound, index) order, and one whose bound exceeds
-the best cost so far by more than the relative margin SKIP_REL is skipped:
-its cost is then strictly above that best cost, so it cannot win by (cost,
-index), and the schedule, cost, offset, grid and block outcomes are
-exactly those of evaluating every offset. A skipped offset's blocks are
-not solved, so none of their guesses run.
+The second needs no dual: the preemptive WSPT value of each of the
+offset's blocks (M. X. Goemans, "Improved approximation algorithms for
+scheduling with release dates", SODA 1997), on the block's releases
+lifted as partition_jobs lifts them. Preemptive WSPT minimizes
+sum w_j M_j, M_j the mean busy time, over all preemptive schedules with
+those releases, and a nonpreemptive schedule has C_j = M_j + p_j/2, so
+sum_j w_j (M_j + p_j/2) bounds the block's cost. It ignores precedence,
+so it holds in every bounded mode. The union may bend the lifted
+releases and the machine by the parent's tolerance tol: the containment
+and feasibility checks assert only that each job starts at or after its
+lifted release less tol, and at or after the completion of the job
+before it less tol (list_schedule, for one, starts a job up to its
+block's tol before its release). Delaying the k-th job in start order
+(k = 1..n) by k tol removes both slacks and adds at most delta = n tol to
+any completion time, so the cost is at least the sum of the block values
+less delta sum_j w_j.
+
+Offsets are evaluated in (bound, index) order, where an offset's bound is
+the larger of the two, and one whose bound exceeds the best cost so far
+by more than the relative margin SKIP_REL is skipped: its cost is then
+strictly above that best cost, so it cannot win by (cost, index), and the
+schedule, cost, offset, grid and block outcomes are exactly those of
+evaluating every offset. A skipped offset's blocks are not solved, so
+none of their guesses run.
 """
 
 from __future__ import annotations
@@ -59,14 +78,14 @@ from typing import Optional
 from .bounded import _check_arguments, solve_bounded
 from .errors import InvariantViolationError
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
-from .lp import LpSolution, solve_lp
+from .lp import LpSolution, solve_lp, wspt_value
 from .util import decimal_str
 
 EPS_MAX = 3.0 / math.log(3.0)
 TAU_B_REL = 1e-9
-# an offset is skipped only when its dual bound exceeds the best cost so
-# far by this relative margin, which covers float rounding in the bound
-# and the costs and the 1e-9 relative tolerance schedules are checked to
+# an offset is skipped only when its bound exceeds the best cost so far by
+# this relative margin, which covers float rounding in the bounds and the
+# costs; the tolerance schedules are checked to is subtracted in the bounds
 SKIP_REL = 1e-6
 
 log = logging.getLogger(__name__)
@@ -253,6 +272,31 @@ def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...
     return tuple(bounds)
 
 
+def block_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...]:
+    """Lower bound on the union cost of each grid's partition, by blocks.
+
+    Sums the preemptive WSPT value of each block on its lifted releases
+    max(r_j, 3 t_i), less n tol sum_j w_j (see the module docstring). No
+    LP is solved, and precedence is not looked at.
+    """
+    p = [float(job.p) for job in instance.jobs]
+    r = [float(job.r) for job in instance.jobs]
+    w = [float(job.w) for job in instance.jobs]
+    slack = instance.n * instance.tol() * sum(w)
+    bounds = []
+    for grid in grids:
+        blocks: dict[int, list[int]] = {}
+        for j, c in enumerate(lp.completion):
+            blocks.setdefault(grid.index_of(c), []).append(j)
+        value = 0.0
+        for i, ids in blocks.items():
+            floor = grid.floor(i)
+            lifted = [max(r[j], floor) for j in ids]
+            value += wspt_value([p[j] for j in ids], lifted, [w[j] for j in ids])
+        bounds.append(value - slack)
+    return tuple(bounds)
+
+
 @dataclass(frozen=True)
 class IntervalOutcome:
     """Diagnostics for the block of grid interval `index`, which spans
@@ -269,9 +313,11 @@ class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
     The winning offset is grid.b, and the grid bounds each block. `bounds`
-    holds one dual lower bound per entry of `candidates`, and `evaluated`
-    the candidate indices whose blocks were solved, in the order they
-    were; the others were skipped. Neither enters to_dict.
+    holds one lower bound per entry of `candidates`: its dual bound
+    (offset_bounds) or, when there are several candidates, the larger of
+    that and its block bound (block_bounds). `evaluated` holds the
+    candidate indices whose blocks were solved, in the order they were;
+    the others were skipped. Neither enters to_dict.
     """
 
     schedule: Schedule
@@ -361,8 +407,8 @@ def decompose_and_solve(
         grid of the block solver.
     mode : {"derandomized", "random"}
         derandomized tries one offset per reachable partition and keeps
-        the cheapest result, skipping offsets whose dual bound shows they
-        cannot win; random draws a single offset from `seed`.
+        the cheapest result, skipping offsets whose dual or block bound
+        shows they cannot win; random draws a single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
 
@@ -389,15 +435,18 @@ def decompose_and_solve(
     else:
         candidates = derandomize_b(lp, a)
     grids = [build_grid(eps, b, cmax) for b in candidates]
-    bounds = offset_bounds(instance, lp, grids)
+    duals = offset_bounds(instance, lp, grids)
+    # one offset is never skipped, so it goes without the block bound
+    blocks = block_bounds(instance, lp, grids) if len(grids) > 1 else (-math.inf,)
+    bounds = tuple(map(max, duals, blocks))
 
     best = None  # (cost, index, union, outcomes)
     evaluated = []
     for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
         if best is not None and bounds[i] > best[0] * (1.0 + SKIP_REL):
             log.debug(
-                "offset %d (b = %r) skipped: bound %r above best cost %r",
-                i, candidates[i], bounds[i], best[0],
+                "offset %d (b = %r) skipped: dual bound %r, block bound %r, best cost %r",
+                i, candidates[i], duals[i], blocks[i], best[0],
             )
             continue
         evaluated.append(i)
@@ -408,6 +457,10 @@ def decompose_and_solve(
         if best is None or (cost, i) < best[:2]:
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
+    log.debug(
+        "evaluated %d of %d offsets; offset %d (b = %r) won at cost %r",
+        len(evaluated), len(candidates), i, candidates[i], cost,
+    )
     return DecomposeResult(
         union, cost, grids[i], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
     )

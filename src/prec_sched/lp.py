@@ -54,6 +54,7 @@ vertex. At most 10 n^2 rounds are run.
 
 from __future__ import annotations
 
+import heapq
 import importlib.machinery
 import importlib.util
 import math
@@ -422,6 +423,44 @@ def solve_lp(
         cuts[cut.jobs] = cut
         _add_rows(highs, p, [cut])
     raise LpIterationLimitError(f"cutting-plane loop exceeded {cap} rounds", cut)
+
+
+def wspt_value(p, r, w) -> float:
+    """sum_j w_j (M_j + p_j/2) over the preemptive WSPT schedule of jobs
+    with processing times p, releases r and weights w, in O(n log n).
+
+    The schedule always runs the released job of largest w_j / p_j, and
+    M_j is job j's mean busy time in it. It minimizes sum w_j M_j over all
+    preemptive schedules with these releases (Goemans, SODA 1997), so the
+    value is a lower bound on the cost of every nonpreemptive schedule,
+    where C_j = M_j + p_j/2. The subset inequalities of solve_lp are the
+    mean-busy-time inequalities with C_j for M_j, so without precedence
+    the LP's optimum is this value less sum_j w_j p_j / 2. Ties in w_j / p_j
+    leave the value as it is. A piece of job j run over [a, b] adds
+    (w_j / p_j) (b - a) (a + b) / 2. A job that runs to completion leaves
+    the heap at once, so float remainders never stall the sweep.
+    """
+    ready: list[tuple[float, int]] = []  # (-w_j / p_j, j) of released, unfinished jobs
+    rem = list(p)
+    t = -math.inf
+    twice = 0.0  # twice sum_j w_j M_j so far
+    # each release first runs the jobs already released up to it; a last
+    # release at infinity runs them all to completion
+    for release, j in sorted(zip(r, range(len(p)))) + [(math.inf, -1)]:
+        while ready and t < release:
+            neg_ratio, k = ready[0]
+            end = t + rem[k]
+            if end <= release:
+                heapq.heappop(ready)
+            else:
+                end = release
+                rem[k] -= end - t
+            twice -= neg_ratio * (end - t) * (t + end)
+            t = end
+        if j >= 0:
+            t = max(t, release)
+            heapq.heappush(ready, (-w[j] / p[j], j))
+    return (twice + sum(wj * pj for wj, pj in zip(w, p))) / 2
 
 
 def cut_violation_of(cut: Cut, C, instance: Instance) -> float:

@@ -35,7 +35,13 @@ from prec_sched import (
     tighten,
 )
 from prec_sched.bounded import MODES
-from prec_sched.decompose import EPS_MAX, IntervalGrid, _solve_partition, offset_bounds
+from prec_sched.decompose import (
+    EPS_MAX,
+    IntervalGrid,
+    _solve_partition,
+    block_bounds,
+    offset_bounds,
+)
 from prec_sched.harness import FAMILIES
 from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
@@ -401,12 +407,14 @@ class TestOffsetPruning:
         instance = generate(GeneratorConfig(n=n, seed=seed, family=family))
         result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
         cmax = max(result.lp.completion)
+        grids = [build_grid(epsilon, b, cmax) for b in result.candidates]
+        blocks = block_bounds(instance, result.lp, grids)
         runs = []
-        for i, b in enumerate(result.candidates):
-            grid = build_grid(epsilon, b, cmax)
+        for i, grid in enumerate(grids):
             subs = partition_jobs(instance, result.lp, grid)
             union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
             assert result.bounds[i] <= cost
+            assert blocks[i] <= cost
             runs.append((cost, i, union.start, outcomes))
         cost, i, start, outcomes = min(runs, key=lambda run: run[:2])
         assert (result.cost, result.grid.b, result.schedule.start, result.intervals) == (
@@ -420,13 +428,29 @@ class TestOffsetPruning:
         instance = generate(GeneratorConfig(n=14, seed=3, p_max=8, r_max=56, family="chains"))
         with caplog.at_level(logging.DEBUG, logger="prec_sched.decompose"):
             result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
-        skipped = len(result.candidates) - len(result.evaluated)
-        assert skipped >= 1
+        # the dual bound alone left 3 of the 8 offsets to evaluate
+        assert (len(result.evaluated), len(result.candidates)) == (1, 8)
+        assert result.cost == 2934.0
+        assert result.grid.b == pytest.approx(1.2195077, abs=1e-7)
         assert len(result.bounds) == len(result.candidates)
         order = [(result.bounds[i], i) for i in result.evaluated]
         assert order == sorted(order)
-        lines = [rec.getMessage() for rec in caplog.records if "skipped" in rec.getMessage()]
-        assert len(lines) == skipped
+        messages = [rec.getMessage() for rec in caplog.records]
+        lines = [line for line in messages if "skipped" in line]
+        assert len(lines) == 7
+        assert all("dual bound" in line and "block bound" in line for line in lines)
+        (i,) = result.evaluated
+        assert messages[-1] == (
+            f"evaluated 1 of 8 offsets; offset {i} (b = {result.grid.b!r}) won at cost 2934.0"
+        )
+
+    def test_block_bound_skips_every_loser_on_an_antichain(self):
+        # without precedence the dual bound skipped none of the 9 offsets
+        instance = generate(GeneratorConfig(n=8, seed=3, family="antichain"))
+        result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
+        assert (len(result.evaluated), len(result.candidates)) == (1, 9)
+        assert result.cost == pytest.approx(489.0209041637566, rel=1e-12)
+        assert result.grid.b == pytest.approx(0.4011973846621555, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["chains", "uniform"])
     def test_bounds_match_the_dense_reference(self, family):

@@ -3,6 +3,7 @@ per-job / subset lower-bound consequences of the subset constraints."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -37,7 +38,7 @@ from prec_sched import (
 )
 from prec_sched.harness import FAMILIES
 from prec_sched.instance import MAX_HORIZON, validate
-from prec_sched.lp import TAU_LP, cut_violation_of
+from prec_sched.lp import TAU_LP, cut_violation_of, wspt_value
 from .auditors import check_lp_lemmas
 from .conftest import random_instance, run_python
 from .oracles import closure_by_squaring, separate_exhaustive_ref, subset_rhs_ref
@@ -159,6 +160,60 @@ class TestSolveLp:
         sol = solve_lp(instance)
         assert sol.value == pytest.approx(0.0, abs=TOL)
         assert separate_exhaustive(sol.completion, instance) is None
+
+
+def wspt_lp_value(instance):
+    """wspt_value less sum w p / 2: the LP's optimum without precedence."""
+    p = [float(job.p) for job in instance.jobs]
+    r = [float(job.r) for job in instance.jobs]
+    w = [float(job.w) for job in instance.jobs]
+    return wspt_value(p, r, w) - sum(wj * pj for wj, pj in zip(w, p)) / 2
+
+
+class TestWsptValue:
+    """Without precedence the LP's optimum has a closed form, the mean busy
+    times of the preemptive WSPT schedule, which checks solve_lp at sizes
+    the exhaustive oracle (n <= 18) cannot reach."""
+
+    @pytest.mark.parametrize("n", range(1, 101))
+    def test_matches_solve_lp_on_antichains(self, n):
+        instance = generate(GeneratorConfig(n=n, seed=n, family="antichain"))
+        assert not instance.prec
+        assert wspt_lp_value(instance) == pytest.approx(solve_lp(instance).value, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            [(3, 0, 0), (2, 1, 0), (1, 0, 2)],  # zero weights
+            [(2, 0, 4), (1, 0, 2), (3, 1, 6), (4, 2, 8)],  # w / p ties
+            [(4, 5, 1), (2, 5, 3), (1, 5, 1)],  # equal releases
+            [(2, 0.5, 1), (3, 1.25, 2), (1, 2.75, 5), (2, 0.1, 3)],  # float releases
+            [(10, 0, 1), (1, 1, 10)],  # one preemption
+        ],
+    )
+    def test_matches_solve_lp_on_hand_cases(self, jobs):
+        instance = make_instance(jobs)
+        assert wspt_lp_value(instance) == pytest.approx(solve_lp(instance).value, rel=1e-9)
+
+    def test_preemption_by_hand(self):
+        # job 0 runs [0, 1] and [2, 11], so M_0 = (1 * 0.5 + 9 * 6.5) / 10 =
+        # 5.9, and job 1 runs [1, 2], so M_1 = 1.5: sum w M = 20.9, plus
+        # sum w p / 2 = 10
+        assert wspt_value([10.0, 1.0], [0.0, 1.0], [1.0, 10.0]) == pytest.approx(30.9, abs=1e-12)
+
+    def test_sweep_ends_on_float_remainders(self):
+        # every release a tenth after the last preempts the job running,
+        # leaving remainders such as 1 - 0.1 that floats do not hold exactly
+        n = 40
+        p = [1.0] * n
+        r = [0.1 * j for j in range(n)]
+        w = [1.0 + j for j in range(n)]
+        value = wspt_value(p, r, w)
+        assert math.isfinite(value)
+        assert value >= sum(wj * (rj + 1.0) for wj, rj in zip(w, r))
+
+    def test_no_jobs(self):
+        assert wspt_value([], [], []) == 0.0
 
 
 class TestSeparateExhaustive:
