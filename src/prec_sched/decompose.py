@@ -18,50 +18,30 @@ Growth rate e^a must be at least 3 (epsilon at most 3/ln 3), otherwise a
 group's schedule could outgrow its interval and the union argument
 breaks. The grid constructor enforces this.
 
-Offsets are pruned by two lower bounds on their cost. The first comes
-from the parent LP's dual y (clamped to y <= 0, one entry per cover-pair
-row and per cut row of the final round).
-In the parent LP, min w.C subject to A C <= b and C >= 0, only the cut
-right-hand sides rhs_c = r_min(U_c) p(U_c) + p(U_c)^2/2 depend on
-release times; A and w do not. An offset's union schedule starts every
-job j at or after its lifted release max(r_j, 3 t_i(j)), so its
-completion times C satisfy A C <= b' for the lifted right-hand sides b'.
-With s = w - A^T y, w.C = y.(A C) + s.C >= y.b' + s.C, because y <= 0,
-so weak duality gives
+Offsets are pruned by a lower bound on their cost that needs no LP: the
+preemptive WSPT value of each of the offset's blocks (M. X. Goemans,
+"Improved approximation algorithms for scheduling with release dates",
+SODA 1997), on the block's releases lifted as partition_jobs lifts them.
+Preemptive WSPT minimizes sum w_j M_j, M_j the mean busy time, over all
+preemptive schedules with those releases, and a nonpreemptive schedule
+has C_j = M_j + p_j/2, so sum_j w_j (M_j + p_j/2) bounds the block's
+cost. It ignores precedence, so it holds in every bounded mode. The union
+may bend the lifted releases and the machine by the parent's tolerance
+tol: the containment and feasibility checks assert only that each job
+starts at or after its lifted release less tol, and at or after the
+completion of the job before it less tol (list_schedule, for one, starts
+a job up to its block's tol before its release). Delaying the k-th job in
+start order (k = 1..n) by k tol removes both slacks and adds at most
+delta = n tol to any completion time, so the cost is at least the sum of
+the block values less delta sum_j w_j.
 
-    cost >= sum_c (-y_c) rhs_c(lifted releases) - sum_j max(0, -s_j) H
-
-where H bounds every completion time. A^T y includes the precedence
-rows, +1 at j and -1 at k for each cover pair (j, k). The residual term
-makes the bound hold for a dual that is only feasible up to float noise;
-H is the top ceiling 3 t_{q+1} plus the tolerance, which block
-containment asserts on every run. The first sum runs over the cut rows
-with a nonzero dual only, as the others add nothing to it.
-
-The second needs no dual: the preemptive WSPT value of each of the
-offset's blocks (M. X. Goemans, "Improved approximation algorithms for
-scheduling with release dates", SODA 1997), on the block's releases
-lifted as partition_jobs lifts them. Preemptive WSPT minimizes
-sum w_j M_j, M_j the mean busy time, over all preemptive schedules with
-those releases, and a nonpreemptive schedule has C_j = M_j + p_j/2, so
-sum_j w_j (M_j + p_j/2) bounds the block's cost. It ignores precedence,
-so it holds in every bounded mode. The union may bend the lifted
-releases and the machine by the parent's tolerance tol: the containment
-and feasibility checks assert only that each job starts at or after its
-lifted release less tol, and at or after the completion of the job
-before it less tol (list_schedule, for one, starts a job up to its
-block's tol before its release). Delaying the k-th job in start order
-(k = 1..n) by k tol removes both slacks and adds at most delta = n tol to
-any completion time, so the cost is at least the sum of the block values
-less delta sum_j w_j.
-
-Offsets are evaluated in (bound, index) order, where an offset's bound is
-the larger of the two, and one whose bound exceeds the best cost so far
-by more than the relative margin SKIP_REL is skipped: its cost is then
-strictly above that best cost, so it cannot win by (cost, index), and the
-schedule, cost, offset, grid and block outcomes are exactly those of
-evaluating every offset. A skipped offset's blocks are not solved, so
-none of their guesses run.
+Offsets are evaluated in (bound, index) order, and one whose bound
+exceeds the best cost so far by more than the relative margin SKIP_REL is
+skipped: its cost is then strictly above that best cost, so it cannot win
+by (cost, index), and the schedule, cost, offset, grid and block outcomes
+are exactly those of evaluating every offset. A skipped offset's blocks
+are not solved, so none of their guesses run. A single offset, as in
+random mode, is never skipped, so no bound is computed for it.
 """
 
 from __future__ import annotations
@@ -232,46 +212,6 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
-def offset_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...]:
-    """Lower bound on the union cost of each grid's partition.
-
-    Evaluates the parent LP's dual at the releases lifted to each job's
-    block floor 3 t_i(j), minus the dual-residual term (see the module
-    docstring). No LP is solved.
-    """
-    n = instance.n
-    p = [float(job.p) for job in instance.jobs]
-    r = [float(job.r) for job in instance.jobs]
-    y = [min(v, 0.0) for v in lp.duals]
-    # A^T y by job: cut row c is -p_j on its jobs, the row of cover pair
-    # (j, k) is +1 at j and -1 at k
-    y_cuts = [0.0] * n  # -y_c summed over the cut rows holding the job
-    rows = []  # (-y_c, jobs, p(U_c)) of each cut row with a nonzero dual
-    for cut, y_c in zip(lp.cuts, y[len(instance.cover):]):
-        if y_c:
-            for j in cut.jobs:
-                y_cuts[j] -= y_c
-            rows.append((-y_c, cut.jobs, sum(p[j] for j in cut.jobs)))
-    y_out, y_in = [0.0] * n, [0.0] * n
-    for (j, k), y_jk in zip(instance.cover, y):
-        y_out[j] += y_jk
-        y_in[k] += y_jk
-    deficit = sum(
-        max(p[j] * y_cuts[j] + y_out[j] - y_in[j] - float(job.w), 0.0)
-        for j, job in enumerate(instance.jobs)
-    )
-    bounds = []
-    for grid in grids:
-        lifted = [max(rj, grid.floor(grid.index_of(c))) for rj, c in zip(r, lp.completion)]
-        top = grid.floor(grid.q + 1) + instance.tol()
-        dual = sum(
-            y_c * (min(lifted[j] for j in jobs) * p_c + 0.5 * p_c * p_c)
-            for y_c, jobs, p_c in rows
-        )
-        bounds.append(dual - deficit * top)
-    return tuple(bounds)
-
-
 def block_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...]:
     """Lower bound on the union cost of each grid's partition, by blocks.
 
@@ -313,11 +253,11 @@ class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
     The winning offset is grid.b, and the grid bounds each block. `bounds`
-    holds one lower bound per entry of `candidates`: its dual bound
-    (offset_bounds) or, when there are several candidates, the larger of
-    that and its block bound (block_bounds). `evaluated` holds the
-    candidate indices whose blocks were solved, in the order they were;
-    the others were skipped. Neither enters to_dict.
+    holds one lower bound per entry of `candidates`: its block bound
+    (block_bounds) when there are several candidates, and -inf when there
+    is one, which is never skipped. `evaluated` holds the candidate
+    indices whose blocks were solved, in the order they were; the others
+    were skipped. Neither enters to_dict.
     """
 
     schedule: Schedule
@@ -407,8 +347,8 @@ def decompose_and_solve(
         grid of the block solver.
     mode : {"derandomized", "random"}
         derandomized tries one offset per reachable partition and keeps
-        the cheapest result, skipping offsets whose dual or block bound
-        shows they cannot win; random draws a single offset from `seed`.
+        the cheapest result, skipping offsets whose block bound shows
+        they cannot win; random draws a single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
 
@@ -435,18 +375,16 @@ def decompose_and_solve(
     else:
         candidates = derandomize_b(lp, a)
     grids = [build_grid(eps, b, cmax) for b in candidates]
-    duals = offset_bounds(instance, lp, grids)
-    # one offset is never skipped, so it goes without the block bound
-    blocks = block_bounds(instance, lp, grids) if len(grids) > 1 else (-math.inf,)
-    bounds = tuple(map(max, duals, blocks))
+    # one offset is never skipped, so it goes without a bound
+    bounds = block_bounds(instance, lp, grids) if len(grids) > 1 else (-math.inf,)
 
     best = None  # (cost, index, union, outcomes)
     evaluated = []
     for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
         if best is not None and bounds[i] > best[0] * (1.0 + SKIP_REL):
             log.debug(
-                "offset %d (b = %r) skipped: dual bound %r, block bound %r, best cost %r",
-                i, candidates[i], duals[i], blocks[i], best[0],
+                "offset %d (b = %r) skipped: block bound %r, best cost %r",
+                i, candidates[i], bounds[i], best[0],
             )
             continue
         evaluated.append(i)

@@ -13,8 +13,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 
 def frac(x) -> Fraction:
     return Fraction(*x.as_integer_ratio()) if isinstance(x, float) else Fraction(x)
@@ -382,33 +380,3 @@ def partition_signature(C, a, b):
         return i
 
     return tuple(index(c) for c in C)
-
-
-def offset_bounds_dense(instance, lp, grids):
-    """Each grid's dual lower bound (decompose.offset_bounds) from a dense
-    cut-by-job membership matrix over every cut row, zero duals included."""
-    n = instance.n
-    cover = np.array(instance.cover, dtype=np.intp).reshape(-1, 2)
-    p = np.array([float(job.p) for job in instance.jobs])
-    r = np.array([float(job.r) for job in instance.jobs])
-    w = np.array([float(job.w) for job in instance.jobs])
-    y = np.minimum(np.asarray(lp.duals, dtype=float), 0.0)
-    member = np.zeros((len(lp.cuts), n), dtype=bool)
-    for c, cut in enumerate(lp.cuts):
-        member[c, list(cut.jobs)] = True
-    y_prec, y_cut = y[: len(cover)], -y[len(cover):]
-    p_cut = member @ p
-    aty = (
-        p * (y_cut @ member)
-        + np.bincount(cover[:, 0], y_prec, minlength=n)
-        - np.bincount(cover[:, 1], y_prec, minlength=n)
-    )
-    deficit = float(np.maximum(aty - w, 0.0).sum())
-    bounds = []
-    for grid in grids:
-        floor = np.array([3.0 * grid.t(grid.index_of(c)) for c in lp.completion])
-        r_min = np.where(member, np.maximum(r, floor), np.inf).min(axis=1)
-        top = 3.0 * grid.t(grid.q + 1) + instance.tol()
-        rhs = r_min * p_cut + 0.5 * p_cut * p_cut
-        bounds.append(float(y_cut @ rhs) - deficit * top)
-    return tuple(bounds)

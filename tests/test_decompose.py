@@ -40,12 +40,11 @@ from prec_sched.decompose import (
     IntervalGrid,
     _solve_partition,
     block_bounds,
-    offset_bounds,
 )
 from prec_sched.harness import FAMILIES
 from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
-from .oracles import offset_bounds_dense, partition_signature
+from .oracles import partition_signature
 
 
 def fake_lp(completion):
@@ -428,7 +427,7 @@ class TestOffsetPruning:
         instance = generate(GeneratorConfig(n=14, seed=3, p_max=8, r_max=56, family="chains"))
         with caplog.at_level(logging.DEBUG, logger="prec_sched.decompose"):
             result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
-        # the dual bound alone left 3 of the 8 offsets to evaluate
+        # the block bound of every offset but the winner exceeds its cost
         assert (len(result.evaluated), len(result.candidates)) == (1, 8)
         assert result.cost == 2934.0
         assert result.grid.b == pytest.approx(1.2195077, abs=1e-7)
@@ -436,37 +435,47 @@ class TestOffsetPruning:
         order = [(result.bounds[i], i) for i in result.evaluated]
         assert order == sorted(order)
         messages = [rec.getMessage() for rec in caplog.records]
-        lines = [line for line in messages if "skipped" in line]
-        assert len(lines) == 7
-        assert all("dual bound" in line and "block bound" in line for line in lines)
         (i,) = result.evaluated
+        assert [line for line in messages if "skipped" in line] == [
+            f"offset {k} (b = {result.candidates[k]!r}) skipped: "
+            f"block bound {result.bounds[k]!r}, best cost 2934.0"
+            for _, k in sorted((result.bounds[k], k) for k in range(8) if k != i)
+        ]
         assert messages[-1] == (
             f"evaluated 1 of 8 offsets; offset {i} (b = {result.grid.b!r}) won at cost 2934.0"
         )
 
     def test_block_bound_skips_every_loser_on_an_antichain(self):
-        # without precedence the dual bound skipped none of the 9 offsets
+        # the block bound ignores precedence, so an antichain loses nothing
+        # to it: it skips all 8 losing offsets
         instance = generate(GeneratorConfig(n=8, seed=3, family="antichain"))
         result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
         assert (len(result.evaluated), len(result.candidates)) == (1, 9)
         assert result.cost == pytest.approx(489.0209041637566, rel=1e-12)
         assert result.grid.b == pytest.approx(0.4011973846621555, rel=1e-12)
 
-    @pytest.mark.parametrize("family", ["chains", "uniform"])
-    def test_bounds_match_the_dense_reference(self, family):
+    def test_pruning_strength_on_chains(self):
+        # sep_chains' shape; a weaker bound evaluates more offsets
+        evaluated = 0
         for seed in range(20):
-            instance = generate(GeneratorConfig(n=12, seed=seed, r_max=48, family=family))
-            lp = solve_lp(instance)
-            cmax = max(lp.completion)
-            grids = [build_grid(1, b, cmax) for b in derandomize_b(lp, 3.0)]
-            got = offset_bounds(instance, lp, grids)
-            assert got == pytest.approx(offset_bounds_dense(instance, lp, grids), rel=1e-9)
+            config = GeneratorConfig(n=14, seed=seed, p_max=8, r_max=56, family="chains")
+            result = decompose_and_solve(generate(config), 1, bounded_mode="empty-guess")
+            evaluated += len(result.evaluated)
+        assert evaluated == 43
 
     def test_random_mode_evaluates_its_one_offset(self):
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
         assert result.evaluated == (0,)
         assert len(result.bounds) == 1
         assert result.bounds[0] <= result.cost
+
+    def test_random_mode_computes_no_bound(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("one offset is never skipped, so it needs no bound")
+
+        monkeypatch.setattr("prec_sched.decompose.block_bounds", refuse)
+        result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
+        assert result.bounds == (-math.inf,)
 
 
 class TestNumericTypes:
