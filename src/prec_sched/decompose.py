@@ -366,7 +366,7 @@ def decompose_and_solve(
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
-            Schedule(()), 0.0, IntervalGrid(1.0, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
+            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (-math.inf,), (0,)
         )
     cmax = max(lp.completion)
     if mode == "random":

@@ -339,7 +339,8 @@ def load_instance(source) -> Instance:
     A document that is not an object with a "jobs" array of objects with
     integer fields p, r, w, and an optional "prec" array of integer pairs,
     raises ValidationError, as do non-UTF-8 text, an integer too long to
-    parse and any finding of validate; malformed JSON, json.JSONDecodeError.
+    parse, arrays nested past the recursion limit and any finding of
+    validate; malformed JSON, json.JSONDecodeError.
     """
     try:
         if isinstance(source, (dict, list)):
@@ -351,7 +352,7 @@ def load_instance(source) -> Instance:
                 doc = json.load(fh)
     except json.JSONDecodeError:
         raise
-    except ValueError as exc:  # text that is not UTF-8, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, a long integer, deep nesting
         raise ValidationError([f"unreadable instance: {exc}"]) from None
 
     if not isinstance(doc, dict):

@@ -31,25 +31,25 @@ the tests cross-check against.
 Each LP lives in one HiGHS model, reached through the binding that scipy
 ships and that scipy.optimize.linprog itself calls
 (scipy.optimize._highspy._core). The package loads only that binding's
-file, so importing it does not run scipy.optimize; where the file cannot
-be found or loaded, it imports the binding through scipy.optimize. numpy
-still loads at the first LP, as the binding's array arguments need it.
-The model is solved with linprog's options for
-method="highs" and feasibility tightened to 1e-9, so residual noise on
-already-added rows stays far below tau. Each thread keeps one HiGHS
-solver, given those options once, and each LP clears its model. The
-model starts as its n columns (C >= 0 with the weights as costs);
-every row then goes in through addRows: the first batch holds the
-precedence rows and the starting cuts, and each separated cut is a
-batch of one. The first run
-has no basis yet, so it is a solve from scratch, bit-identical to public
-linprog on the same rows (tests/test_lp.py pins that). Each later round
-runs again after its cut's row: the previous optimal basis, with the new
-row's slack basic, is still dual feasible, so HiGHS skips presolve and
-hot-starts the dual simplex. A later round reaches the same optimal
-value as a from-scratch solve of its rows, up to the solver's tolerance,
-but where the optimum is degenerate it may land on another optimal
-vertex. At most 10 n^2 rounds are run.
+file, unregistered (see _load_binding), so importing it does not run
+scipy.optimize; where the file cannot be found or loaded, it imports the
+binding through scipy.optimize. numpy still loads at the first LP, as
+the binding's array arguments need it. The model is solved with
+linprog's options for method="highs" and feasibility tightened to 1e-9,
+so residual noise on already-added rows stays far below tau. Each thread
+keeps one HiGHS solver, given those options once, and each LP clears its
+model. The model starts as its n columns (C >= 0 with the weights as
+costs); every row then goes in through addRows: the first batch holds
+the precedence rows and the starting cuts, and each separated cut is a
+batch of one. The first run has no basis yet, so it is a solve from
+scratch, bit-identical to public linprog on the same rows
+(tests/test_lp.py pins that). Each later round runs again after its
+cut's row: the previous optimal basis, with the new row's slack basic,
+is still dual feasible, so HiGHS skips presolve and hot-starts the dual
+simplex. A later round reaches the same optimal value as a from-scratch
+solve of its rows, up to the solver's tolerance, but where the optimum
+is degenerate it may land on another optimal vertex. At most 10 n^2
+rounds are run.
 """
 
 from __future__ import annotations
@@ -71,12 +71,17 @@ _BINDING = "scipy.optimize._highspy._core"
 
 
 def _load_binding():
-    """scipy's HiGHS binding, loaded from its own file and registered under
-    its name, without running scipy.optimize/__init__ (0.6 s of imports).
-    The plain import is taken instead when sys.modules already has an entry
-    (a pybind11 module loaded twice registers its types twice; a None entry
-    makes that import fail), or when the file is missing or does not load
-    (say, for want of a DLL directory that only scipy/__init__ adds)."""
+    """scipy's HiGHS binding, loaded from its own file without running
+    scipy.optimize/__init__ (0.6 s of imports), and left out of sys.modules
+    (a single-phase binding puts itself there as it loads): there, without
+    its parent packages, it would hide the attribute path from a later
+    import of scipy.optimize. That import reuses the loaded extension, so
+    pybind11 registers no type twice: CPython keeps a single-phase module
+    by file and name, pybind11 3 keeps a multi-phase one. The plain import
+    is taken instead when sys.modules already has an entry (a module, which
+    it reuses, or None, which makes it fail), or when the file is missing
+    or does not load (say, for want of a DLL directory that only
+    scipy/__init__ adds)."""
     spec = importlib.util.find_spec("scipy")
     if _BINDING not in sys.modules and spec is not None:
         folder = os.path.join(os.path.dirname(spec.origin), "optimize", "_highspy")
@@ -86,11 +91,11 @@ def _load_binding():
                 file_spec = importlib.util.spec_from_file_location(_BINDING, path)
                 try:
                     module = importlib.util.module_from_spec(file_spec)
-                    sys.modules[_BINDING] = module
                     file_spec.loader.exec_module(module)
                 except ImportError:
-                    sys.modules.pop(_BINDING, None)
                     break
+                finally:
+                    sys.modules.pop(_BINDING, None)
                 return module
     return importlib.import_module(_BINDING)
 
@@ -179,7 +184,6 @@ class LpSolution:
     cuts: tuple[Cut, ...]
     iterations: int
     z_history: tuple[float, ...]
-    duals: tuple[float, ...] = ()
 
 
 def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
@@ -314,14 +318,14 @@ def _add_rows(highs: _Highs, p: list[float], cuts, pairs=()) -> None:
     _accept(highs.addRows(m, [-kHighsInf] * m, upper, len(index), start, index, value), "LP rows")
 
 
-def linprog(highs: _Highs) -> tuple[list[float], float, list[float]]:
+def linprog(highs: _Highs) -> tuple[list[float], float]:
     """Solve the model that `highs` holds, from its current state.
 
     The first run on a model is a solve from scratch, bit-identical to
-    scipy.optimize.linprog(method="highs") with the same tolerances (as x,
-    fun and ineqlin.marginals); a run after rows were added is a dual
-    simplex hot-started from the previous optimal basis. Returns the
-    solution, the objective value and one dual per row.
+    scipy.optimize.linprog(method="highs") with the same tolerances (as x
+    and fun); a run after rows were added is a dual simplex hot-started
+    from the previous optimal basis. Returns the solution and the
+    objective value.
 
     solve_lp calls this function once per round by its module-level name:
     the benchmark's tracer (perfbench/spans.py) and the tests wrap
@@ -331,8 +335,7 @@ def linprog(highs: _Highs) -> tuple[list[float], float, list[float]]:
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise SchedulingError(f"inner LP solve failed: {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    return solution.col_value, highs.getInfo().objective_function_value, solution.row_dual
+    return highs.getSolution().col_value, highs.getInfo().objective_function_value
 
 
 def solve_lp(
@@ -373,12 +376,6 @@ def solve_lp(
     Returns
     -------
     LpSolution
-        `duals` holds the final round's HiGHS row duals (the values
-        scipy's `linprog` reports as `ineqlin.marginals`, each at most 0
-        up to solver noise), one per constraint row of the model as it is
-        posed: first one per cover pair (j, k) of `instance.cover`, in
-        that order, for the row C_j - C_k <= 0, then one per entry of
-        `cuts`, in that order, for the row -sum_{j in U} p_j C_j <= -rhs.
 
     Raises
     ------
@@ -408,12 +405,12 @@ def solve_lp(
     z_history = []
     cap = _round_cap(n)
     for rounds in range(1, cap + 1):
-        x, z, duals = linprog(highs)
+        x, z = linprog(highs)
         C = tuple(x)
         z_history.append(z)
         cut = separate_fast(C, instance, tau)
         if cut is None:
-            return LpSolution(C, z, tuple(cuts.values()), rounds, tuple(z_history), tuple(duals))
+            return LpSolution(C, z, tuple(cuts.values()), rounds, tuple(z_history))
         if cut.jobs in cuts:
             raise LpIterationLimitError(
                 f"cut on jobs {cut.jobs} still violated by {cut_violation_of(cut, C, instance):.3e} "

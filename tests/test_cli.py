@@ -560,6 +560,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_deeply_nested_document_is_a_finding(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"jobs": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        (finding,) = json.loads(out)["findings"]
+        assert finding.startswith("unreadable instance: maximum recursion depth exceeded")
+        code, out, err = run(capsys, "solve", str(path), "--epsilon", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_too_small_epsilon_is_one_line_usage_error(self, capsys, reference_path):
         code, out, err = run(
             capsys, "solve", reference_path, "--epsilon", "1/150", "--bounded-mode", "empty-guess"

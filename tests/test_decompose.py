@@ -303,10 +303,18 @@ class TestDecomposeAndSolve:
             decompose_and_solve(make_instance([(1, 0, 1)]), 1, mode="oracle")
 
     def test_empty_instance(self):
-        result = decompose_and_solve(make_instance([]), 1)
-        assert result.cost == 0.0
-        assert result.schedule.start == ()
-        assert result.intervals == ()
+        empty = make_instance([])
+        for epsilon, a in [(1, 3.0), (Fraction(1, 2), 6.0)]:
+            result = decompose_and_solve(empty, epsilon)
+            assert result.cost == 0.0
+            assert result.schedule.start == ()
+            assert result.intervals == ()
+            # the shape every other result has: a = 3/epsilon, and the lone
+            # offset's bound is -inf
+            assert result.grid == IntervalGrid(a, 0.0, ())
+            assert result.candidates == (0.0,) and result.bounds == (-math.inf,)
+            doc = {"start": [], "cost": "0.0", "b": 0.0, "t": [], "intervals": []}
+            assert result.to_dict(empty) == doc
 
     def test_result_coherent_on_random_instances(self):
         for seed in range(8):

@@ -433,6 +433,21 @@ class TestJsonInterface:
         with open(path) as fh:
             assert load_instance(fh).n == 1
 
+    @pytest.mark.parametrize("field", ["jobs", "prec"])
+    def test_load_reports_arrays_nested_past_the_recursion_limit(self, tmp_path, field):
+        # json.load recurses once per level, so it raises RecursionError
+        depth = 10**5
+        head = '{"jobs": ' if field == "jobs" else '{"jobs": [], "prec": '
+        path = tmp_path / "deep.json"
+        path.write_text(head + "[" * depth + "]" * depth + "}")
+        with pytest.raises(ValidationError) as from_path:
+            load_instance(path)
+        with open(path) as fh, pytest.raises(ValidationError) as from_file:
+            load_instance(fh)
+        for info in (from_path, from_file):
+            (finding,) = info.value.findings
+            assert finding.startswith("unreadable instance: maximum recursion depth exceeded")
+
     def test_load_closes_precedence(self):
         doc = {
             "jobs": [{"p": 1, "r": 0, "w": 1}] * 3,
