@@ -54,6 +54,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from typing import Iterable, Iterator, Optional
 
+from . import listsched
 from .errors import InvariantViolationError, SchedulingError, ValidationError
 from .instance import Instance, Job, Schedule, is_feasible, lift_releases, schedule_cost
 from .listsched import lp_ls
@@ -311,7 +312,12 @@ def solve_bounded(
         the earliest guess in stream order, and `best_guess` is that
         Guess, keyed by size class in the typed mode and by job id
         otherwise. Guesses whose LP fails are logged and skipped; if
-        every guess fails, SchedulingError.
+        every guess fails, SchedulingError. On a chain no guess fails in
+        the LP, as none is solved (see below).
+
+    On a chain, an instance whose order is total (one job included), each
+    lifted guess is list-scheduled in chain order without an LP: only one
+    job is ever available, so that is the schedule lp_ls would give.
     """
     eps = _check_arguments(epsilon, beta, mode, budget, L)
     low = min((job.r for job in instance.jobs), default=L)
@@ -335,24 +341,33 @@ def solve_bounded(
     # islice takes no stop past sys.maxsize, and no stream is that long
     guesses = list(islice(stream, None if budget is None else min(budget, sys.maxsize)))
     warm = tuple(warm)
+    # a total order has closed predecessor counts 0..n-1, and they sort it
+    counts = [mask.bit_count() for mask in instance.masks]
+    chain = None
+    if sorted(counts) == list(range(instance.n)):
+        chain = sorted(range(instance.n), key=counts.__getitem__)
     best = None
     failed = 0
     for g in guesses:
         try:
-            run = lp_ls(lift(g), warm=warm)
+            lifted = lift(g)
+            if chain is None:
+                schedule = lp_ls(lifted, warm=warm).schedule
+            else:  # looked up on its module, where lp_ls looks it up too
+                schedule = listsched.list_schedule(lifted, chain)
         except InvariantViolationError:
             raise
         except SchedulingError as exc:
             log.warning("guess %s failed: %s", g, exc)
             failed += 1
             continue
-        if not is_feasible(run.schedule, instance):
+        if not is_feasible(schedule, instance):
             raise InvariantViolationError(
                 "schedule from lifted releases is infeasible for the original instance"
             )
-        cost = schedule_cost(run.schedule, instance)
+        cost = schedule_cost(schedule, instance)
         if best is None or cost < best[0]:
-            best = cost, run.schedule, g
+            best = cost, schedule, g
     if best is None:
         raise SchedulingError(f"all {len(guesses)} guesses failed to produce a schedule")
     return BoundedResult(best[1], best[0], len(guesses), failed, best[2])

@@ -38,10 +38,19 @@ the block values less delta sum_j w_j.
 Offsets are evaluated in (bound, index) order, and one whose bound
 exceeds the best cost so far by more than the relative margin SKIP_REL is
 skipped: its cost is then strictly above that best cost, so it cannot win
-by (cost, index), and the schedule, cost, offset, grid and block outcomes
-are exactly those of evaluating every offset. A skipped offset's blocks
-are not solved, so none of their guesses run. A single offset, as in
-random mode, is never skipped, so no bound is computed for it.
+by (cost, index). A skipped offset's blocks are not solved, so none of
+their guesses run. The bound is also partial: after each block solved,
+the tightened costs of the blocks solved plus the values of the others,
+less the same slack, bound the offset's cost, as each unsolved block's
+cost is at least its value less its share of the slack. An offset is
+abandoned, its other blocks left unsolved, as soon as that partial bound
+exceeds the best cost by more than SKIP_REL. Its blocks are solved in
+descending value, ties by index, so the partial bound grows fastest. The
+union's cost is the sum of its blocks' costs up to float reassociation,
+which SKIP_REL covers with the rounding of the bounds. So the schedule,
+cost, offset, grid and block outcomes are exactly those of evaluating
+every offset in full. A single offset, as in random mode, is never
+skipped or abandoned, so no bound is computed for it.
 """
 
 from __future__ import annotations
@@ -212,29 +221,27 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
-def block_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[float, ...]:
-    """Lower bound on the union cost of each grid's partition, by blocks.
-
-    Sums the preemptive WSPT value of each block on its lifted releases
-    max(r_j, 3 t_i), less n tol sum_j w_j (see the module docstring). No
-    LP is solved, and precedence is not looked at.
+def block_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[dict[int, float], ...]:
+    """Per grid, the preemptive WSPT value of each block on its lifted
+    releases max(r_j, 3 t_i), keyed by interval index. No LP is solved,
+    and precedence is not looked at. A block's value less the slack
+    n tol sum_j w_j bounds its cost (see the module docstring).
     """
     p = [float(job.p) for job in instance.jobs]
     r = [float(job.r) for job in instance.jobs]
     w = [float(job.w) for job in instance.jobs]
-    slack = instance.n * instance.tol() * sum(w)
-    bounds = []
+    out = []
     for grid in grids:
         blocks: dict[int, list[int]] = {}
         for j, c in enumerate(lp.completion):
             blocks.setdefault(grid.index_of(c), []).append(j)
-        value = 0.0
+        values = {}
         for i, ids in blocks.items():
             floor = grid.floor(i)
             lifted = [max(r[j], floor) for j in ids]
-            value += wspt_value([p[j] for j in ids], lifted, [w[j] for j in ids])
-        bounds.append(value - slack)
-    return tuple(bounds)
+            values[i] = wspt_value([p[j] for j in ids], lifted, [w[j] for j in ids])
+        out.append(values)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -256,8 +263,10 @@ class DecomposeResult:
     holds one lower bound per entry of `candidates`: its block bound
     (block_bounds) when there are several candidates, and -inf when there
     is one, which is never skipped. `evaluated` holds the candidate
-    indices whose blocks were solved, in the order they were; the others
-    were skipped. Neither enters to_dict.
+    indices with at least one block solved, in the order they were; the
+    others were skipped. An evaluated offset other than the winner may
+    have been abandoned part-way, its partial bound already above the
+    best cost. Neither enters to_dict.
     """
 
     schedule: Schedule
@@ -292,11 +301,25 @@ def _solve_partition(
     epsilon,
     bounded_mode: str,
     budget: Optional[int],
-) -> tuple[Schedule, float, tuple[IntervalOutcome, ...]]:
+    values: Optional[dict[int, float]] = None,
+    limit: float = math.inf,
+) -> tuple[Optional[Schedule], float, tuple[IntervalOutcome, ...]]:
+    """Solve one partition's blocks and unite their schedules: the union,
+    its cost and the block outcomes in interval order.
+
+    `values` maps each block's interval index to a lower bound on its cost
+    (0 for each if not given). The blocks are solved in descending value,
+    ties by index. As soon as the costs of the blocks solved plus the
+    values of the others exceed `limit`, the others are left unsolved:
+    the union is then None, its cost that sum, and the outcomes those of
+    the blocks solved.
+    """
+    values = values or dict.fromkeys((sub.index for sub in subs), 0.0)
     tol = instance.tol()
     start = [0.0] * instance.n
-    outcomes = []
-    for sub in subs:
+    outcomes = {}
+    spent = 0.0
+    for sub in sorted(subs, key=lambda sub: (-values[sub.index], sub.index)):
         floor, ceiling = grid.floor(sub.index), grid.floor(sub.index + 1)
         res = solve_bounded(
             sub.instance,
@@ -318,14 +341,18 @@ def _solve_partition(
         for pos, j in enumerate(sub.jobs):
             start[j] = tight.start[pos]
         cost = schedule_cost(tight, sub.instance)
-        outcomes.append(IntervalOutcome(sub.index, sub.jobs, cost, res.guesses_tried))
+        outcomes[sub.index] = IntervalOutcome(sub.index, sub.jobs, cost, res.guesses_tried)
+        spent += cost
+        rest = [v for i, v in values.items() if i not in outcomes]
+        if rest and spent + sum(rest) > limit:
+            return None, spent + sum(rest), tuple(outcomes[i] for i in sorted(outcomes))
     union = Schedule(tuple(start))
     violations = feasibility_violations(union, instance)
     if violations:
         raise InvariantViolationError(
             f"union of block schedules infeasible for the parent: {violations[0]}"
         )
-    return union, schedule_cost(union, instance), tuple(outcomes)
+    return union, schedule_cost(union, instance), tuple(outcomes[i] for i in sorted(outcomes))
 
 
 def decompose_and_solve(
@@ -348,7 +375,8 @@ def decompose_and_solve(
     mode : {"derandomized", "random"}
         derandomized tries one offset per reachable partition and keeps
         the cheapest result, skipping offsets whose block bound shows
-        they cannot win; random draws a single offset from `seed`.
+        they cannot win and abandoning those whose partial bound shows it
+        part-way; random draws a single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
 
@@ -375,8 +403,12 @@ def decompose_and_solve(
     else:
         candidates = derandomize_b(lp, a)
     grids = [build_grid(eps, b, cmax) for b in candidates]
-    # one offset is never skipped, so it goes without a bound
-    bounds = block_bounds(instance, lp, grids) if len(grids) > 1 else (-math.inf,)
+    slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
+    if len(grids) > 1:
+        values = block_bounds(instance, lp, grids)
+        bounds = tuple(sum(v.values()) - slack for v in values)
+    else:  # one offset is never skipped or abandoned, so it goes without a bound
+        values, bounds = (None,), (-math.inf,)
 
     best = None  # (cost, index, union, outcomes)
     evaluated = []
@@ -389,10 +421,16 @@ def decompose_and_solve(
             continue
         evaluated.append(i)
         subs = partition_jobs(instance, lp, grids[i])
+        limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
         union, cost, outcomes = _solve_partition(
-            instance, grids[i], subs, eps, bounded_mode, budget
+            instance, grids[i], subs, eps, bounded_mode, budget, values[i], limit
         )
-        if best is None or (cost, i) < best[:2]:
+        if union is None:
+            log.debug(
+                "offset %d (b = %r) abandoned after %d of %d blocks: bound %r, best cost %r",
+                i, candidates[i], len(outcomes), len(subs), cost - slack, best[0],
+            )
+        elif best is None or (cost, i) < best[:2]:
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
     log.debug(

@@ -335,7 +335,7 @@ def linprog(highs: _Highs) -> tuple[list[float], float]:
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise SchedulingError(f"inner LP solve failed: {highs.modelStatusToString(status)}")
-    return highs.getSolution().col_value, highs.getInfo().objective_function_value
+    return highs.getSolution().col_value, highs.getObjectiveValue()
 
 
 def solve_lp(
@@ -395,7 +395,7 @@ def solve_lp(
 
     p, r = _floats(instance)
     # by job subset, in the order of their rows: the singletons, then warm
-    cuts = {(j,): _cut((j,), p, r) for j in range(n)}
+    cuts = {(j,): Cut((j,), r[j] * p[j] + p[j] * p[j] / 2) for j in range(n)}
     for subset in warm:
         cut = _cut(subset, p, r)
         cuts.setdefault(cut.jobs, cut)

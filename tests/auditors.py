@@ -18,10 +18,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import prec_sched.bounded
+import prec_sched.listsched
 from prec_sched.decompose import IntervalGrid, partition_jobs
 from prec_sched.exact import exact_opt
 from prec_sched.instance import Instance, Schedule
-from prec_sched.lp import TAU_LP, LpSolution
+from prec_sched.listsched import LpLsRun
+from prec_sched.lp import TAU_LP, LpSolution, solve_lp
 from .oracles import closure_by_squaring
 
 
@@ -257,17 +259,22 @@ def guess_traces():
     solver runs to a schedule, inside the `with` block.
 
     Wraps the module-level names prec_sched.bounded looks its two lifts
-    and lp_ls up by on each call, and yields the list the records go to.
-    A record pairs a lift with the lp_ls call made on its very result; a
-    guess whose LP fails leaves none.
+    and lp_ls up by on each call, and prec_sched.listsched.list_schedule,
+    by which the solver schedules a chain without an LP. The list goes to
+    the `with` target. A record pairs a lift with the lp_ls call made on
+    its very result; a guess whose LP fails leaves none. On a chain it
+    pairs the lift with the list_schedule call on its result, and the
+    record's LP is solved here, so that a chain's schedule is audited
+    against the LP value too.
     """
     module = prec_sched.bounded
     saved = {
         name: getattr(module, name)
         for name in ("adjust_release_times", "adjust_release_times_typed", "lp_ls")
     }
+    saved_list_schedule = prec_sched.listsched.list_schedule
     traces = []
-    last = []  # the latest (guess, lifted instance), until its lp_ls runs
+    last = []  # the latest (guess, lifted instance), until it is scheduled
 
     def lift(name):
         def wrapper(instance, guess, *args):
@@ -278,16 +285,26 @@ def guess_traces():
         return wrapper
 
     def lp_ls(instance, *args, **kwargs):
+        # taken first: lp_ls schedules through the list_schedule wrapper below
+        lifted = last.pop() if last and last[0][1] is instance else None
         run = saved["lp_ls"](instance, *args, **kwargs)
-        if last and last[0][1] is instance:
-            traces.append((*last.pop(), run))
+        if lifted:
+            traces.append((*lifted, run))
         return run
+
+    def list_schedule(instance, order):
+        schedule = saved_list_schedule(instance, order)
+        if last and last[0][1] is instance:
+            traces.append((*last.pop(), LpLsRun(schedule, tuple(order), solve_lp(instance))))
+        return schedule
 
     module.adjust_release_times = lift("adjust_release_times")
     module.adjust_release_times_typed = lift("adjust_release_times_typed")
     module.lp_ls = lp_ls
+    prec_sched.listsched.list_schedule = list_schedule
     try:
         yield traces
     finally:
         for name, fn in saved.items():
             setattr(module, name, fn)
+        prec_sched.listsched.list_schedule = saved_list_schedule

@@ -22,9 +22,11 @@ from prec_sched import (
     enumerate_type_guesses,
     exact_opt,
     is_feasible,
+    lp_ls,
     make_instance,
     normalize_release_times,
     round_processing,
+    schedule_cost,
     solve_bounded,
 )
 from prec_sched.bounded import MODES, _pow_ceil
@@ -324,7 +326,9 @@ class TestSolveBounded:
         assert result.best_guess == Guess((0,), (Fraction(2),))
 
     def test_empty_guess_mode_two_approximates_lp(self):
-        # with p <= r no job can be early, so one LP pass suffices
+        # with p <= r no job can be early, so one LP pass suffices; on a
+        # chain the solver solves no LP, and guess_traces solves it instead
+        chains = 0
         for seed in range(12):
             import random as _random
 
@@ -339,11 +343,13 @@ class TestSolveBounded:
                 (j, k) for j in range(n) for k in range(j + 1, n) if rng.random() < 0.3
             ]
             instance = normalize_release_times(make_instance(jobs, prec))
+            chains += sorted(mask.bit_count() for mask in instance.masks) == list(range(n))
             with guess_traces() as traces:
                 result = solve_bounded(instance, 1, 2, E3, mode="empty-guess")
             assert result.guesses_tried == 1
             ((_, _, run),) = traces
             assert result.cost <= 2 * run.lp.value + 1e-6
+        assert chains == 2
 
     def test_guarantee_against_exact_optimum(self):
         for seed in range(20):
@@ -478,6 +484,62 @@ class TestSolveBounded:
             assert traces[0][0] == EMPTY_GUESS
             for _, adjusted, run in traces:
                 assert len(run.schedule.start) == adjusted.n == instance.n
+
+
+class TestChainBlocks:
+    """A chain, one job or a total order, is list-scheduled without an LP."""
+
+    CHAINS = {
+        "one job": make_instance([(8, 6, 2)]),
+        # the order is 2, 0, 3, 1: the chain is sorted by predecessor count
+        "four jobs": normalize_release_times(
+            make_instance(
+                [(8, 6, 1), (10, 6, 4), (9, 7, 2), (12, 6, 3)], [(2, 0), (0, 3), (3, 1)]
+            )
+        ),
+    }
+    NOT_CHAINS = {
+        "antichain": make_instance([(3, 6, 1), (5, 6, 4)]),
+        "fork": make_instance([(3, 6, 1), (5, 6, 4), (2, 7, 2)], [(0, 1), (0, 2)]),
+        "join": make_instance([(3, 6, 1), (5, 6, 4), (2, 7, 2)], [(0, 2), (1, 2)]),
+    }
+
+    @pytest.mark.parametrize("name", CHAINS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chain_makes_no_lp_call(self, monkeypatch, name, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain block needs no LP")
+
+        instance = self.CHAINS[name]
+        monkeypatch.setattr("prec_sched.bounded.lp_ls", refuse)
+        with guess_traces() as traces:
+            result = solve_bounded(instance, Fraction(1, 4), 6, E3, mode=mode)
+        monkeypatch.undo()
+        assert len(traces) == result.guesses_tried
+        assert result.guesses_failed == 0
+        # each guess gets the schedule the LP path gives it, so the best does too
+        for _, adjusted, run in traces:
+            assert run.schedule == lp_ls(adjusted).schedule
+        best = min(traces, key=lambda trace: schedule_cost(trace[2].schedule, instance))
+        assert result.schedule == best[2].schedule
+
+    def test_chains_try_a_nonempty_guess(self):
+        for instance in self.CHAINS.values():
+            for mode in ("exhaustive", "typed"):
+                assert solve_bounded(instance, Fraction(1, 4), 6, E3, mode=mode).guesses_tried > 1
+
+    @pytest.mark.parametrize("name", NOT_CHAINS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_other_blocks_make_one_lp_call_per_guess(self, monkeypatch, name, mode):
+        calls = []
+
+        def counted(instance, **kwargs):
+            calls.append(instance)
+            return lp_ls(instance, **kwargs)
+
+        monkeypatch.setattr("prec_sched.bounded.lp_ls", counted)
+        result = solve_bounded(self.NOT_CHAINS[name], Fraction(1, 4), 6, E3, mode=mode)
+        assert len(calls) == result.guesses_tried
 
 
 class TestGridShift:

@@ -37,6 +37,7 @@ from prec_sched import (
 from prec_sched.bounded import MODES
 from prec_sched.decompose import (
     EPS_MAX,
+    SKIP_REL,
     IntervalGrid,
     _solve_partition,
     block_bounds,
@@ -347,15 +348,25 @@ class TestDecomposeAndSolve:
 
             monkeypatch.setattr(prop, "func", counted)
         blocks = []
+        solved = []
 
         def partition(*args):
             subs = partition_jobs(*args)
-            blocks.extend(subs)
+            blocks.extend(sub.instance for sub in subs)
             return subs
 
+        def solve(block, *args, **kwargs):
+            solved.append(block)
+            return solve_bounded(block, *args, **kwargs)
+
         monkeypatch.setattr("prec_sched.decompose.partition_jobs", partition)
+        monkeypatch.setattr("prec_sched.decompose.solve_bounded", solve)
         decompose_and_solve(instance, Fraction(1, 2), bounded_mode="typed")
-        assert calls == {"masks": len(blocks), "cover": len(blocks)}
+        # only blocks that are solved compute a closure, each once; some
+        # offsets here are abandoned with blocks left unsolved
+        assert all(any(block is sub for sub in blocks) for block in solved)
+        assert len(solved) < len(blocks)
+        assert calls == {"masks": len(solved), "cover": len(solved)}
 
     def test_to_dict_shape(self):
         instance = make_instance([(2, 3, 1)])
@@ -415,13 +426,19 @@ class TestOffsetPruning:
         result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
         cmax = max(result.lp.completion)
         grids = [build_grid(epsilon, b, cmax) for b in result.candidates]
-        blocks = block_bounds(instance, result.lp, grids)
+        values = block_bounds(instance, result.lp, grids)
+        slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
         runs = []
         for i, grid in enumerate(grids):
             subs = partition_jobs(instance, result.lp, grid)
             union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
             assert result.bounds[i] <= cost
-            assert blocks[i] <= cost
+            if len(grids) > 1:
+                assert result.bounds[i] == sum(values[i].values()) - slack
+            # each block's value less the whole slack bounds its own cost
+            assert sorted(values[i]) == [outcome.index for outcome in outcomes]
+            for outcome in outcomes:
+                assert values[i][outcome.index] - slack <= outcome.cost
             runs.append((cost, i, union.start, outcomes))
         cost, i, start, outcomes = min(runs, key=lambda run: run[:2])
         assert (result.cost, result.grid.b, result.schedule.start, result.intervals) == (
@@ -462,14 +479,48 @@ class TestOffsetPruning:
         assert result.cost == pytest.approx(489.0209041637566, rel=1e-12)
         assert result.grid.b == pytest.approx(0.4011973846621555, rel=1e-12)
 
-    def test_pruning_strength_on_chains(self):
-        # sep_chains' shape; a weaker bound evaluates more offsets
+    def test_pruning_strength_on_chains(self, monkeypatch):
+        # sep_chains' shape; a weaker bound evaluates more offsets, and
+        # solving every block of an evaluated offset takes 68 block solves
+        solves = []
+
+        def solve(*args, **kwargs):
+            solves.append(args[0])
+            return solve_bounded(*args, **kwargs)
+
+        monkeypatch.setattr("prec_sched.decompose.solve_bounded", solve)
         evaluated = 0
         for seed in range(20):
             config = GeneratorConfig(n=14, seed=seed, p_max=8, r_max=56, family="chains")
             result = decompose_and_solve(generate(config), 1, bounded_mode="empty-guess")
             evaluated += len(result.evaluated)
         assert evaluated == 43
+        assert len(solves) == 57
+
+    def test_losing_offset_abandoned_part_way(self, caplog):
+        instance = generate(GeneratorConfig(n=14, seed=7, p_max=8, r_max=56, family="chains"))
+        with caplog.at_level(logging.DEBUG, logger="prec_sched.decompose"):
+            result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
+        assert result.cost == 1767.0
+        (k,) = [k for k in result.evaluated if result.candidates[k] != result.grid.b]
+        # its block of larger value, solved first, already shows it loses
+        grid = build_grid(1, result.candidates[k], max(result.lp.completion))
+        (values,) = block_bounds(instance, result.lp, [grid])
+        subs = partition_jobs(instance, result.lp, grid)
+        first = max(subs, key=lambda sub: (values[sub.index], -sub.index))
+        block = solve_bounded(
+            first.instance, 1, grid.floor(first.index), math.exp(grid.a),
+            mode="empty-guess", warm=first.warm,
+        )
+        cost = schedule_cost(tighten(block.schedule, first.instance), first.instance)
+        slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
+        bound = cost + sum(v for i, v in values.items() if i != first.index) - slack
+        assert len(subs) == 2 and bound > result.cost * (1 + SKIP_REL)
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert [line for line in messages if "abandoned" in line] == [
+            f"offset {k} (b = {result.candidates[k]!r}) abandoned after 1 of 2 blocks: "
+            f"bound {bound!r}, best cost 1767.0"
+        ]
 
     def test_random_mode_evaluates_its_one_offset(self):
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
