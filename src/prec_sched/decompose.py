@@ -21,36 +21,34 @@ breaks. The grid constructor enforces this.
 Offsets are pruned by a lower bound on their cost that needs no LP: the
 preemptive WSPT value of each of the offset's blocks (M. X. Goemans,
 "Improved approximation algorithms for scheduling with release dates",
-SODA 1997), on the block's releases lifted as partition_jobs lifts them.
-Preemptive WSPT minimizes sum w_j M_j, M_j the mean busy time, over all
-preemptive schedules with those releases, and a nonpreemptive schedule
-has C_j = M_j + p_j/2, so sum_j w_j (M_j + p_j/2) bounds the block's
-cost. It ignores precedence, so it holds in every bounded mode. The union
-may bend the lifted releases and the machine by the parent's tolerance
-tol: the containment and feasibility checks assert only that each job
-starts at or after its lifted release less tol, and at or after the
-completion of the job before it less tol (list_schedule, for one, starts
-a job up to its block's tol before its release). Delaying the k-th job in
-start order (k = 1..n) by k tol removes both slacks and adds at most
-delta = n tol to any completion time, so the cost is at least the sum of
-the block values less delta sum_j w_j.
+SODA 1997), on the block's releases lifted as SubInstance.instance lifts
+them. Preemptive WSPT minimizes sum w_j M_j, M_j the mean busy time, over
+all preemptive schedules with those releases, and a nonpreemptive
+schedule has C_j = M_j + p_j/2, so sum_j w_j (M_j + p_j/2) bounds the
+block's cost. It ignores precedence, so it holds in every bounded mode.
+The union may bend the lifted releases and the machine by the parent's
+tolerance tol: the containment and feasibility checks assert only that
+each job starts at or after its lifted release less tol, and at or after
+the completion of the job before it less tol (list_schedule, for one,
+starts a job up to its block's tol before its release). Delaying the k-th
+job in start order (k = 1..n) by k tol removes both slacks and adds at
+most delta = n tol to any completion time, so the cost is at least the
+sum of the block values less delta sum_j w_j.
 
-Offsets are evaluated in (bound, index) order, and one whose bound
-exceeds the best cost so far by more than the relative margin SKIP_REL is
-skipped: its cost is then strictly above that best cost, so it cannot win
-by (cost, index). A skipped offset's blocks are not solved, so none of
-their guesses run. The bound is also partial: after each block solved,
-the tightened costs of the blocks solved plus the values of the others,
-less the same slack, bound the offset's cost, as each unsolved block's
-cost is at least its value less its share of the slack. An offset is
-abandoned, its other blocks left unsolved, as soon as that partial bound
-exceeds the best cost by more than SKIP_REL. Its blocks are solved in
-descending value, ties by index, so the partial bound grows fastest. The
-union's cost is the sum of its blocks' costs up to float reassociation,
-which SKIP_REL covers with the rounding of the bounds. So the schedule,
-cost, offset, grid and block outcomes are exactly those of evaluating
-every offset in full. A single offset, as in random mode, is never
-skipped or abandoned, so no bound is computed for it.
+Offsets are evaluated in (bound, index) order, each one's blocks in
+descending value, ties by index. Before each block, the tightened costs
+of the blocks solved plus the values of the others, less the same slack,
+bound the offset's cost, as each unsolved block's cost is at least its
+value less its share of the slack. Once that bound exceeds the best cost
+so far by more than the relative margin SKIP_REL, the offset cannot win
+by (cost, index), and it is abandoned, its other blocks unsolved. One
+abandoned before its first block ends the search: every later offset's
+bound is at least its own, and the best cost never rises. The union's
+cost is the sum of its blocks' costs up to float reassociation, which
+SKIP_REL covers with the rounding of the bounds, so the schedule, cost,
+offset, grid and block outcomes are exactly those of evaluating every
+offset in full. A single offset, as in random mode, is never abandoned,
+so no bound is computed for it.
 """
 
 from __future__ import annotations
@@ -60,20 +58,21 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .bounded import _check_arguments, solve_bounded
 from .errors import InvariantViolationError
 from .instance import Instance, Job, Schedule, feasibility_violations, schedule_cost, tighten
-from .lp import LpSolution, solve_lp, wspt_value
+from .lp import Cut, LpSolution, solve_lp, wspt_value
 from .util import decimal_str
 
 EPS_MAX = 3.0 / math.log(3.0)
 TAU_B_REL = 1e-9
-# an offset is skipped only when its bound exceeds the best cost so far by
-# this relative margin, which covers float rounding in the bounds and the
+# an offset is abandoned only when its bound exceeds the best cost so far
+# by this relative margin, which covers float rounding in the bounds and the
 # costs; the tolerance schedules are checked to is subtracted in the bounds
 SKIP_REL = 1e-6
 
@@ -146,64 +145,63 @@ def build_grid(epsilon, b: float, cmax: float) -> IntervalGrid:
     return IntervalGrid(a, b, tuple(t))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SubInstance:
-    """One bounded subproblem: parent jobs `jobs` in grid interval `index`,
-    whose bounds L = grid.floor(index) = 3 t_i and beta = e^a the grid
-    holds. `warm` holds the subsets of the parent LP's cuts, restricted to
-    the block and renumbered to block ids, for warm-starting its LPs: only
-    those of two or more jobs, as solve_lp starts from every singleton.
+    """One bounded subproblem: parent jobs `jobs` whose LP completions fall
+    in grid interval `index`, with bounds L = floor = 3 t_i and beta = e^a
+    the grid holds. Its instance and warm cuts are built from `parent` and
+    `cuts` on first use, so a block never solved costs only its membership.
     """
 
     jobs: tuple[int, ...]
     index: int
-    instance: Instance
-    warm: tuple[tuple[int, ...], ...] = ()
+    floor: float
+    parent: Instance = field(repr=False)
+    cuts: tuple[Cut, ...] = field(repr=False)
+
+    @cached_property
+    def instance(self) -> Instance:
+        """The jobs with releases lifted to floor, as floats, and the pairs
+        of the parent's prec inside the block, renumbered. As every pair
+        points forward (partition_jobs checks it), no path of pairs leaves
+        the block and comes back, so these pairs generate the order on it,
+        and are its cover when prec is the parent's, as when normalized."""
+        ids = {j: pos for pos, j in enumerate(self.jobs)}
+        jobs = [self.parent.jobs[j] for j in self.jobs]
+        lifted = tuple(Job(job.p, float(max(job.r, self.floor)), job.w) for job in jobs)
+        prec = frozenset((ids[j], ids[k]) for j, k in self.parent.prec if j in ids and k in ids)
+        return Instance(lifted, prec)
+
+    @cached_property
+    def warm(self) -> tuple[tuple[int, ...], ...]:
+        """The parent LP's cut subsets restricted to the block, renumbered,
+        deduplicated and sorted, of two or more jobs: valid cuts for the
+        block's LPs once make_cut recomputes their rhs, as every subset
+        inequality holds for every schedule; solve_lp adds the singletons."""
+        ids = {j: pos for pos, j in enumerate(self.jobs)}
+        restricted = {tuple(ids[j] for j in cut.jobs if j in ids) for cut in self.cuts}
+        return tuple(sorted(subset for subset in restricted if len(subset) > 1))
 
 
 def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> list[SubInstance]:
-    """Split jobs by which grid interval their LP completion falls in.
-
-    Every job lands in exactly one group; empty groups are dropped. Each
-    group's release times are lifted to its floor 3 t_i, as floats, and
-    keeps the pairs of prec inside it. Every pair points forward because
-    the LP orders C along precedence; violated means a bug upstream. One
-    pass over the pairs both checks and restricts them, exactly: a path of
-    pairs between two jobs of a group never leaves it, as it never goes
-    back a group, so the group's pairs generate the order on it, and are
-    its cover when prec is the parent's, as on a normalized instance.
-
-    Each group also carries the parent LP's cut subsets restricted to it,
-    renumbered to block ids, deduplicated and sorted, keeping those of two
-    or more jobs: every subset inequality holds for every schedule, so they
-    are valid cuts for the block's LPs once make_cut recomputes their rhs,
-    and solve_lp adds every singleton cut itself.
+    """The one membership pass of an offset: the jobs split by which grid
+    interval their LP completion falls in, in interval order, empty groups
+    dropped. Every pair of prec must point forward, as the LP orders C
+    along precedence; one that does not is a bug upstream. A block's
+    instance and warm cuts are built only when it is solved (SubInstance).
     """
     block = [grid.index_of(c) for c in lp.completion]
-    groups: dict[int, list[int]] = {}
-    for j, i in enumerate(block):
-        groups.setdefault(i, []).append(j)
-    back = {j: pos for ids in groups.values() for pos, j in enumerate(ids)}  # id in its block
-    prec: dict[int, set] = {i: set() for i in groups}
     for j, k in instance.prec:
         if block[j] > block[k]:
             raise InvariantViolationError(
                 f"precedence ({j}, {k}) crosses intervals backwards ({block[j]} > {block[k]})"
             )
-        if block[j] == block[k]:
-            prec[block[j]].add((back[j], back[k]))
-    subs = []
-    for i in sorted(groups):
-        ids = tuple(groups[i])
-        floor = grid.floor(i)
-        jobs = tuple(
-            Job(instance.jobs[j].p, float(max(instance.jobs[j].r, floor)), instance.jobs[j].w)
-            for j in ids
-        )
-        restricted = {tuple(back[j] for j in cut.jobs if block[j] == i) for cut in lp.cuts}
-        warm = tuple(sorted(subset for subset in restricted if len(subset) > 1))
-        subs.append(SubInstance(ids, i, Instance(jobs, frozenset(prec[i])), warm))
-    return subs
+    groups: dict[int, list[int]] = {}
+    for j, i in enumerate(block):
+        groups.setdefault(i, []).append(j)
+    return [
+        SubInstance(tuple(groups[i]), i, grid.floor(i), instance, lp.cuts) for i in sorted(groups)
+    ]
 
 
 def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
@@ -221,25 +219,23 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
-def block_bounds(instance: Instance, lp: LpSolution, grids) -> tuple[dict[int, float], ...]:
-    """Per grid, the preemptive WSPT value of each block on its lifted
-    releases max(r_j, 3 t_i), keyed by interval index. No LP is solved,
-    and precedence is not looked at. A block's value less the slack
-    n tol sum_j w_j bounds its cost (see the module docstring).
+def block_bounds(instance: Instance, partitions) -> tuple[dict[int, float], ...]:
+    """Per partition of partition_jobs, the preemptive WSPT value of each
+    block on its lifted releases max(r_j, 3 t_i), keyed by interval index
+    in interval order. No block is built and no LP solved, and precedence
+    is not looked at. A block's value less the slack n tol sum_j w_j
+    bounds its cost (see the module docstring).
     """
     p = [float(job.p) for job in instance.jobs]
     r = [float(job.r) for job in instance.jobs]
     w = [float(job.w) for job in instance.jobs]
     out = []
-    for grid in grids:
-        blocks: dict[int, list[int]] = {}
-        for j, c in enumerate(lp.completion):
-            blocks.setdefault(grid.index_of(c), []).append(j)
+    for subs in partitions:
         values = {}
-        for i, ids in blocks.items():
-            floor = grid.floor(i)
-            lifted = [max(r[j], floor) for j in ids]
-            values[i] = wspt_value([p[j] for j in ids], lifted, [w[j] for j in ids])
+        for sub in subs:
+            ids = sub.jobs
+            lifted = [max(r[j], sub.floor) for j in ids]
+            values[sub.index] = wspt_value([p[j] for j in ids], lifted, [w[j] for j in ids])
         out.append(values)
     return tuple(out)
 
@@ -262,11 +258,12 @@ class DecomposeResult:
     The winning offset is grid.b, and the grid bounds each block. `bounds`
     holds one lower bound per entry of `candidates`: its block bound
     (block_bounds) when there are several candidates, and -inf when there
-    is one, which is never skipped. `evaluated` holds the candidate
+    is one, which is never abandoned. `evaluated` holds the candidate
     indices with at least one block solved, in the order they were; the
-    others were skipped. An evaluated offset other than the winner may
-    have been abandoned part-way, its partial bound already above the
-    best cost. Neither enters to_dict.
+    first of the others was abandoned before its first block, its block
+    bound already above the best cost, and the rest were not reached. An
+    evaluated offset other than the winner may have been abandoned
+    part-way. Neither enters to_dict.
     """
 
     schedule: Schedule
@@ -309,10 +306,10 @@ def _solve_partition(
 
     `values` maps each block's interval index to a lower bound on its cost
     (0 for each if not given). The blocks are solved in descending value,
-    ties by index. As soon as the costs of the blocks solved plus the
+    ties by index. Before each, if the costs of the blocks solved plus the
     values of the others exceed `limit`, the others are left unsolved:
     the union is then None, its cost that sum, and the outcomes those of
-    the blocks solved.
+    the blocks solved, possibly none.
     """
     values = values or dict.fromkeys((sub.index for sub in subs), 0.0)
     tol = instance.tol()
@@ -320,7 +317,10 @@ def _solve_partition(
     outcomes = {}
     spent = 0.0
     for sub in sorted(subs, key=lambda sub: (-values[sub.index], sub.index)):
-        floor, ceiling = grid.floor(sub.index), grid.floor(sub.index + 1)
+        rest = sum(v for i, v in values.items() if i not in outcomes)
+        if spent + rest > limit:
+            return None, spent + rest, tuple(outcomes[i] for i in sorted(outcomes))
+        floor, ceiling = sub.floor, grid.floor(sub.index + 1)
         res = solve_bounded(
             sub.instance,
             epsilon,
@@ -343,9 +343,6 @@ def _solve_partition(
         cost = schedule_cost(tight, sub.instance)
         outcomes[sub.index] = IntervalOutcome(sub.index, sub.jobs, cost, res.guesses_tried)
         spent += cost
-        rest = [v for i, v in values.items() if i not in outcomes]
-        if rest and spent + sum(rest) > limit:
-            return None, spent + sum(rest), tuple(outcomes[i] for i in sorted(outcomes))
     union = Schedule(tuple(start))
     violations = feasibility_violations(union, instance)
     if violations:
@@ -374,9 +371,9 @@ def decompose_and_solve(
         grid of the block solver.
     mode : {"derandomized", "random"}
         derandomized tries one offset per reachable partition and keeps
-        the cheapest result, skipping offsets whose block bound shows
-        they cannot win and abandoning those whose partial bound shows it
-        part-way; random draws a single offset from `seed`.
+        the cheapest result, abandoning an offset, before its first block
+        or part-way, once its bound shows it cannot win; random draws a
+        single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
 
@@ -403,33 +400,30 @@ def decompose_and_solve(
     else:
         candidates = derandomize_b(lp, a)
     grids = [build_grid(eps, b, cmax) for b in candidates]
+    partitions = [partition_jobs(instance, lp, grid) for grid in grids]
     slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
     if len(grids) > 1:
-        values = block_bounds(instance, lp, grids)
+        values = block_bounds(instance, partitions)
         bounds = tuple(sum(v.values()) - slack for v in values)
-    else:  # one offset is never skipped or abandoned, so it goes without a bound
+    else:  # one offset is never abandoned, so it goes without a bound
         values, bounds = (None,), (-math.inf,)
 
     best = None  # (cost, index, union, outcomes)
     evaluated = []
     for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
-        if best is not None and bounds[i] > best[0] * (1.0 + SKIP_REL):
-            log.debug(
-                "offset %d (b = %r) skipped: block bound %r, best cost %r",
-                i, candidates[i], bounds[i], best[0],
-            )
-            continue
-        evaluated.append(i)
-        subs = partition_jobs(instance, lp, grids[i])
         limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
         union, cost, outcomes = _solve_partition(
-            instance, grids[i], subs, eps, bounded_mode, budget, values[i], limit
+            instance, grids[i], partitions[i], eps, bounded_mode, budget, values[i], limit
         )
+        if outcomes:
+            evaluated.append(i)
         if union is None:
             log.debug(
                 "offset %d (b = %r) abandoned after %d of %d blocks: bound %r, best cost %r",
-                i, candidates[i], len(outcomes), len(subs), cost - slack, best[0],
+                i, candidates[i], len(outcomes), len(partitions[i]), cost - slack, best[0],
             )
+            if not outcomes:  # every later offset's bound is at least this one's
+                break
         elif best is None or (cost, i) < best[:2]:
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best

@@ -11,7 +11,7 @@ exact oracle relies on it), the releases of the blocks they are split
 into float, the block solver's guesses and the typed mode's rounded sizes
 exact rationals (see bounded), and its lifted instances, with every
 schedule and cost computed from them, float. Every derived instance holds
-its order as its cover (see Instance.with_jobs and partition_jobs).
+its order as its cover (see Instance.with_jobs and SubInstance.instance).
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
 MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts

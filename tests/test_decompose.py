@@ -18,6 +18,7 @@ from prec_sched import (
     InvariantViolationError,
     LpSolution,
     Schedule,
+    SubInstance,
     build_grid,
     decompose_and_solve,
     derandomize_b,
@@ -352,7 +353,7 @@ class TestDecomposeAndSolve:
 
         def partition(*args):
             subs = partition_jobs(*args)
-            blocks.extend(sub.instance for sub in subs)
+            blocks.extend(subs)
             return subs
 
         def solve(block, *args, **kwargs):
@@ -362,10 +363,11 @@ class TestDecomposeAndSolve:
         monkeypatch.setattr("prec_sched.decompose.partition_jobs", partition)
         monkeypatch.setattr("prec_sched.decompose.solve_bounded", solve)
         decompose_and_solve(instance, Fraction(1, 2), bounded_mode="typed")
-        # only blocks that are solved compute a closure, each once; some
-        # offsets here are abandoned with blocks left unsolved
-        assert all(any(block is sub for sub in blocks) for block in solved)
-        assert len(solved) < len(blocks)
+        # only blocks that are solved are built and compute a closure, each
+        # once; some offsets here are abandoned with blocks left unsolved
+        built = [vars(sub)["instance"] for sub in blocks if "instance" in vars(sub)]
+        assert {id(block) for block in solved} == {id(block) for block in built}
+        assert len(solved) == len(built) < len(blocks)
         assert calls == {"masks": len(solved), "cover": len(solved)}
 
     def test_to_dict_shape(self):
@@ -426,11 +428,11 @@ class TestOffsetPruning:
         result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
         cmax = max(result.lp.completion)
         grids = [build_grid(epsilon, b, cmax) for b in result.candidates]
-        values = block_bounds(instance, result.lp, grids)
+        partitions = [partition_jobs(instance, result.lp, grid) for grid in grids]
+        values = block_bounds(instance, partitions)
         slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
         runs = []
-        for i, grid in enumerate(grids):
-            subs = partition_jobs(instance, result.lp, grid)
+        for i, (grid, subs) in enumerate(zip(grids, partitions)):
             union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
             assert result.bounds[i] <= cost
             if len(grids) > 1:
@@ -445,8 +447,9 @@ class TestOffsetPruning:
             cost, result.candidates[i], start, outcomes
         )
         assert i in result.evaluated
-        assert len(set(result.evaluated)) == len(result.evaluated)
-        assert set(result.evaluated) <= set(range(len(result.candidates)))
+        # the search stops at the first offset abandoned before its first block
+        order = sorted(range(len(grids)), key=lambda k: (result.bounds[k], k))
+        assert list(result.evaluated) == order[: len(result.evaluated)]
 
     def test_offsets_skipped_on_chains(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=3, p_max=8, r_max=56, family="chains"))
@@ -461,10 +464,11 @@ class TestOffsetPruning:
         assert order == sorted(order)
         messages = [rec.getMessage() for rec in caplog.records]
         (i,) = result.evaluated
-        assert [line for line in messages if "skipped" in line] == [
-            f"offset {k} (b = {result.candidates[k]!r}) skipped: "
-            f"block bound {result.bounds[k]!r}, best cost 2934.0"
-            for _, k in sorted((result.bounds[k], k) for k in range(8) if k != i)
+        # the next offset loses before its first block, and so do the rest
+        _, k = min((result.bounds[k], k) for k in range(8) if k != i)
+        assert [line for line in messages if "abandoned" in line] == [
+            f"offset {k} (b = {result.candidates[k]!r}) abandoned after 0 of 2 blocks: "
+            f"bound {result.bounds[k]!r}, best cost 2934.0"
         ]
         assert messages[-1] == (
             f"evaluated 1 of 8 offsets; offset {i} (b = {result.grid.b!r}) won at cost 2934.0"
@@ -472,7 +476,7 @@ class TestOffsetPruning:
 
     def test_block_bound_skips_every_loser_on_an_antichain(self):
         # the block bound ignores precedence, so an antichain loses nothing
-        # to it: it skips all 8 losing offsets
+        # to it: no block of the 8 losing offsets is solved
         instance = generate(GeneratorConfig(n=8, seed=3, family="antichain"))
         result = decompose_and_solve(instance, 1, bounded_mode="empty-guess")
         assert (len(result.evaluated), len(result.candidates)) == (1, 9)
@@ -482,6 +486,15 @@ class TestOffsetPruning:
     def test_pruning_strength_on_chains(self, monkeypatch):
         # sep_chains' shape; a weaker bound evaluates more offsets, and
         # solving every block of an evaluated offset takes 68 block solves
+        builds = {"instance": 0, "warm": 0}
+        for name in builds:
+            prop = SubInstance.__dict__[name]
+
+            def counted(self, func=prop.func, name=name):
+                builds[name] += 1
+                return func(self)
+
+            monkeypatch.setattr(prop, "func", counted)
         solves = []
 
         def solve(*args, **kwargs):
@@ -496,6 +509,8 @@ class TestOffsetPruning:
             evaluated += len(result.evaluated)
         assert evaluated == 43
         assert len(solves) == 57
+        # a block is built only when it is solved
+        assert builds == {"instance": 57, "warm": 57}
 
     def test_losing_offset_abandoned_part_way(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=7, p_max=8, r_max=56, family="chains"))
@@ -505,8 +520,8 @@ class TestOffsetPruning:
         (k,) = [k for k in result.evaluated if result.candidates[k] != result.grid.b]
         # its block of larger value, solved first, already shows it loses
         grid = build_grid(1, result.candidates[k], max(result.lp.completion))
-        (values,) = block_bounds(instance, result.lp, [grid])
         subs = partition_jobs(instance, result.lp, grid)
+        (values,) = block_bounds(instance, [subs])
         first = max(subs, key=lambda sub: (values[sub.index], -sub.index))
         block = solve_bounded(
             first.instance, 1, grid.floor(first.index), math.exp(grid.a),
@@ -517,7 +532,8 @@ class TestOffsetPruning:
         bound = cost + sum(v for i, v in values.items() if i != first.index) - slack
         assert len(subs) == 2 and bound > result.cost * (1 + SKIP_REL)
         messages = [rec.getMessage() for rec in caplog.records]
-        assert [line for line in messages if "abandoned" in line] == [
+        part_way = [line for line in messages if "abandoned" in line and "after 0 of" not in line]
+        assert part_way == [
             f"offset {k} (b = {result.candidates[k]!r}) abandoned after 1 of 2 blocks: "
             f"bound {bound!r}, best cost 1767.0"
         ]
@@ -530,7 +546,7 @@ class TestOffsetPruning:
 
     def test_random_mode_computes_no_bound(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("one offset is never skipped, so it needs no bound")
+            raise AssertionError("one offset is never abandoned, so it needs no bound")
 
         monkeypatch.setattr("prec_sched.decompose.block_bounds", refuse)
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
