@@ -177,7 +177,8 @@ class SubInstance:
         """The parent LP's cut subsets restricted to the block, renumbered,
         deduplicated and sorted, of two or more jobs: valid cuts for the
         block's LPs once make_cut recomputes their rhs, as every subset
-        inequality holds for every schedule; solve_lp adds the singletons."""
+        inequality holds for every schedule; solve_lp bounds each column by
+        its singleton cut."""
         ids = {j: pos for pos, j in enumerate(self.jobs)}
         restricted = {tuple(ids[j] for j in cut.jobs if j in ids) for cut in self.cuts}
         return tuple(sorted(subset for subset in restricted if len(subset) > 1))

@@ -8,12 +8,12 @@ Variables are fractional completion times C_j. Two constraint families:
 k covers j when j precedes k with no job in between (Instance.cover, the
 transitive reduction); those rows imply C_j <= C_k for every other pair
 of the closed relation. The subset family is exponential, so we start
-from all singletons (which already force C_j >= r_j + p_j/2), plus any
-warm-start subsets the caller passes, and add violated subsets found by
-a separation oracle until none is violated by more than `tau`. The
-layer is float throughout: each rhs is computed in double precision
-from the float p_j and r_j, which is exact on integer instances within
-MAX_HORIZON (see instance.py).
+from all singletons (each the bound C_j >= r_j + p_j/2, which its column
+holds), plus any warm-start subsets the caller passes, and add violated
+subsets found by a separation oracle until none is violated by more than
+`tau`. The layer is float throughout: each rhs and bound is computed in
+double precision from the float p_j and r_j, which is exact on integer
+instances within MAX_HORIZON (see instance.py).
 
 The solver separates over prefixes: for each release threshold rho, the
 prefixes in C-order of the jobs released at or above rho. That family is
@@ -35,21 +35,22 @@ file, unregistered (see _load_binding), so importing it does not run
 scipy.optimize; where the file cannot be found or loaded, it imports the
 binding through scipy.optimize. numpy still loads at the first LP, as
 the binding's array arguments need it. The model is solved with
-linprog's options for method="highs" and feasibility tightened to 1e-9,
-so residual noise on already-added rows stays far below tau. Each thread
-keeps one HiGHS solver, given those options once, and each LP clears its
-model. The model starts as its n columns (C >= 0 with the weights as
-costs); every row then goes in through addRows: the first batch holds
-the precedence rows and the starting cuts, and each separated cut is a
-batch of one. The first run has no basis yet, so it is a solve from
-scratch, bit-identical to public linprog on the same rows
+linprog's options for method="highs", feasibility tightened to 1e-9, so
+residual noise on already-added rows stays far below tau, and presolve
+off. Each thread keeps one HiGHS solver, given those options once, and
+each LP clears its model. The model starts as its n columns (bounded
+below by the singleton cuts, the weights as costs); every row then goes
+in through addRows: the first batch holds the precedence rows and the
+other starting cuts, and each separated cut is a batch of one. The first
+run has no basis yet, so it is a solve from scratch, bit-identical to
+public linprog on the same rows and bounds with presolve off
 (tests/test_lp.py pins that). Each later round runs again after its
 cut's row: the previous optimal basis, with the new row's slack basic,
-is still dual feasible, so HiGHS skips presolve and hot-starts the dual
-simplex. A later round reaches the same optimal value as a from-scratch
-solve of its rows, up to the solver's tolerance, but where the optimum
-is degenerate it may land on another optimal vertex. At most 10 n^2
-rounds are run.
+is still dual feasible, so HiGHS hot-starts the dual simplex from it. A
+later round reaches the same optimal value as a from-scratch solve of
+its rows, up to the solver's tolerance, but where the optimum is
+degenerate it may land on another optimal vertex. At most 10 n^2 rounds
+are run.
 """
 
 from __future__ import annotations
@@ -121,9 +122,11 @@ N_EXHAUSTIVE = 18
 # the options scipy.optimize.linprog(method="highs") sets, with feasibility
 # tightened: inner-solve residuals must stay two orders below TAU_LP,
 # otherwise a cut the solver considers satisfied can look violated to the
-# separation oracle and get re-added forever
+# separation oracle and get re-added forever. Presolve is off: a hot-started
+# round skips it anyway, and on the first round of these small LPs it costs
+# more than it saves
 _HIGHS_OPTIONS = {
-    "presolve": "on",
+    "presolve": "off",
     "simplex_strategy": simplex_constants.SimplexStrategy.kSimplexStrategyDual,
     "highs_debug_level": HighsDebugLevel.kHighsDebugLevelNone,
     "output_flag": False,
@@ -252,33 +255,36 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
     is as violated as the best of all 2^n - 1 subsets, so None certifies
     that no subset is violated by more than tau.
 
-    Jobs are sorted by (C_j, j) once; each threshold filters that order.
-    Ties keep the first maximum found, scanning thresholds in ascending
-    order and then prefixes from the shortest.
+    Jobs are sorted by (C_j, j) once, a stable sort by C_j; each threshold
+    scans that order, skipping the jobs released before it. Ties keep the
+    first maximum found, scanning thresholds in ascending order and then
+    prefixes from the shortest.
     """
-    jobs = instance.jobs
     p, r = _floats(instance)
     Cf = [float(c) for c in C]
-    order = sorted(range(instance.n), key=lambda j: (Cf[j], j))
+    order = sorted(range(instance.n), key=Cf.__getitem__)
+    scan = [(r[j], p[j], p[j] * Cf[j], j) for j in order]
     best_v = tau
-    best: Optional[list[int]] = None
-    for rho in sorted({job.r for job in jobs}):
-        pool = [j for j in order if jobs[j].r >= rho]
-        ps = 0.0
-        pc = 0.0
+    best = None  # (rho, last job) of the best prefix
+    for rho in sorted(set(r)):
+        ps = pc = 0.0
         rm = math.inf
-        for length, j in enumerate(pool, start=1):
-            ps += p[j]
-            pc += p[j] * Cf[j]
-            if r[j] < rm:
-                rm = r[j]
+        for rj, pj, pcj, j in scan:
+            if rj < rho:
+                continue
+            ps += pj
+            pc += pcj
+            if rj < rm:
+                rm = rj
             v = rm * ps + 0.5 * ps * ps - pc
             if v > best_v:
                 best_v = v
-                best = pool[:length]
+                best = rho, j
     if best is None:
         return None
-    return _cut(best, p, r)
+    rho, last = best
+    prefix = [j for rj, _, _, j in scan if rj >= rho]
+    return _cut(prefix[: prefix.index(last) + 1], p, r)
 
 
 def _accept(status: HighsStatus, what: str) -> None:
@@ -287,10 +293,10 @@ def _accept(status: HighsStatus, what: str) -> None:
         raise SchedulingError(f"HiGHS rejected {what}")
 
 
-def _new_highs(cost: list[float]) -> _Highs:
+def _new_highs(cost: list[float], lower: list[float]) -> _Highs:
     """This thread's HiGHS solver, set up with _HIGHS_OPTIONS when the
     thread first asks for it, with its model cleared to min cost.C over
-    C >= 0 and no rows."""
+    C >= lower and no rows."""
     highs = getattr(_solvers, "highs", None)
     if highs is None:
         highs = _Highs()
@@ -298,7 +304,7 @@ def _new_highs(cost: list[float]) -> _Highs:
         _solvers.highs = highs
     _accept(highs.clearModel(), "clearing the LP model")
     n = len(cost)
-    _accept(highs.addVars(n, [0.0] * n, [kHighsInf] * n), "the LP columns")
+    _accept(highs.addVars(n, lower, [kHighsInf] * n), "the LP columns")
     _accept(highs.changeColsCost(n, range(n), cost), "the LP costs")
     return highs
 
@@ -322,10 +328,10 @@ def linprog(highs: _Highs) -> tuple[list[float], float]:
     """Solve the model that `highs` holds, from its current state.
 
     The first run on a model is a solve from scratch, bit-identical to
-    scipy.optimize.linprog(method="highs") with the same tolerances (as x
-    and fun); a run after rows were added is a dual simplex hot-started
-    from the previous optimal basis. Returns the solution and the
-    objective value.
+    scipy.optimize.linprog(method="highs") with the same bounds,
+    tolerances and presolve off (as x and fun); a run after rows were
+    added is a dual simplex hot-started from the previous optimal basis.
+    Returns the solution and the objective value.
 
     solve_lp calls this function once per round by its module-level name:
     the benchmark's tracer (perfbench/spans.py) and the tests wrap
@@ -350,10 +356,11 @@ def solve_lp(
     `separate_fast` until no subset constraint is violated by more than
     tau. The precedence rows are those of the cover pairs only. The model,
     on this thread's HiGHS solver cleared for it, starts as its columns,
-    takes the starting rows in one addRows and is solved from scratch;
-    each later round appends the new cut's row to the live model and
-    re-solves it from the previous optimal basis (see the module
-    docstring), for at most 10 n^2 rounds.
+    each bounded below by its singleton cut C_j >= r_j + p_j/2, takes the
+    other starting rows in one addRows and is solved from scratch; each
+    later round appends the new cut's row to the live model and re-solves
+    it from the previous optimal basis (see the module docstring), for at
+    most 10 n^2 rounds.
 
     Parameters
     ----------
@@ -371,7 +378,8 @@ def solve_lp(
         computes it, so any subset gives a valid cut and the optimum does
         not change; only the number of rounds does. Duplicates (of each
         other or of the singletons) are dropped. Warm cuts appear in
-        `LpSolution.cuts`.
+        `LpSolution.cuts`, after the n singletons and before the cuts
+        separated.
 
     Returns
     -------
@@ -383,8 +391,8 @@ def solve_lp(
         If tau is below TAU_MIN or not finite.
     LpIterationLimitError
         If 10 n^2 rounds end with a cut still violated, or a cut already
-        in the model is reported violated again (numerical trouble);
-        carries that cut.
+        in the model (a singleton's bound too) is reported violated again
+        (numerical trouble); carries that cut.
     """
     # a nan or infinite tau would accept every point as converged
     if not (math.isfinite(tau) and tau >= TAU_MIN):
@@ -394,14 +402,14 @@ def solve_lp(
         return LpSolution((), 0.0, (), 0, ())
 
     p, r = _floats(instance)
-    # by job subset, in the order of their rows: the singletons, then warm
+    # by job subset: the singletons, then warm in the order of their rows
     cuts = {(j,): Cut((j,), r[j] * p[j] + p[j] * p[j] / 2) for j in range(n)}
     for subset in warm:
         cut = _cut(subset, p, r)
         cuts.setdefault(cut.jobs, cut)
     w = [float(job.w) for job in instance.jobs]
-    highs = _new_highs(w)
-    _add_rows(highs, p, cuts.values(), instance.cover)
+    highs = _new_highs(w, [r[j] + p[j] / 2 for j in range(n)])
+    _add_rows(highs, p, list(cuts.values())[n:], instance.cover)
     z_history = []
     cap = _round_cap(n)
     for rounds in range(1, cap + 1):

@@ -416,7 +416,7 @@ class TestBench:
         [
             (
                 ("--n", "8", "--trials", "4", "--seed", "3"),
-                "da46adb7c7d4bc36832bcabf52e1c47935cd2f150cc40e962c43e805eeb6af90",
+                "d0d3ef9fc6391bfa9cbcdcf1ef303d0612b528bee364734f3bca8e47a9d9c25e",
             ),
             (
                 ("--family", "p_le_r", "--family", "chains", "--n", "12",

@@ -225,7 +225,7 @@ class TestBenchViolations:
         report = bench([GeneratorConfig(n=4, seed=0, family="p_le_r")], [1], trials=1)
         assert report["violations"] == [
             "p_le_r seed-offset instance c3f9fca15aed: "
-            "pipeline cost 3930.0 exceeds 8.0 x optimum 381.0"
+            "pipeline cost 3830.0 exceeds 8.0 x optimum 381.0"
         ]
 
     def test_lpls_bound(self, monkeypatch):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import MatrixFormat, kHighsInf
 
+import prec_sched.decompose
+import prec_sched.listsched
 import prec_sched.lp
 from prec_sched import (
     GeneratorConfig,
@@ -37,7 +39,7 @@ from prec_sched import (
     solve_lp,
 )
 from prec_sched.harness import FAMILIES
-from prec_sched.instance import MAX_HORIZON, validate
+from prec_sched.instance import MAX_HORIZON, MAX_WEIGHT, validate
 from prec_sched.lp import TAU_LP, cut_violation_of, wspt_value
 from .auditors import check_lp_lemmas
 from .conftest import random_instance, run_python
@@ -115,7 +117,8 @@ class TestSolveLp:
             sol = solve_lp(instance)
             # one row per cover pair, not per pair of the closed relation
             assert len(instance.cover) < len(closure_by_squaring(instance.prec, instance.n))
-            assert rows[-1] == len(instance.cover) + len(sol.cuts)
+            # and one per cut of two or more jobs: singletons are column bounds
+            assert rows[-1] == len(instance.cover) + sum(len(cut.jobs) > 1 for cut in sol.cuts)
 
     def test_no_cut_left_violated(self):
         for seed in range(20):
@@ -139,7 +142,7 @@ class TestSolveLp:
         rows = count_rows(monkeypatch)
         sol = solve_lp(block)
         assert sol.completion[0] <= sol.completion[1] + 1e-9
-        assert rows[-1] == 1 + len(sol.cuts)
+        assert rows[-1] == 1 + sum(len(cut.jobs) > 1 for cut in sol.cuts)
 
     def test_round_cap_raises_with_cut(self, monkeypatch):
         instance = random_instance(2, 6)
@@ -171,6 +174,71 @@ class TestSolveLp:
         sol = solve_lp(instance)
         assert sol.value == pytest.approx(0.0, abs=TOL)
         assert separate_exhaustive(sol.completion, instance) is None
+
+
+class TestSingletonBounds:
+    """Each singleton cut p_j C_j >= r_j p_j + p_j^2/2 enters the model as
+    the column bound C_j >= r_j + p_j/2, which is exact in float on integer
+    instances within MAX_HORIZON; only the cover pairs and the cuts of two
+    or more jobs are rows."""
+
+    def test_bounds_hold_exactly_at_the_magnitude_limits(self, monkeypatch):
+        separated = []
+        real = prec_sched.lp.separate_fast
+
+        def recording(C, instance, tau=TAU_LP):
+            cut = real(C, instance, tau)
+            separated.append(cut)
+            return cut
+
+        monkeypatch.setattr(prec_sched.lp, "separate_fast", recording)
+        solved = 0
+        for seed in range(3000):
+            n = 2 + seed % 11
+            density = (0.0, 0.2, 0.6)[seed // 11 % 3]
+            instance = random_instance(
+                seed, n, p_max=9000 // n, r_max=3000, w_max=MAX_WEIGHT, density=density
+            )
+            if validate(instance):
+                continue  # its horizon lies past MAX_HORIZON
+            sol = solve_lp(instance)
+            solved += 1
+            for job, c in zip(instance.jobs, sol.completion):
+                assert c >= job.r + job.p / 2
+        assert solved >= 2900
+        # a separated singleton would be a bound the solve left violated
+        assert all(cut is None or len(cut.jobs) > 1 for cut in separated)
+        assert any(cut is not None for cut in separated)
+
+    def test_model_holds_singletons_as_bounds(self, monkeypatch):
+        instance = random_instance(8, 7, density=0.3)
+        n = instance.n
+        models = []
+        real = prec_sched.lp.linprog
+
+        def recording(highs):
+            models.append(highs.getLp())
+            return real(highs)
+
+        monkeypatch.setattr(prec_sched.lp, "linprog", recording)
+        # a warm singleton and a repeated pair collapse into the cuts kept
+        sol = solve_lp(instance, warm=[(3,), (1, 2), (2, 1)])
+        lower = [float(job.r) + float(job.p) / 2 for job in instance.jobs]
+        for model in models:
+            assert model.col_lower_ == lower
+            assert all(np.count_nonzero(row) >= 2 for row in dense_rows(model))
+        assert sol.cuts[:n] == tuple(make_cut(instance, (j,)) for j in range(n))
+        assert sol.cuts[n] == make_cut(instance, (1, 2))
+        assert all(len(cut.jobs) > 1 for cut in sol.cuts[n:])
+        assert models[-1].num_row_ == len(instance.cover) + len(sol.cuts) - n
+
+    def test_separated_singleton_is_already_in_the_model(self, monkeypatch):
+        instance = random_instance(3, 5)
+        cut = make_cut(instance, (2,))
+        monkeypatch.setattr(prec_sched.lp, "separate_fast", lambda C, instance, tau: cut)
+        with pytest.raises(LpIterationLimitError, match="after being added") as info:
+            solve_lp(instance)
+        assert info.value.cut == cut
 
 
 def wspt_lp_value(instance):
@@ -524,11 +592,18 @@ class TestInnerSolve:
     )
     def test_bit_identical_to_public_linprog(self, monkeypatch, config, bounded_mode):
         """Each LP's first round, solved from scratch, is bit-identical to
-        public linprog on the same rows; every later round, hot-started
-        after a row was added, reaches linprog's objective on the live
-        rows to a relative 1e-9."""
+        public linprog on the same rows and column bounds, presolve off as
+        in the package; every later round, hot-started after a row was
+        added, reaches linprog's objective on the live model to a relative
+        1e-9. The column bounds are the singleton cuts, C_j >= r_j + p_j/2."""
         real = prec_sched.lp.linprog
+        real_solve_lp = prec_sched.lp.solve_lp
         checked = {"first": 0, "later": 0}
+        current = {}  # "instance": the one the LP being solved is of
+
+        def recording(instance, *args, **kwargs):
+            current["instance"] = instance
+            return real_solve_lp(instance, *args, **kwargs)
 
         def compared(highs):
             # every LP runs on its thread's one solver, cleared for it, so
@@ -537,12 +612,19 @@ class TestInnerSolve:
             x, z = real(highs)
             model = highs.getLp()
             n, m = model.num_col_, model.num_row_
-            assert model.col_lower_ == [0.0] * n and model.col_upper_ == [kHighsInf] * n
+            jobs = current["instance"].jobs
+            assert model.col_lower_ == [float(job.r) + float(job.p) / 2 for job in jobs]
+            assert model.col_upper_ == [kHighsInf] * n
             assert model.row_lower_ == [-kHighsInf] * m
             assert len(x) == n
             ref = linprog(
-                model.col_cost_, A_ub=dense_rows(model), b_ub=model.row_upper_, method="highs",
-                options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+                model.col_cost_, A_ub=dense_rows(model), b_ub=model.row_upper_,
+                bounds=[(lower, None) for lower in model.col_lower_], method="highs",
+                options={
+                    "presolve": False,
+                    "primal_feasibility_tolerance": 1e-9,
+                    "dual_feasibility_tolerance": 1e-9,
+                },
             )
             assert ref.success
             if first:
@@ -554,6 +636,9 @@ class TestInnerSolve:
             return x, z
 
         monkeypatch.setattr(prec_sched.lp, "linprog", compared)
+        # the two callers of solve_lp, each by its own imported name
+        monkeypatch.setattr(prec_sched.decompose, "solve_lp", recording)
+        monkeypatch.setattr(prec_sched.listsched, "solve_lp", recording)
         decompose_and_solve(generate(config), 1, bounded_mode=bounded_mode)
         # the parent LP and at least one block LP, and rounds after a cut
         assert checked["first"] >= 2
