@@ -223,13 +223,11 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
 def block_bounds(instance: Instance, partitions) -> tuple[dict[int, float], ...]:
     """Per partition of partition_jobs, the preemptive WSPT value of each
     block on its lifted releases max(r_j, 3 t_i), keyed by interval index
-    in interval order. No block is built and no LP solved, and precedence
-    is not looked at. A block's value less the slack n tol sum_j w_j
-    bounds its cost (see the module docstring).
-    """
-    p = [float(job.p) for job in instance.jobs]
-    r = [float(job.r) for job in instance.jobs]
-    w = [float(job.w) for job in instance.jobs]
+    in interval order: exactly wspt_value(*sub.instance.floats), with no
+    block built and no LP solved; precedence is not looked at. A block's
+    value less the slack n tol sum_j w_j bounds its cost (see the module
+    docstring)."""
+    p, r, w = instance.floats
     out = []
     for subs in partitions:
         values = {}
@@ -402,7 +400,7 @@ def decompose_and_solve(
         candidates = derandomize_b(lp, a)
     grids = [build_grid(eps, b, cmax) for b in candidates]
     partitions = [partition_jobs(instance, lp, grid) for grid in grids]
-    slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
+    slack = instance.n * instance.tol() * sum(instance.floats[2])
     if len(grids) > 1:
         values = block_bounds(instance, partitions)
         bounds = tuple(sum(v.values()) - slack for v in values)

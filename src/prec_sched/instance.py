@@ -10,8 +10,10 @@ Each layer uses one numeric type: input instances are integral (the
 exact oracle relies on it), the releases of the blocks they are split
 into float, the block solver's guesses and the typed mode's rounded sizes
 exact rationals (see bounded), and its lifted instances, with every
-schedule and cost computed from them, float. Every derived instance holds
-its order as its cover (see Instance.with_jobs and SubInstance.instance).
+schedule and cost computed from them, float. The LP layer and the block
+bounds, float throughout, read p, r and w from Instance.floats. Every
+derived instance holds its order as its cover (see Instance.with_jobs and
+SubInstance.instance).
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
 MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts
@@ -94,6 +96,11 @@ class Instance:
         for j, k in self.prec:
             implied[k] |= masks[j]
         return tuple(sorted((j, k) for j, k in self.prec if not implied[k] >> j & 1))
+
+    @cached_property
+    def floats(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """The jobs' p, r and w as float tuples by job id; not shared by with_jobs."""
+        return tuple(tuple(float(getattr(job, key)) for job in self.jobs) for key in "prw")
 
     @cached_property
     def time_scale(self) -> float:

@@ -12,8 +12,8 @@ from all singletons (each the bound C_j >= r_j + p_j/2, which its column
 holds), plus any warm-start subsets the caller passes, and add violated
 subsets found by a separation oracle until none is violated by more than
 `tau`. The layer is float throughout: each rhs and bound is computed in
-double precision from the float p_j and r_j, which is exact on integer
-instances within MAX_HORIZON (see instance.py).
+double precision from Instance.floats, built once per instance, which is
+exact on integer instances within MAX_HORIZON (see instance.py).
 
 The solver separates over prefixes: for each release threshold rho, the
 prefixes in C-order of the jobs released at or above rho. That family is
@@ -63,7 +63,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import LpIterationLimitError, SchedulingError
 from .instance import Instance
@@ -152,28 +152,20 @@ class Cut:
     rhs: float
 
 
-def _cut(jobs, p: list[float], r: list[float]) -> Cut:
-    """The subset cut on the job set `jobs`, repeated ids counted once,
-    from the per-job floats p and r."""
+def make_cut(instance: Instance, jobs) -> Cut:
+    """The subset cut on the job set `jobs`, repeated ids counted once, its
+    rhs computed from Instance.floats. Every cut solve_lp adds beyond the
+    singletons is built here. Raises ValueError on an empty subset or an
+    id outside the instance."""
     jobs = tuple(sorted(set(jobs)))
     if not jobs:
         raise ValueError("cut subset must be nonempty")
+    p, r, _ = instance.floats
     if not 0 <= jobs[0] <= jobs[-1] < len(p):
         raise ValueError(f"cut subset {jobs} names a job outside 0..{len(p) - 1}")
     p_total = sum(p[j] for j in jobs)
     r_min = min(r[j] for j in jobs)
     return Cut(jobs, r_min * p_total + p_total * p_total / 2)
-
-
-def _floats(instance: Instance) -> tuple[list[float], list[float]]:
-    return [float(job.p) for job in instance.jobs], [float(job.r) for job in instance.jobs]
-
-
-def make_cut(instance: Instance, jobs) -> Cut:
-    """Build the subset cut for the job set `jobs`, with its rhs computed in
-    float from the instance's p and r (exact while the horizon stays within
-    MAX_HORIZON and the times are integers). Repeated ids count once."""
-    return _cut(jobs, *_floats(instance))
 
 
 def _round_cap(n: int) -> int:
@@ -217,7 +209,7 @@ def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[
             f"exhaustive separation is capped at n = {N_EXHAUSTIVE} (got {n}); "
             "use separate_fast"
         )
-    p, r = _floats(instance)
+    p, r, _ = instance.floats
     Cf = [float(c) for c in C]
     size = 1 << n
     psum = [0.0] * size
@@ -241,7 +233,7 @@ def separate_exhaustive(C, instance: Instance, tau: float = TAU_LP) -> Optional[
             best_mask = mask
     if not best_mask:
         return None
-    return _cut((j for j in range(n) if best_mask >> j & 1), p, r)
+    return make_cut(instance, (j for j in range(n) if best_mask >> j & 1))
 
 
 def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
@@ -260,7 +252,7 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
     first maximum found, scanning thresholds in ascending order and then
     prefixes from the shortest.
     """
-    p, r = _floats(instance)
+    p, r, _ = instance.floats
     Cf = [float(c) for c in C]
     order = sorted(range(instance.n), key=Cf.__getitem__)
     scan = [(r[j], p[j], p[j] * Cf[j], j) for j in order]
@@ -284,7 +276,7 @@ def separate_fast(C, instance: Instance, tau: float = TAU_LP) -> Optional[Cut]:
         return None
     rho, last = best
     prefix = [j for rj, _, _, j in scan if rj >= rho]
-    return _cut(prefix[: prefix.index(last) + 1], p, r)
+    return make_cut(instance, prefix[: prefix.index(last) + 1])
 
 
 def _accept(status: HighsStatus, what: str) -> None:
@@ -293,7 +285,7 @@ def _accept(status: HighsStatus, what: str) -> None:
         raise SchedulingError(f"HiGHS rejected {what}")
 
 
-def _new_highs(cost: list[float], lower: list[float]) -> _Highs:
+def _new_highs(cost: Sequence[float], lower: list[float]) -> _Highs:
     """This thread's HiGHS solver, set up with _HIGHS_OPTIONS when the
     thread first asks for it, with its model cleared to min cost.C over
     C >= lower and no rows."""
@@ -309,7 +301,7 @@ def _new_highs(cost: list[float], lower: list[float]) -> _Highs:
     return highs
 
 
-def _add_rows(highs: _Highs, p: list[float], cuts, pairs=()) -> None:
+def _add_rows(highs: _Highs, p: Sequence[float], cuts, pairs=()) -> None:
     """Append to the model, in one addRows, the row C_j - C_k <= 0 of each
     pair (j, k), then the row -sum_{j in U} p_j C_j <= -rhs of each cut."""
     rows = [((j, k), (1.0, -1.0), 0.0) for j, k in pairs]
@@ -401,13 +393,12 @@ def solve_lp(
     if n == 0:
         return LpSolution((), 0.0, (), 0, ())
 
-    p, r = _floats(instance)
+    p, r, w = instance.floats
     # by job subset: the singletons, then warm in the order of their rows
     cuts = {(j,): Cut((j,), r[j] * p[j] + p[j] * p[j] / 2) for j in range(n)}
     for subset in warm:
-        cut = _cut(subset, p, r)
+        cut = make_cut(instance, subset)
         cuts.setdefault(cut.jobs, cut)
-    w = [float(job.w) for job in instance.jobs]
     highs = _new_highs(w, [r[j] + p[j] / 2 for j in range(n)])
     _add_rows(highs, p, list(cuts.values())[n:], instance.cover)
     z_history = []
@@ -470,5 +461,5 @@ def wspt_value(p, r, w) -> float:
 
 def cut_violation_of(cut: Cut, C, instance: Instance) -> float:
     """rhs minus sum p_j C_j for this cut; positive means violated."""
-    lhs = sum(float(instance.jobs[j].p) * float(C[j]) for j in cut.jobs)
-    return cut.rhs - lhs
+    p = instance.floats[0]
+    return cut.rhs - sum(p[j] * float(C[j]) for j in cut.jobs)

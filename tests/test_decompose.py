@@ -44,6 +44,7 @@ from prec_sched.decompose import (
     block_bounds,
 )
 from prec_sched.harness import FAMILIES
+from prec_sched.lp import wspt_value
 from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
 from .oracles import partition_signature
@@ -537,6 +538,24 @@ class TestOffsetPruning:
             f"offset {k} (b = {result.candidates[k]!r}) abandoned after 1 of 2 blocks: "
             f"bound {bound!r}, best cost 1767.0"
         ]
+
+    @pytest.mark.parametrize("family", ["uniform", "p_le_r", "chains", "antichain"])
+    def test_block_values_are_those_of_the_built_blocks(self, family):
+        # block_bounds lifts releases to max(r_j, 3 t_i) itself, as
+        # SubInstance.instance does; the two must agree exactly
+        blocks = 0
+        for seed in range(15):
+            instance = generate(GeneratorConfig(n=14, seed=seed, family=family))
+            lp = solve_lp(instance)
+            cmax = max(lp.completion)
+            grids = [build_grid(1, b, cmax) for b in derandomize_b(lp, 3.0)]
+            partitions = [partition_jobs(instance, lp, grid) for grid in grids]
+            for values, subs in zip(block_bounds(instance, partitions), partitions):
+                assert sorted(values) == [sub.index for sub in subs]
+                for sub in subs:
+                    assert values[sub.index] == wspt_value(*sub.instance.floats)
+                    blocks += 1
+        assert blocks > 200
 
     def test_random_mode_evaluates_its_one_offset(self):
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)

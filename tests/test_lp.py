@@ -24,6 +24,7 @@ import prec_sched.lp
 from prec_sched import (
     GeneratorConfig,
     Instance,
+    Job,
     LpIterationLimitError,
     LpSolution,
     build_grid,
@@ -174,6 +175,31 @@ class TestSolveLp:
         sol = solve_lp(instance)
         assert sol.value == pytest.approx(0.0, abs=TOL)
         assert separate_exhaustive(sol.completion, instance) is None
+
+    def test_float_view_built_once_per_instance(self, monkeypatch):
+        prop = Instance.__dict__["floats"]
+        builds = []
+
+        def counted(self, func=prop.func):
+            builds.append(self)
+            return func(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+        instance = random_instance(4, 12)
+        sol = solve_lp(instance)
+        # every round's separation and every warm or separated cut reads it
+        assert sol.iterations >= 3
+        assert builds == [instance]
+        # with_jobs shares the order's caches, never the jobs' floats
+        jobs = tuple(Job(job.p + 1, job.r, job.w + 2) for job in instance.jobs)
+        moved = instance.with_jobs(jobs)
+        assert moved.floats == (
+            tuple(float(job.p) for job in jobs),
+            tuple(float(job.r) for job in jobs),
+            tuple(float(job.w) for job in jobs),
+        )
+        assert moved.floats != instance.floats
+        assert builds == [instance, moved]
 
 
 class TestSingletonBounds:
@@ -460,9 +486,17 @@ class TestWarmStart:
         assert len(set(jobs)) == len(jobs)
         assert make_cut(instance, (2, 2, 1)).rhs == make_cut(instance, (1, 2)).rhs
 
-    def test_subset_outside_the_instance_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            solve_lp(make_instance([(1, 0, 1)]), warm=[(0, 1)])
+    @pytest.mark.parametrize(
+        "subset, message",
+        [((0, 1), "names a job outside"), ((-1,), "names a job outside"), ((), "must be nonempty")],
+        ids=["too large", "negative", "empty"],
+    )
+    def test_subset_outside_the_instance_rejected(self, subset, message):
+        instance = make_instance([(1, 0, 1)])
+        with pytest.raises(ValueError, match=message):
+            make_cut(instance, subset)
+        with pytest.raises(ValueError, match=message):
+            solve_lp(instance, warm=[subset])
 
 
 class TestCutRhs:
