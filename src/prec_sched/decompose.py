@@ -22,18 +22,19 @@ Offsets are pruned by a lower bound on their cost that needs no LP: the
 preemptive WSPT value of each of the offset's blocks (M. X. Goemans,
 "Improved approximation algorithms for scheduling with release dates",
 SODA 1997), on the block's releases lifted as SubInstance.instance lifts
-them. Preemptive WSPT minimizes sum w_j M_j, M_j the mean busy time, over
-all preemptive schedules with those releases, and a nonpreemptive
-schedule has C_j = M_j + p_j/2, so sum_j w_j (M_j + p_j/2) bounds the
-block's cost. It ignores precedence, so it holds in every bounded mode.
-The union may bend the lifted releases and the machine by the parent's
-tolerance tol: the containment and feasibility checks assert only that
-each job starts at or after its lifted release less tol, and at or after
-the completion of the job before it less tol (list_schedule, for one,
-starts a job up to its block's tol before its release). Delaying the k-th
-job in start order (k = 1..n) by k tol removes both slacks and adds at
-most delta = n tol to any completion time, so the cost is at least the
-sum of the block values less delta sum_j w_j.
+them: SubInstance.value, computed once per block. Preemptive WSPT
+minimizes sum w_j M_j, M_j the mean busy time, over all preemptive
+schedules with those releases, and a nonpreemptive schedule has C_j =
+M_j + p_j/2, so sum_j w_j (M_j + p_j/2) bounds the block's cost. It
+ignores precedence, so it holds in every bounded mode. The union may
+bend the lifted releases and the machine by the parent's tolerance tol:
+the containment and feasibility checks assert only that each job starts
+at or after its lifted release less tol, and at or after the completion
+of the job before it less tol (list_schedule, for one, starts a job up
+to its block's tol before its release). Delaying the k-th job in start
+order (k = 1..n) by k tol removes both slacks and adds at most delta = n
+tol to any completion time, so the cost is at least the sum of the block
+values less delta sum_j w_j.
 
 Offsets are evaluated in (bound, index) order, each one's blocks in
 descending value, ties by index. Before each block, the tightened costs
@@ -47,8 +48,8 @@ bound is at least its own, and the best cost never rises. The union's
 cost is the sum of its blocks' costs up to float reassociation, which
 SKIP_REL covers with the rounding of the bounds, so the schedule, cost,
 offset, grid and block outcomes are exactly those of evaluating every
-offset in full. A single offset, as in random mode, is never abandoned,
-so no bound is computed for it.
+offset in full. Random mode runs the same search on its one offset,
+which is never abandoned, as no best cost precedes it.
 """
 
 from __future__ import annotations
@@ -128,14 +129,14 @@ def build_grid(epsilon, b: float, cmax: float) -> IntervalGrid:
     q is minimal with cmax <= t_q. epsilon must lie in (0, 3/ln 3]: the
     breakpoint ratio e^(3/epsilon) must be at least 3 so that a bounded
     block starting at 3 t_i can finish by 3 t_{i+1}. b must lie in
-    [0, a], cmax must be positive, and epsilon large enough that the top
-    ceiling 3 t_{q+1} < 3 e^(2a) cmax is a float.
+    [0, a], cmax positive and finite, and epsilon large enough that the
+    top ceiling 3 t_{q+1} < 3 e^(2a) cmax is a float.
     """
     a = _scale_of(epsilon)
     if not 0 <= b <= a:
         raise ValueError(f"offset b must lie in [0, {a}], got {b}")
-    if cmax <= 0:
-        raise ValueError("cmax must be positive")
+    if not 0 < cmax < math.inf:
+        raise ValueError(f"cmax must be positive and finite, got {cmax}")
     a_max = (math.log(sys.float_info.max) - math.log(3.0 * cmax)) / 2
     if a >= a_max:  # a = 3/epsilon, so this bounds epsilon from below
         raise ValueError(f"epsilon must exceed {3.0 / a_max:.4g} at Cmax {cmax:g}, or t_i overflow")
@@ -150,7 +151,7 @@ class SubInstance:
     """One bounded subproblem: parent jobs `jobs` whose LP completions fall
     in grid interval `index`, with bounds L = floor = 3 t_i and beta = e^a
     the grid holds. Its instance and warm cuts are built from `parent` and
-    `cuts` on first use, so a block never solved costs only its membership.
+    `cuts` on first use; a block never solved costs its membership and value.
     """
 
     jobs: tuple[int, ...]
@@ -171,6 +172,16 @@ class SubInstance:
         lifted = tuple(Job(job.p, float(max(job.r, self.floor)), job.w) for job in jobs)
         prec = frozenset((ids[j], ids[k]) for j, k in self.parent.prec if j in ids and k in ids)
         return Instance(lifted, prec)
+
+    @cached_property
+    def value(self) -> float:
+        """The preemptive WSPT value of the jobs on releases lifted to
+        max(r_j, floor), precedence ignored: wspt_value(*instance.floats)
+        with no instance built. Less the slack n tol sum_j w_j, it bounds
+        the block's cost (see the module docstring)."""
+        p, r, w = self.parent.floats
+        lifted = [max(r[j], self.floor) for j in self.jobs]
+        return wspt_value([p[j] for j in self.jobs], lifted, [w[j] for j in self.jobs])
 
     @cached_property
     def warm(self) -> tuple[tuple[int, ...], ...]:
@@ -220,25 +231,6 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
-def block_bounds(instance: Instance, partitions) -> tuple[dict[int, float], ...]:
-    """Per partition of partition_jobs, the preemptive WSPT value of each
-    block on its lifted releases max(r_j, 3 t_i), keyed by interval index
-    in interval order: exactly wspt_value(*sub.instance.floats), with no
-    block built and no LP solved; precedence is not looked at. A block's
-    value less the slack n tol sum_j w_j bounds its cost (see the module
-    docstring)."""
-    p, r, w = instance.floats
-    out = []
-    for subs in partitions:
-        values = {}
-        for sub in subs:
-            ids = sub.jobs
-            lifted = [max(r[j], sub.floor) for j in ids]
-            values[sub.index] = wspt_value([p[j] for j in ids], lifted, [w[j] for j in ids])
-        out.append(values)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class IntervalOutcome:
     """Diagnostics for the block of grid interval `index`, which spans
@@ -255,14 +247,14 @@ class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
     The winning offset is grid.b, and the grid bounds each block. `bounds`
-    holds one lower bound per entry of `candidates`: its block bound
-    (block_bounds) when there are several candidates, and -inf when there
-    is one, which is never abandoned. `evaluated` holds the candidate
-    indices with at least one block solved, in the order they were; the
-    first of the others was abandoned before its first block, its block
-    bound already above the best cost, and the rest were not reached. An
-    evaluated offset other than the winner may have been abandoned
-    part-way. Neither enters to_dict.
+    holds one lower bound per entry of `candidates`, in either mode: the
+    values of its blocks (SubInstance.value) less the slack, so 0.0 for
+    the empty instance, which has no blocks. `evaluated` holds the
+    candidate indices with at least one block solved, in the order they
+    were; the first of the others was abandoned before its first block,
+    its block bound already above the best cost, and the rest were not
+    reached. An evaluated offset other than the winner may have been
+    abandoned part-way. Neither enters to_dict.
     """
 
     schedule: Schedule
@@ -297,26 +289,23 @@ def _solve_partition(
     epsilon,
     bounded_mode: str,
     budget: Optional[int],
-    values: Optional[dict[int, float]] = None,
     limit: float = math.inf,
 ) -> tuple[Optional[Schedule], float, tuple[IntervalOutcome, ...]]:
     """Solve one partition's blocks and unite their schedules: the union,
     its cost and the block outcomes in interval order.
 
-    `values` maps each block's interval index to a lower bound on its cost
-    (0 for each if not given). The blocks are solved in descending value,
-    ties by index. Before each, if the costs of the blocks solved plus the
-    values of the others exceed `limit`, the others are left unsolved:
-    the union is then None, its cost that sum, and the outcomes those of
-    the blocks solved, possibly none.
+    The blocks are solved in descending value (SubInstance.value), ties by
+    index. Before each, if the costs of the blocks solved plus the values
+    of the others exceed `limit`, the others are left unsolved: the union
+    is then None, its cost that sum, and the outcomes those of the blocks
+    solved, possibly none.
     """
-    values = values or dict.fromkeys((sub.index for sub in subs), 0.0)
     tol = instance.tol()
     start = [0.0] * instance.n
     outcomes = {}
     spent = 0.0
-    for sub in sorted(subs, key=lambda sub: (-values[sub.index], sub.index)):
-        rest = sum(v for i, v in values.items() if i not in outcomes)
+    for sub in sorted(subs, key=lambda sub: (-sub.value, sub.index)):
+        rest = sum(other.value for other in subs if other.index not in outcomes)
         if spent + rest > limit:
             return None, spent + rest, tuple(outcomes[i] for i in sorted(outcomes))
         floor, ceiling = sub.floor, grid.floor(sub.index + 1)
@@ -390,7 +379,7 @@ def decompose_and_solve(
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
-            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (-math.inf,), (0,)
+            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
         )
     cmax = max(lp.completion)
     if mode == "random":
@@ -401,18 +390,14 @@ def decompose_and_solve(
     grids = [build_grid(eps, b, cmax) for b in candidates]
     partitions = [partition_jobs(instance, lp, grid) for grid in grids]
     slack = instance.n * instance.tol() * sum(instance.floats[2])
-    if len(grids) > 1:
-        values = block_bounds(instance, partitions)
-        bounds = tuple(sum(v.values()) - slack for v in values)
-    else:  # one offset is never abandoned, so it goes without a bound
-        values, bounds = (None,), (-math.inf,)
+    bounds = tuple(sum(sub.value for sub in subs) - slack for subs in partitions)
 
     best = None  # (cost, index, union, outcomes)
     evaluated = []
     for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
         limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
         union, cost, outcomes = _solve_partition(
-            instance, grids[i], partitions[i], eps, bounded_mode, budget, values[i], limit
+            instance, grids[i], partitions[i], eps, bounded_mode, budget, limit
         )
         if outcomes:
             evaluated.append(i)

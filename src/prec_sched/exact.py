@@ -51,14 +51,16 @@ def exact_opt(instance: Instance, cap: int = EXACT_CAP):
     instance : Instance
         Validated; n must not exceed cap (state count is 2^n).
     cap : int
-        Job-count limit for the subset dynamic program; limits above
-        EXACT_MAX count as EXACT_MAX.
+        Job-count limit for the subset dynamic program, at least 0;
+        limits above EXACT_MAX count as EXACT_MAX.
 
     Returns
     -------
     (cost, Schedule)
     """
     n = instance.n
+    if cap < 0:
+        raise ValueError(f"exact solver cap must be at least 0, got {cap}")
     cap = min(cap, EXACT_MAX)
     if n > cap:
         raise ValueError(f"exact solver is capped at n = {cap} (got {n})")

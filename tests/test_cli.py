@@ -224,6 +224,11 @@ class TestExact:
         assert code == 1
         assert "capped at n = 1" in err
 
+    def test_negative_cap_is_usage_error(self, capsys, reference_path):
+        code, out, err = run(capsys, "exact", reference_path, "--cap", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: exact solver cap must be at least 0, got -1\n"
+
     def test_above_the_ceiling_refused_whatever_the_cap(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"jobs": [{"p": 1, "r": 0, "w": 1}] * 21, "prec": []})
         code, out, err = run(capsys, "exact", path, "--cap", "64")

@@ -41,7 +41,6 @@ from prec_sched.decompose import (
     SKIP_REL,
     IntervalGrid,
     _solve_partition,
-    block_bounds,
 )
 from prec_sched.harness import FAMILIES
 from prec_sched.lp import wspt_value
@@ -75,8 +74,10 @@ class TestGrids:
             build_grid(1, -0.1, 1.0)
         with pytest.raises(ValueError, match="offset"):
             build_grid(1, 3.5, 1.0)
-        with pytest.raises(ValueError, match="cmax"):
-            build_grid(1, 0.0, 0.0)
+        # nan would give a grid below its own Cmax, inf an overflow message
+        for cmax in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cmax must be positive and finite"):
+                build_grid(1, 0.0, cmax)
 
     def test_epsilon_range_enforced(self):
         for bad in (4, 3, 0, -1):
@@ -313,9 +314,9 @@ class TestDecomposeAndSolve:
             assert result.schedule.start == ()
             assert result.intervals == ()
             # the shape every other result has: a = 3/epsilon, and the lone
-            # offset's bound is -inf
+            # offset's bound is the sum of no block values, less no slack
             assert result.grid == IntervalGrid(a, 0.0, ())
-            assert result.candidates == (0.0,) and result.bounds == (-math.inf,)
+            assert result.candidates == (0.0,) and result.bounds == (0.0,)
             doc = {"start": [], "cost": "0.0", "b": 0.0, "t": [], "intervals": []}
             assert result.to_dict(empty) == doc
 
@@ -423,25 +424,32 @@ class TestOffsetPruning:
     @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
     @pytest.mark.parametrize("family", FAMILIES)
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), mode=st.sampled_from(MODES))
-    def test_bounds_hold_and_the_winner_is_unchanged(self, family, epsilon, seed, n, mode):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        mode=st.sampled_from(MODES),
+        offsets=st.sampled_from(["derandomized", "random"]),
+    )
+    def test_bounds_hold_and_the_winner_is_unchanged(
+        self, family, epsilon, seed, n, mode, offsets
+    ):
         instance = generate(GeneratorConfig(n=n, seed=seed, family=family))
-        result = decompose_and_solve(instance, epsilon, bounded_mode=mode)
+        result = decompose_and_solve(
+            instance, epsilon, mode=offsets, seed=seed, bounded_mode=mode
+        )
         cmax = max(result.lp.completion)
         grids = [build_grid(epsilon, b, cmax) for b in result.candidates]
         partitions = [partition_jobs(instance, result.lp, grid) for grid in grids]
-        values = block_bounds(instance, partitions)
         slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
         runs = []
         for i, (grid, subs) in enumerate(zip(grids, partitions)):
             union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
             assert result.bounds[i] <= cost
-            if len(grids) > 1:
-                assert result.bounds[i] == sum(values[i].values()) - slack
+            assert result.bounds[i] == sum(sub.value for sub in subs) - slack
             # each block's value less the whole slack bounds its own cost
-            assert sorted(values[i]) == [outcome.index for outcome in outcomes]
-            for outcome in outcomes:
-                assert values[i][outcome.index] - slack <= outcome.cost
+            assert [sub.index for sub in subs] == [outcome.index for outcome in outcomes]
+            for sub, outcome in zip(subs, outcomes):
+                assert sub.value - slack <= outcome.cost
             runs.append((cost, i, union.start, outcomes))
         cost, i, start, outcomes = min(runs, key=lambda run: run[:2])
         assert (result.cost, result.grid.b, result.schedule.start, result.intervals) == (
@@ -487,7 +495,7 @@ class TestOffsetPruning:
     def test_pruning_strength_on_chains(self, monkeypatch):
         # sep_chains' shape; a weaker bound evaluates more offsets, and
         # solving every block of an evaluated offset takes 68 block solves
-        builds = {"instance": 0, "warm": 0}
+        builds = {"instance": 0, "warm": 0, "value": 0}
         for name in builds:
             prop = SubInstance.__dict__[name]
 
@@ -503,15 +511,25 @@ class TestOffsetPruning:
             return solve_bounded(*args, **kwargs)
 
         monkeypatch.setattr("prec_sched.decompose.solve_bounded", solve)
+        partitioned = []
+
+        def partition(*args):
+            subs = partition_jobs(*args)
+            partitioned.extend(subs)
+            return subs
+
+        monkeypatch.setattr("prec_sched.decompose.partition_jobs", partition)
         evaluated = 0
         for seed in range(20):
             config = GeneratorConfig(n=14, seed=seed, p_max=8, r_max=56, family="chains")
             result = decompose_and_solve(generate(config), 1, bounded_mode="empty-guess")
             evaluated += len(result.evaluated)
         assert evaluated == 43
-        assert len(solves) == 57
-        # a block is built only when it is solved
-        assert builds == {"instance": 57, "warm": 57}
+        assert (len(solves), len(partitioned)) == (57, 417)
+        # a block is built only when it is solved, and its value, read for
+        # the offset's bound, the solve order and every bound part-way, is
+        # computed once per partitioned block
+        assert builds == {"instance": 57, "warm": 57, "value": len(partitioned)}
 
     def test_losing_offset_abandoned_part_way(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=7, p_max=8, r_max=56, family="chains"))
@@ -522,15 +540,14 @@ class TestOffsetPruning:
         # its block of larger value, solved first, already shows it loses
         grid = build_grid(1, result.candidates[k], max(result.lp.completion))
         subs = partition_jobs(instance, result.lp, grid)
-        (values,) = block_bounds(instance, [subs])
-        first = max(subs, key=lambda sub: (values[sub.index], -sub.index))
+        first = max(subs, key=lambda sub: (sub.value, -sub.index))
         block = solve_bounded(
             first.instance, 1, grid.floor(first.index), math.exp(grid.a),
             mode="empty-guess", warm=first.warm,
         )
         cost = schedule_cost(tighten(block.schedule, first.instance), first.instance)
         slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
-        bound = cost + sum(v for i, v in values.items() if i != first.index) - slack
+        bound = cost + sum(sub.value for sub in subs if sub is not first) - slack
         assert len(subs) == 2 and bound > result.cost * (1 + SKIP_REL)
         messages = [rec.getMessage() for rec in caplog.records]
         part_way = [line for line in messages if "abandoned" in line and "after 0 of" not in line]
@@ -541,7 +558,7 @@ class TestOffsetPruning:
 
     @pytest.mark.parametrize("family", ["uniform", "p_le_r", "chains", "antichain"])
     def test_block_values_are_those_of_the_built_blocks(self, family):
-        # block_bounds lifts releases to max(r_j, 3 t_i) itself, as
+        # SubInstance.value lifts releases to max(r_j, 3 t_i) itself, as
         # SubInstance.instance does; the two must agree exactly
         blocks = 0
         for seed in range(15):
@@ -550,26 +567,23 @@ class TestOffsetPruning:
             cmax = max(lp.completion)
             grids = [build_grid(1, b, cmax) for b in derandomize_b(lp, 3.0)]
             partitions = [partition_jobs(instance, lp, grid) for grid in grids]
-            for values, subs in zip(block_bounds(instance, partitions), partitions):
-                assert sorted(values) == [sub.index for sub in subs]
+            for subs in partitions:
                 for sub in subs:
-                    assert values[sub.index] == wspt_value(*sub.instance.floats)
+                    assert sub.value == wspt_value(*sub.instance.floats)
                     blocks += 1
         assert blocks > 200
 
     def test_random_mode_evaluates_its_one_offset(self):
-        result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
+        # the same search as over many offsets: its bound is its blocks'
+        # values less the slack, though one offset is never abandoned
+        instance = random_instance(3, 6)
+        result = decompose_and_solve(instance, 1, mode="random", seed=5)
         assert result.evaluated == (0,)
-        assert len(result.bounds) == 1
-        assert result.bounds[0] <= result.cost
-
-    def test_random_mode_computes_no_bound(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("one offset is never abandoned, so it needs no bound")
-
-        monkeypatch.setattr("prec_sched.decompose.block_bounds", refuse)
-        result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
-        assert result.bounds == (-math.inf,)
+        grid = build_grid(1, result.grid.b, max(result.lp.completion))
+        subs = partition_jobs(instance, result.lp, grid)
+        slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
+        assert result.bounds == (sum(sub.value for sub in subs) - slack,)
+        assert 0 < result.bounds[0] <= result.cost
 
 
 class TestNumericTypes:

@@ -89,6 +89,12 @@ class TestExactOpt:
         cost, _ = exact_opt(instance, cap=5)
         assert cost == 1 + 2 + 3 + 4 + 5
 
+    def test_negative_cap_rejected(self):
+        # not reported as a cap the instance exceeds, even when it is empty
+        for instance in (make_instance([(1, 0, 1)] * 3), make_instance([])):
+            with pytest.raises(ValueError, match="cap must be at least 0, got -3"):
+                exact_opt(instance, cap=-3)
+
 
 class TestExactContribution:
     def test_full_subset_is_total_cost(self):

@@ -2,10 +2,11 @@
 
 `tests/data/golden.json` holds, for each of the 20 instances `gen --n 9`
 (families uniform, p_le_r, chains and antichain; seeds 1-5), the sha256
-of the canonical JSON and the cost string of six outputs: `solve` at
-eps 1 typed, 1/2 exhaustive, 1/3 typed and 1/4 exhaustive, `lp` and
-`lpls`. Canonical JSON is the CLI's document re-dumped with sorted keys
-and no whitespace.
+of the canonical JSON and the cost string of seven outputs: `solve` at
+eps 1 typed, 1/2 exhaustive, 1/3 typed and 1/4 exhaustive, `solve` at
+eps 1 typed on the one random offset of seed 3, `lp` and `lpls`.
+Canonical JSON is the CLI's document re-dumped with sorted keys and no
+whitespace.
 
 A refactor that claims unchanged behaviour must leave this file alone. A
 change that moves an output on purpose regenerates it with
@@ -37,6 +38,7 @@ RUNS = {
     "solve-1/2-exhaustive": ("solve", "--epsilon", "1/2", "--bounded-mode", "exhaustive"),
     "solve-1/3-typed": ("solve", "--epsilon", "1/3", "--bounded-mode", "typed"),
     "solve-1/4-exhaustive": ("solve", "--epsilon", "1/4", "--bounded-mode", "exhaustive"),
+    "solve-1-typed-seed3": ("solve", "--epsilon", "1", "--bounded-mode", "typed", "--seed", "3"),
     "lp": ("lp",),
     "lpls": ("lpls",),
 }
