@@ -574,8 +574,14 @@ class TestOffsetPruning:
         assert blocks > 200
 
     def test_random_mode_evaluates_its_one_offset(self):
-        # the same search as over many offsets: its bound is its blocks'
-        # values less the slack, though one offset is never abandoned
+        result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
+        assert result.evaluated == (0,)
+        assert len(result.bounds) == 1
+        assert result.bounds[0] <= result.cost
+
+    def test_random_mode_bound_is_its_blocks_values_less_the_slack(self):
+        # the same search as over many offsets, though one offset is never
+        # abandoned
         instance = random_instance(3, 6)
         result = decompose_and_solve(instance, 1, mode="random", seed=5)
         assert result.evaluated == (0,)
