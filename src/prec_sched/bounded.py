@@ -31,9 +31,10 @@ A fast mode rounds processing times up to powers of (1+eps) first and
 guesses per rounded-size class instead of per job. Guesses are exact
 rationals (grid starts, rounded sizes, their classes): guess identity
 must not depend on float rounding, and a float (1+eps)^i can put a job
-in class i+1. The lift converts each exact start and size to float
-before it meets a float release; the lifted instance, and every
-schedule and cost after it, is float.
+in class i+1. The lift converts each exact start to float, and reads
+each size from the instance's float view, before they meet a float
+release; the lifted instance, and every schedule and cost after it, is
+float.
 
 Both modes run one guess stream and one lift over one guess type, whose
 keys are job ids in the exhaustive mode and size classes i in the typed
@@ -41,7 +42,11 @@ mode. A mode is its items (keys with a size and a smallest release) plus
 each job's key: the jobs (p_j, r_j) keyed by id in the exhaustive mode,
 whose stream also checks precedence; the eligible size classes
 ((1+eps)^i, the class's smallest release) in the typed mode, where a
-job's key is its rounded size.
+job's key is its class index i, an int. round_processing classifies each
+distinct size once (_pow_ceil caches the exact powers and their floats
+across blocks) and records the classes on the rounded instance, where
+the stream and the lift read them: no exact size is hashed or converted
+per job. Other instances they classify themselves.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from typing import Iterable, Iterator, Optional
@@ -161,14 +167,17 @@ def _guesses(items: dict, masks, eps: Fraction, beta, stats) -> Iterator[Guess]:
                 yield Guess(chosen, starts)
 
 
-def _lift(instance: Instance, key_of, keys, sizes, starts) -> Instance:
-    """Both modes' lift, and the hand-over to floats: guessed key keys[i]
-    starts at starts[i] and occupies [starts[i], starts[i] + sizes[i]]; job
-    j has key key_of[j]. Raises on a bug (see adjust_release_times)."""
-    early = dict(zip(keys, starts))
-    # the exact floor, rounded: rounding to float is monotone
-    floor = [max(float(job.r), float(early.get(k, job.p))) for k, job in zip(key_of, instance.jobs)]
-    intervals = [(float(s), float(s + size)) for s, size in zip(starts, sizes)]
+def _lift(instance: Instance, key_of, guess: Guess, sizes) -> Instance:
+    """Both modes' lift, and the hand-over to floats: job j has key
+    key_of[j]; guessed key guess.keys[i] starts at guess.starts[i] and
+    occupies [starts[i], starts[i] + sizes[i]]. Raises on a bug (see
+    adjust_release_times)."""
+    p = instance.floats[0]
+    # each exact start rounded once; rounding to float is monotone, so
+    # every floor is the exact floor, rounded
+    early = {k: float(s) for k, s in zip(guess.keys, guess.starts)}
+    floor = [max(float(job.r), early.get(k, pj)) for k, pj, job in zip(key_of, p, instance.jobs)]
+    intervals = [(float(s), float(s + size)) for s, size in zip(guess.starts, sizes)]
     r = lift_releases(instance, floor, intervals)
     for j in range(instance.n):
         if r[j] < floor[j]:
@@ -181,7 +190,7 @@ def _lift(instance: Instance, key_of, keys, sizes, starts) -> Instance:
             raise InvariantViolationError(
                 f"adjusted releases violate order consistency on ({j}, {k})"
             )
-    jobs = tuple(Job(float(job.p), rj, job.w) for job, rj in zip(instance.jobs, r))
+    jobs = tuple(Job(pj, rj, job.w) for job, pj, rj in zip(instance.jobs, p, r))
     return instance.with_jobs(jobs)
 
 
@@ -194,25 +203,66 @@ def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     the result violates any rule (a bug).
     """
     sizes = [instance.jobs[j].p for j in guess.keys]
-    return _lift(instance, range(instance.n), guess.keys, sizes, guess.starts)
+    return _lift(instance, range(instance.n), guess, sizes)
 
 
-def round_processing(instance: Instance, epsilon) -> Instance:
-    """Round every processing time up to the next power of (1 + eps)."""
-    eps = Fraction(epsilon)
-    power = {p: _pow_ceil(p, eps)[1] for p in {job.p for job in instance.jobs}}
-    return instance.with_jobs(tuple(Job(power[job.p], job.r, job.w) for job in instance.jobs))
-
-
-def _pow_ceil(p, eps: Fraction) -> tuple[int, Fraction]:
-    """Smallest (i, (1+eps)^i) with (1+eps)^i >= p. Exact arithmetic."""
+@lru_cache(maxsize=1024)
+def _pow_ceil(p, eps: Fraction) -> tuple[int, Fraction, float]:
+    """Smallest (i, (1+eps)^i) with (1+eps)^i >= p, in exact arithmetic,
+    and that power as a float. Cached by (p, eps), so that blocks share
+    the powers; the cache holds at most 1024 sizes."""
     i = 0
     v = Fraction(1)
     target = Fraction(p)
     while v < target:
         v *= 1 + eps
         i += 1
-    return i, v
+    return i, v, float(v)
+
+
+@dataclass(frozen=True)
+class _SizeClasses:
+    """The jobs' size classes at eps: job j is in class index[j], and
+    class i has the exact size power[i] = (1+eps)^i, whose float is
+    size[i]."""
+
+    eps: Fraction
+    index: tuple[int, ...]
+    power: dict[int, Fraction]
+    size: dict[int, float]
+
+
+def _size_classes(instance: Instance, eps: Fraction) -> _SizeClasses:
+    """The jobs' size classes, as round_processing recorded them on the
+    instance it built at this eps, or else by _pow_ceil once per distinct
+    size."""
+    recorded = vars(instance).get("size_classes")
+    if recorded is not None and recorded.eps == eps:
+        return recorded
+    of_size = {p: _pow_ceil(p, eps) for p in {job.p for job in instance.jobs}}
+    return _SizeClasses(
+        eps,
+        tuple(of_size[job.p][0] for job in instance.jobs),
+        {i: power for i, power, _ in of_size.values()},
+        {i: size for i, _, size in of_size.values()},
+    )
+
+
+def round_processing(instance: Instance, epsilon) -> Instance:
+    """Round every processing time up to the next power of (1 + eps).
+
+    The result records its jobs' size classes, which the typed guess
+    stream and lift read instead of classifying its exact sizes again,
+    and its float view takes each size's float from the size's class."""
+    classes = _size_classes(instance, _check_arguments(epsilon))
+    index, power = classes.index, classes.power
+    rounded = instance.with_jobs(
+        tuple(Job(power[i], job.r, job.w) for i, job in zip(index, instance.jobs))
+    )
+    _, r, w = instance.floats
+    # floats as cached_property stores it
+    vars(rounded).update(size_classes=classes, floats=(tuple(classes.size[i] for i in index), r, w))
+    return rounded
 
 
 def enumerate_type_guesses(
@@ -232,16 +282,17 @@ def enumerate_type_guesses(
     processing intervals must not overlap. `stats` as in enumerate_guesses.
     """
     eps = _check_arguments(epsilon, beta, L=L)
-    r_min: dict = {}  # rounded size -> smallest release
-    for job in instance.jobs:
-        r_min[job.p] = min(r_min.get(job.p, job.r), job.r)
+    classes = _size_classes(instance, eps)
+    r_min: dict = {}  # class -> smallest release
+    for i, job in zip(classes.index, instance.jobs):
+        r_min[i] = min(r_min.get(i, job.r), job.r)
     Lf = Fraction(L)
     hi = (1 + eps) ** 2 * Fraction(beta) * Lf
     items = {}
-    for size in sorted(r_min):
-        i, power = _pow_ceil(size, eps)
+    for i in sorted(r_min):
+        power = classes.power[i]
         if Lf < power < hi:
-            items[i] = (power, Fraction(r_min[size]))
+            items[i] = (power, Fraction(r_min[i]))
     yield from _guesses(items, dict.fromkeys(items, 0), eps, beta, stats)
 
 
@@ -252,11 +303,11 @@ def adjust_release_times_typed(instance: Instance, guess: Guess, epsilon) -> Ins
     release floor; jobs of other classes get their (rounded) processing
     time, mirroring rules (b) and (c) per class. Consistency and the
     interval push then follow as in adjust_release_times. A job's key is
-    its rounded size, the size of its class.
+    its size class i.
     """
-    base = 1 + Fraction(epsilon)
-    sizes = [base**i for i in guess.keys]
-    return _lift(instance, [job.p for job in instance.jobs], sizes, sizes, guess.starts)
+    eps = _check_arguments(epsilon)
+    sizes = [(1 + eps) ** i for i in guess.keys]
+    return _lift(instance, _size_classes(instance, eps).index, guess, sizes)
 
 
 @dataclass(frozen=True)
@@ -301,9 +352,10 @@ def solve_bounded(
         Run only the first this many guesses of the mode's stream;
         nonnegative. The one place a guess stream is truncated.
     warm : iterable of job subsets
-        Warm-start cut subsets passed to every guess's LP (see solve_lp).
-        Every guess gets the same set, so results do not depend on the
-        order guesses run in.
+        Warm-start cut subsets passed to every guess's LP (see solve_lp),
+        iterated once, and not at all on a chain, which solves no LP. Every
+        guess gets the same set, so results do not depend on the order
+        guesses run in.
 
     Returns
     -------
@@ -340,12 +392,13 @@ def solve_bounded(
         lift = lambda g: adjust_release_times(instance, g)
     # islice takes no stop past sys.maxsize, and no stream is that long
     guesses = list(islice(stream, None if budget is None else min(budget, sys.maxsize)))
-    warm = tuple(warm)
     # a total order has closed predecessor counts 0..n-1, and they sort it
     counts = [mask.bit_count() for mask in instance.masks]
     chain = None
     if sorted(counts) == list(range(instance.n)):
         chain = sorted(range(instance.n), key=counts.__getitem__)
+    else:  # only an LP reads warm, so a chain never iterates it
+        warm = tuple(warm)
     best = None
     failed = 0
     for g in guesses:

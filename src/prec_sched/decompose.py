@@ -62,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bounded import _check_arguments, solve_bounded
 from .errors import InvariantViolationError
@@ -166,10 +166,14 @@ class SubInstance:
         of the parent's prec inside the block, renumbered. As every pair
         points forward (partition_jobs checks it), no path of pairs leaves
         the block and comes back, so these pairs generate the order on it,
-        and are its cover when prec is the parent's, as when normalized."""
-        ids = {j: pos for pos, j in enumerate(self.jobs)}
+        and are its cover when prec is the parent's, as when normalized. A
+        block of every job has the parent's order, and takes it, with the
+        parent's closure, through with_jobs."""
         jobs = [self.parent.jobs[j] for j in self.jobs]
         lifted = tuple(Job(job.p, float(max(job.r, self.floor)), job.w) for job in jobs)
+        if len(jobs) == self.parent.n:  # partition_jobs lists each block's ids in order
+            return self.parent.with_jobs(lifted)
+        ids = {j: pos for pos, j in enumerate(self.jobs)}
         prec = frozenset((ids[j], ids[k]) for j, k in self.parent.prec if j in ids and k in ids)
         return Instance(lifted, prec)
 
@@ -189,10 +193,17 @@ class SubInstance:
         deduplicated and sorted, of two or more jobs: valid cuts for the
         block's LPs once make_cut recomputes their rhs, as every subset
         inequality holds for every schedule; solve_lp bounds each column by
-        its singleton cut."""
+        its singleton cut. The parent's n singleton cuts, first in its
+        cuts, restrict to no such subset and are skipped."""
         ids = {j: pos for pos, j in enumerate(self.jobs)}
-        restricted = {tuple(ids[j] for j in cut.jobs if j in ids) for cut in self.cuts}
+        cuts = self.cuts[self.parent.n:]
+        restricted = {tuple(ids[j] for j in cut.jobs if j in ids) for cut in cuts}
         return tuple(sorted(subset for subset in restricted if len(subset) > 1))
+
+    def lazy_warm(self) -> Iterator[tuple[int, ...]]:
+        """warm, built only once iterated: solve_bounded iterates it only
+        for a block whose guesses solve an LP."""
+        yield from self.warm
 
 
 def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> list[SubInstance]:
@@ -316,7 +327,7 @@ def _solve_partition(
             beta=math.exp(grid.a),
             mode=bounded_mode,
             budget=budget,
-            warm=sub.warm,
+            warm=sub.lazy_warm(),
         )
         tight = tighten(res.schedule, sub.instance)
         lo = min(tight.start)

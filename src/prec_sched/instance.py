@@ -11,8 +11,9 @@ exact oracle relies on it), the releases of the blocks they are split
 into float, the block solver's guesses and the typed mode's rounded sizes
 exact rationals (see bounded), and its lifted instances, with every
 schedule and cost computed from them, float. The LP layer and the block
-bounds, float throughout, read p, r and w from Instance.floats. Every
-derived instance holds its order as its cover (see Instance.with_jobs and
+bounds, float throughout, read p, r and w from Instance.floats, and the
+block solver's lift reads its float p there. Every derived instance
+holds its order as its cover (see Instance.with_jobs and
 SubInstance.instance).
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed

@@ -36,9 +36,12 @@ scipy.optimize; where the file cannot be found or loaded, it imports the
 binding through scipy.optimize. numpy still loads at the first LP, as
 the binding's array arguments need it. The model is solved with
 linprog's options for method="highs", feasibility tightened to 1e-9, so
-residual noise on already-added rows stays far below tau, and presolve
-off. Each thread keeps one HiGHS solver, given those options once, and
-each LP clears its model. The model starts as its n columns (bounded
+residual noise on already-added rows stays far below tau, presolve off,
+and one thread: the dual simplex these LPs take is serial, and with the
+default (0), which derives a thread count from the machine's cores, each
+run costs more (about 3 to 8 us more on a two-column model on 2 cores).
+Each thread keeps one HiGHS solver, given those options once, and each
+LP clears its model. The model starts as its n columns (bounded
 below by the singleton cuts, the weights as costs); every row then goes
 in through addRows: the first batch holds the precedence rows and the
 other starting cuts, and each separated cut is a batch of one. The first
@@ -124,9 +127,10 @@ N_EXHAUSTIVE = 18
 # otherwise a cut the solver considers satisfied can look violated to the
 # separation oracle and get re-added forever. Presolve is off: a hot-started
 # round skips it anyway, and on the first round of these small LPs it costs
-# more than it saves
+# more than it saves. One thread: see the module docstring
 _HIGHS_OPTIONS = {
     "presolve": "off",
+    "threads": 1,
     "simplex_strategy": simplex_constants.SimplexStrategy.kSimplexStrategyDual,
     "highs_debug_level": HighsDebugLevel.kHighsDebugLevelNone,
     "output_flag": False,
@@ -291,6 +295,10 @@ def _new_highs(cost: Sequence[float], lower: list[float]) -> _Highs:
     C >= lower and no rows."""
     highs = getattr(_solvers, "highs", None)
     if highs is None:
+        # a run refuses a thread count other than its thread's scheduler's,
+        # and scipy.optimize.linprog, run first, may have started one of
+        # several threads: it is stopped, and the next run starts a new one
+        _Highs.resetGlobalScheduler(True)
         highs = _Highs()
         _accept(highs.passOptions(_OPTIONS), "the inner solver options")
         _solvers.highs = highs

@@ -249,7 +249,6 @@ class TestSharedPrecedence:
         instance = make_instance([(8, 2, 1), (6, 2, 1), (8, 3, 2), (4, 2, 1), (7, 2, 3), (6, 5, 1)])
         eps = Fraction(1, 2)
         sizes = {job.p for job in instance.jobs}
-        rounded = {job.p for job in round_processing(instance, eps).jobs}  # 6 and 7 share one
         calls = []
 
         def counted(p, eps):
@@ -259,9 +258,9 @@ class TestSharedPrecedence:
         monkeypatch.setattr("prec_sched.bounded._pow_ceil", counted)
         result = solve_bounded(instance, eps, 2, E3, mode="typed")
         assert result.guesses_tried == 4
-        # round_processing once per size, enumerate_type_guesses once per
-        # rounded size, and no guess's lift at all
-        assert sorted(calls, key=float) == sorted([*sizes, *rounded], key=float)
+        # round_processing once per size; the rounded instance records the
+        # classes, so neither enumerate_type_guesses nor any lift classifies
+        assert sorted(calls) == sorted(sizes)
 
 
 class TestAdjustReleaseTimesTyped:
@@ -298,6 +297,31 @@ class TestAdjustReleaseTimesTyped:
                 assert got == expected
                 checked += 1
         assert checked >= 300
+
+    def test_two_sizes_in_one_class(self):
+        # at eps 1/2, 6 and 7 both round up to (3/2)^5 = 243/32, class 5,
+        # and 4 to (3/2)^4 = 81/16, class 4; on the instance rounded or not
+        eps = Fraction(1, 2)
+        base = 1 + eps
+        raw = make_instance([(6, 2, 1), (7, 4, 2), (4, 2, 1), (6, 9, 1)], prec=[(2, 1)])
+        rounded = round_processing(raw, eps)
+        assert [job.p for job in rounded.jobs] == [base**5, base**5, base**4, base**5]
+        for instance in (rounded, raw):
+            types = job_types(instance, eps)
+            assert types == (5, 5, 4, 5)
+            guesses = list(enumerate_type_guesses(instance, eps, 2, 4))
+            assert {canon(g) for g in guesses} == enumerate_type_guesses_ref(instance, eps, 2, 4)
+            # class 5's smallest release is job 0's, 2, below its grid start
+            # 243/64, though job 1's, 4, is above it
+            assert Guess((5,), (Fraction(243, 64),)) in guesses
+            for guess in guesses:
+                early = dict(zip(guess.keys, guess.starts))
+                floors = [early.get(types[j], frac(instance.jobs[j].p)) for j in range(instance.n)]
+                intervals = [(s, s + base**i) for i, s in zip(guess.keys, guess.starts)]
+                adjusted = adjust_release_times_typed(instance, guess, eps)
+                assert [frac(job.r) for job in adjusted.jobs] == naive_adjust(
+                    instance, floors, intervals
+                )
 
 
 class TestSolveBounded:
@@ -441,6 +465,16 @@ class TestSolveBounded:
                 with pytest.raises(ValueError, match="epsilon must be positive"):
                     solve_bounded(instance, eps, 6, 21, mode=mode)
 
+    @pytest.mark.parametrize("eps", [0, Fraction(-1, 2), -1])
+    def test_rounding_and_typed_lift_reject_nonpositive_epsilon(self, eps):
+        # rounding multiplied by 1 + eps <= 1 and never reached the size
+        instance = make_instance([(8, 6, 2)])
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            round_processing(instance, eps)
+        rounded = round_processing(instance, 1)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            adjust_release_times_typed(rounded, EMPTY_GUESS, eps)
+
     @pytest.mark.parametrize("beta", [0, -1, math.inf, Fraction(10**400)])
     def test_beta_must_be_positive_and_finite(self, beta):
         instance = make_instance([(8, 6, 2)])
@@ -472,6 +506,10 @@ class TestSolveBounded:
                 list(enumerate_guesses(instance, eps, 21))
             with pytest.raises(ValueError, match=floor):
                 list(enumerate_type_guesses(instance, eps, 6, 21))
+            with pytest.raises(ValueError, match=floor):
+                round_processing(instance, eps)
+            with pytest.raises(ValueError, match=floor):
+                adjust_release_times_typed(instance, EMPTY_GUESS, eps)
         result = solve_bounded(instance, Fraction(1, 127), 6, 21)
         assert result.guesses_tried > 1
 

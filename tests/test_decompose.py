@@ -366,11 +366,16 @@ class TestDecomposeAndSolve:
         monkeypatch.setattr("prec_sched.decompose.solve_bounded", solve)
         decompose_and_solve(instance, Fraction(1, 2), bounded_mode="typed")
         # only blocks that are solved are built and compute a closure, each
-        # once; some offsets here are abandoned with blocks left unsolved
+        # once, but a block of every job shares the parent's; some offsets
+        # here are abandoned with blocks left unsolved
         built = [vars(sub)["instance"] for sub in blocks if "instance" in vars(sub)]
         assert {id(block) for block in solved} == {id(block) for block in built}
         assert len(solved) == len(built) < len(blocks)
-        assert calls == {"masks": len(solved), "cover": len(solved)}
+        whole = [block for block in solved if block.n == instance.n]
+        assert len(whole) == 2
+        for block in whole:
+            assert block.masks is instance.masks and block.cover is instance.cover
+        assert calls == {"masks": len(solved) - 2, "cover": len(solved) - 2}
 
     def test_to_dict_shape(self):
         instance = make_instance([(2, 3, 1)])
@@ -526,10 +531,11 @@ class TestOffsetPruning:
             evaluated += len(result.evaluated)
         assert evaluated == 43
         assert (len(solves), len(partitioned)) == (57, 417)
-        # a block is built only when it is solved, and its value, read for
+        # a block is built only when it is solved, its warm cuts only when
+        # it solves an LP (the other 14 are chains), and its value, read for
         # the offset's bound, the solve order and every bound part-way, is
         # computed once per partitioned block
-        assert builds == {"instance": 57, "warm": 57, "value": len(partitioned)}
+        assert builds == {"instance": 57, "warm": 43, "value": len(partitioned)}
 
     def test_losing_offset_abandoned_part_way(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=7, p_max=8, r_max=56, family="chains"))

@@ -592,6 +592,39 @@ class TestReusedSolver:
         for name in ("forward", "backward"):
             assert [results[name][i] for i in range(12)] == serial
 
+    def test_solver_runs_on_one_thread(self):
+        assert prec_sched.lp._HIGHS_OPTIONS["threads"] == 1
+
+    @pytest.mark.parametrize("first", ["linprog", "two-thread run"])
+    def test_lp_after_another_highs_run_on_its_thread(self, first):
+        # HiGHS keeps one scheduler per thread, and a run refuses a thread
+        # count other than that scheduler's. Public linprog starts one of
+        # the default size, which grows with the core count; the two-thread
+        # run leaves, on any machine, what it leaves on a larger one
+        instance = random_instance(7, 9, density=0.3)
+        expected = solve_lp(instance)
+        results = []
+
+        def run():
+            if first == "linprog":
+                linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
+            else:
+                highs, options = prec_sched.lp._Highs(), prec_sched.lp.HighsOptions()
+                options.output_flag = False
+                options.threads = 2
+                highs.passOptions(options)
+                highs.addVars(1, [0.0], [kHighsInf])
+                highs.run()
+            results.append(solve_lp(instance))
+            linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
+            results.append(solve_lp(instance))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results == [expected, expected]
+
 
 def dense_rows(model):
     """The constraint matrix of a HiGHS model, stored row- or column-wise,
