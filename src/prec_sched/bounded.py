@@ -27,14 +27,13 @@ guessed optimum, and candidates are scored against the original release
 times, so wrong guesses only produce worse candidates, never unsound
 ones.
 
-A fast mode rounds processing times up to powers of (1+eps) first and
-guesses per rounded-size class instead of per job. Guesses are exact
-rationals (grid starts, rounded sizes, their classes): guess identity
-must not depend on float rounding, and a float (1+eps)^i can put a job
-in class i+1. The lift converts each exact start to float, and reads
-each size from the instance's float view, before they meet a float
-release; the lifted instance, and every schedule and cost after it, is
-float.
+A fast mode rounds processing times up to powers of (1+eps) and guesses
+per rounded-size class instead of per job. Guesses are exact rationals
+(grid starts, rounded sizes, their classes): guess identity must not
+depend on float rounding, and a float (1+eps)^i can put a job in class
+i+1. The lift converts each exact start to float, and takes each size as
+a float, before they meet a float release; the lifted instance, and every
+schedule and cost after it, is float.
 
 Both modes run one guess stream and one lift over one guess type, whose
 keys are job ids in the exhaustive mode and size classes i in the typed
@@ -42,11 +41,12 @@ mode. A mode is its items (keys with a size and a smallest release) plus
 each job's key: the jobs (p_j, r_j) keyed by id in the exhaustive mode,
 whose stream also checks precedence; the eligible size classes
 ((1+eps)^i, the class's smallest release) in the typed mode, where a
-job's key is its class index i, an int. round_processing classifies each
-distinct size once (_pow_ceil caches the exact powers and their floats
-across blocks) and records the classes on the rounded instance, where
-the stream and the lift read them: no exact size is hashed or converted
-per job. Other instances they classify themselves.
+job's key is its class index i, an int. Rounding keeps every job in its
+class, so the typed stream and lift classify the instance they are given,
+the block's own, once per distinct size (_pow_ceil caches the exact powers
+and their floats across blocks), and the typed lift applies the rounding:
+each lifted job's size, and its floor unless guessed early, is the float
+of its class's power.
 """
 
 from __future__ import annotations
@@ -167,12 +167,11 @@ def _guesses(items: dict, masks, eps: Fraction, beta, stats) -> Iterator[Guess]:
                 yield Guess(chosen, starts)
 
 
-def _lift(instance: Instance, key_of, guess: Guess, sizes) -> Instance:
+def _lift(instance: Instance, key_of, guess: Guess, sizes, p) -> Instance:
     """Both modes' lift, and the hand-over to floats: job j has key
-    key_of[j]; guessed key guess.keys[i] starts at guess.starts[i] and
-    occupies [starts[i], starts[i] + sizes[i]]. Raises on a bug (see
-    adjust_release_times)."""
-    p = instance.floats[0]
+    key_of[j] and lifted size p[j], a float; guessed key guess.keys[i]
+    starts at guess.starts[i] and occupies [starts[i], starts[i] +
+    sizes[i]]. Raises on a bug (see adjust_release_times)."""
     # each exact start rounded once; rounding to float is monotone, so
     # every floor is the exact floor, rounded
     early = {k: float(s) for k, s in zip(guess.keys, guess.starts)}
@@ -203,7 +202,7 @@ def adjust_release_times(instance: Instance, guess: Guess) -> Instance:
     the result violates any rule (a bug).
     """
     sizes = [instance.jobs[j].p for j in guess.keys]
-    return _lift(instance, range(instance.n), guess, sizes)
+    return _lift(instance, range(instance.n), guess, sizes, instance.floats[0])
 
 
 @lru_cache(maxsize=1024)
@@ -226,22 +225,15 @@ class _SizeClasses:
     class i has the exact size power[i] = (1+eps)^i, whose float is
     size[i]."""
 
-    eps: Fraction
     index: tuple[int, ...]
     power: dict[int, Fraction]
     size: dict[int, float]
 
 
 def _size_classes(instance: Instance, eps: Fraction) -> _SizeClasses:
-    """The jobs' size classes, as round_processing recorded them on the
-    instance it built at this eps, or else by _pow_ceil once per distinct
-    size."""
-    recorded = vars(instance).get("size_classes")
-    if recorded is not None and recorded.eps == eps:
-        return recorded
+    """The jobs' size classes, by _pow_ceil once per distinct size."""
     of_size = {p: _pow_ceil(p, eps) for p in {job.p for job in instance.jobs}}
     return _SizeClasses(
-        eps,
         tuple(of_size[job.p][0] for job in instance.jobs),
         {i: power for i, power, _ in of_size.values()},
         {i: size for i, _, size in of_size.values()},
@@ -251,18 +243,13 @@ def _size_classes(instance: Instance, eps: Fraction) -> _SizeClasses:
 def round_processing(instance: Instance, epsilon) -> Instance:
     """Round every processing time up to the next power of (1 + eps).
 
-    The result records its jobs' size classes, which the typed guess
-    stream and lift read instead of classifying its exact sizes again,
-    and its float view takes each size's float from the size's class."""
+    The rounded jobs keep their classes, so the typed guess stream and
+    lift give the same results on the result as on `instance`; the
+    solver runs them on `instance` and never builds it."""
     classes = _size_classes(instance, _check_arguments(epsilon))
-    index, power = classes.index, classes.power
-    rounded = instance.with_jobs(
-        tuple(Job(power[i], job.r, job.w) for i, job in zip(index, instance.jobs))
+    return instance.with_jobs(
+        tuple(Job(classes.power[i], job.r, job.w) for i, job in zip(classes.index, instance.jobs))
     )
-    _, r, w = instance.floats
-    # floats as cached_property stores it
-    vars(rounded).update(size_classes=classes, floats=(tuple(classes.size[i] for i in index), r, w))
-    return rounded
 
 
 def enumerate_type_guesses(
@@ -272,14 +259,16 @@ def enumerate_type_guesses(
     beta,
     stats: Optional[dict] = None,
 ) -> Iterator[Guess]:
-    """Yield guesses over processing-size classes of a rounded instance.
+    """Yield guesses over the processing-size classes of an instance.
 
-    Each rounded size (1+eps)^i is class i. Only classes present in the
-    instance whose size lies strictly between L and (1+eps)^2 * beta * L
-    can have an early job. For each chosen class i, the candidate
-    smallest start runs over multiples of eps * (1+eps)^i below
-    (1+eps)^i, pruned below the class's smallest release time. Early
-    processing intervals must not overlap. `stats` as in enumerate_guesses.
+    A job of size p is in class i, with (1+eps)^i the smallest power at
+    or above p, so an instance and its rounding give the same stream.
+    Only classes present in the instance whose size lies strictly between
+    L and (1+eps)^2 * beta * L can have an early job. For each chosen
+    class i, the candidate smallest start runs over multiples of
+    eps * (1+eps)^i below (1+eps)^i, pruned below the class's smallest
+    release time. Early processing intervals must not overlap. `stats` as
+    in enumerate_guesses.
     """
     eps = _check_arguments(epsilon, beta, L=L)
     classes = _size_classes(instance, eps)
@@ -297,17 +286,20 @@ def enumerate_type_guesses(
 
 
 def adjust_release_times_typed(instance: Instance, guess: Guess, epsilon) -> Instance:
-    """Release lift for a class-level guess on a rounded instance.
+    """Release lift for a class-level guess, with processing times rounded.
 
-    Jobs of a guessed class get the class's guessed smallest start as a
-    release floor; jobs of other classes get their (rounded) processing
-    time, mirroring rules (b) and (c) per class. Consistency and the
-    interval push then follow as in adjust_release_times. A job's key is
-    its size class i.
+    Each job's size is rounded up to its class's power (1+eps)^i, as a
+    float. Jobs of a guessed class get the class's guessed smallest start
+    as a release floor; jobs of other classes get their rounded size,
+    mirroring rules (b) and (c) per class. Consistency and the interval
+    push then follow as in adjust_release_times. A job's key is its size
+    class i. An instance and its rounding give the same lifted instance.
     """
     eps = _check_arguments(epsilon)
+    classes = _size_classes(instance, eps)
     sizes = [(1 + eps) ** i for i in guess.keys]
-    return _lift(instance, _size_classes(instance, eps).index, guess, sizes)
+    p = [classes.size[i] for i in classes.index]
+    return _lift(instance, classes.index, guess, sizes, p)
 
 
 @dataclass(frozen=True)
@@ -345,17 +337,17 @@ def solve_bounded(
         Bounding parameters of the instance, positive and finite.
     mode : {"exhaustive", "typed", "empty-guess"}
         exhaustive enumerates per-job guesses (n capped at N_GUESS
-        unless a budget is given); typed rounds processing times up to
-        powers of (1+eps) and guesses per size class; empty-guess runs
-        the single all-late guess.
+        unless a budget is given); typed guesses per size class and
+        lifts with processing times rounded up to powers of (1+eps);
+        empty-guess runs the single all-late guess.
     budget : int, optional
         Run only the first this many guesses of the mode's stream;
         nonnegative. The one place a guess stream is truncated.
     warm : iterable of job subsets
         Warm-start cut subsets passed to every guess's LP (see solve_lp),
-        iterated once, and not at all on a chain, which solves no LP. Every
-        guess gets the same set, so results do not depend on the order
-        guesses run in.
+        iterated once; a chain solves no LP and ignores them. Every guess
+        gets the same set, so results do not depend on the order guesses
+        run in.
 
     Returns
     -------
@@ -384,21 +376,19 @@ def solve_bounded(
         )
     # the lift is picked once; it looks its function up by name on each call
     if mode == "typed":
-        rounded = round_processing(instance, eps)
-        stream = enumerate_type_guesses(rounded, eps, L, beta)
-        lift = lambda g: adjust_release_times_typed(rounded, g, eps)
+        stream = enumerate_type_guesses(instance, eps, L, beta)
+        lift = lambda g: adjust_release_times_typed(instance, g, eps)
     else:
         stream = enumerate_guesses(instance, eps, beta) if mode == "exhaustive" else [Guess((), ())]
         lift = lambda g: adjust_release_times(instance, g)
     # islice takes no stop past sys.maxsize, and no stream is that long
     guesses = list(islice(stream, None if budget is None else min(budget, sys.maxsize)))
+    warm = tuple(warm)
     # a total order has closed predecessor counts 0..n-1, and they sort it
     counts = [mask.bit_count() for mask in instance.masks]
     chain = None
     if sorted(counts) == list(range(instance.n)):
         chain = sorted(range(instance.n), key=counts.__getitem__)
-    else:  # only an LP reads warm, so a chain never iterates it
-        warm = tuple(warm)
     best = None
     failed = 0
     for g in guesses:

@@ -62,7 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from .bounded import _check_arguments, solve_bounded
 from .errors import InvariantViolationError
@@ -151,7 +151,8 @@ class SubInstance:
     """One bounded subproblem: parent jobs `jobs` whose LP completions fall
     in grid interval `index`, with bounds L = floor = 3 t_i and beta = e^a
     the grid holds. Its instance and warm cuts are built from `parent` and
-    `cuts` on first use; a block never solved costs its membership and value.
+    `cuts` when it is solved, and the block solver runs on that instance,
+    in every mode; a block never solved costs its membership and value.
     """
 
     jobs: tuple[int, ...]
@@ -199,11 +200,6 @@ class SubInstance:
         cuts = self.cuts[self.parent.n:]
         restricted = {tuple(ids[j] for j in cut.jobs if j in ids) for cut in cuts}
         return tuple(sorted(subset for subset in restricted if len(subset) > 1))
-
-    def lazy_warm(self) -> Iterator[tuple[int, ...]]:
-        """warm, built only once iterated: solve_bounded iterates it only
-        for a block whose guesses solve an LP."""
-        yield from self.warm
 
 
 def partition_jobs(instance: Instance, lp: LpSolution, grid: IntervalGrid) -> list[SubInstance]:
@@ -327,7 +323,7 @@ def _solve_partition(
             beta=math.exp(grid.a),
             mode=bounded_mode,
             budget=budget,
-            warm=sub.lazy_warm(),
+            warm=sub.warm,
         )
         tight = tighten(res.schedule, sub.instance)
         lo = min(tight.start)

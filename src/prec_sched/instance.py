@@ -8,13 +8,13 @@ cost is the weighted sum of completion times.
 
 Each layer uses one numeric type: input instances are integral (the
 exact oracle relies on it), the releases of the blocks they are split
-into float, the block solver's guesses and the typed mode's rounded sizes
+into float, the block solver's guesses and the typed mode's class powers
 exact rationals (see bounded), and its lifted instances, with every
 schedule and cost computed from them, float. The LP layer and the block
 bounds, float throughout, read p, r and w from Instance.floats, and the
-block solver's lift reads its float p there. Every derived instance
-holds its order as its cover (see Instance.with_jobs and
-SubInstance.instance).
+block solver's lift reads its float p there, or in the typed mode takes
+the float of each job's class power. Every derived instance holds its
+order as its cover (see Instance.with_jobs and SubInstance.instance).
 
 Magnitudes are bounded: the horizon max_j r_j + sum_j p_j may not exceed
 MAX_HORIZON and no weight may exceed MAX_WEIGHT. The LP's subset cuts

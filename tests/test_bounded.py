@@ -10,6 +10,7 @@ from itertools import islice
 import pytest
 
 from prec_sched import (
+    GeneratorConfig,
     Guess,
     Instance,
     Job,
@@ -17,10 +18,12 @@ from prec_sched import (
     ValidationError,
     adjust_release_times,
     adjust_release_times_typed,
+    decompose_and_solve,
     early_bound,
     enumerate_guesses,
     enumerate_type_guesses,
     exact_opt,
+    generate,
     is_feasible,
     lp_ls,
     make_instance,
@@ -258,9 +261,11 @@ class TestSharedPrecedence:
         monkeypatch.setattr("prec_sched.bounded._pow_ceil", counted)
         result = solve_bounded(instance, eps, 2, E3, mode="typed")
         assert result.guesses_tried == 4
-        # round_processing once per size; the rounded instance records the
-        # classes, so neither enumerate_type_guesses nor any lift classifies
-        assert sorted(calls) == sorted(sizes)
+        # the block's own integer sizes are classified, never a rounded
+        # Fraction: once per size by enumerate_type_guesses, and once per
+        # size by each lift
+        assert all(type(p) is int for p in calls)
+        assert sorted(calls) == sorted(list(sizes) * (1 + result.guesses_tried))
 
 
 class TestAdjustReleaseTimesTyped:
@@ -300,7 +305,8 @@ class TestAdjustReleaseTimesTyped:
 
     def test_two_sizes_in_one_class(self):
         # at eps 1/2, 6 and 7 both round up to (3/2)^5 = 243/32, class 5,
-        # and 4 to (3/2)^4 = 81/16, class 4; on the instance rounded or not
+        # and 4 to (3/2)^4 = 81/16, class 4; on the instance rounded or not,
+        # the lift floors and sizes every job by its class's power
         eps = Fraction(1, 2)
         base = 1 + eps
         raw = make_instance([(6, 2, 1), (7, 4, 2), (4, 2, 1), (6, 9, 1)], prec=[(2, 1)])
@@ -316,12 +322,52 @@ class TestAdjustReleaseTimesTyped:
             assert Guess((5,), (Fraction(243, 64),)) in guesses
             for guess in guesses:
                 early = dict(zip(guess.keys, guess.starts))
-                floors = [early.get(types[j], frac(instance.jobs[j].p)) for j in range(instance.n)]
+                floors = [early.get(i, base**i) for i in types]
                 intervals = [(s, s + base**i) for i, s in zip(guess.keys, guess.starts)]
                 adjusted = adjust_release_times_typed(instance, guess, eps)
                 assert [frac(job.r) for job in adjusted.jobs] == naive_adjust(
                     instance, floors, intervals
                 )
+                assert [job.p for job in adjusted.jobs] == [float(base**i) for i in types]
+
+
+def unrounded_corpus():
+    """Seeded instances of four generator families, each with its
+    precedence and without."""
+    for family in ("uniform", "chains", "antichain", "p_le_r"):
+        for seed in range(3):
+            instance = generate(GeneratorConfig(n=8, seed=seed, r_max=4, family=family))
+            yield instance
+            yield make_instance([(job.p, job.r, job.w) for job in instance.jobs])
+
+
+class TestTypedModeNeedsNoRounding:
+    @pytest.mark.parametrize("eps", [1, Fraction(1, 2), Fraction(1, 4)])
+    def test_stream_and_lift_match_the_rounded_instance(self, eps):
+        # rounding keeps every job in its class, and the lift rounds
+        nonempty = 0
+        for raw in unrounded_corpus():
+            rounded = round_processing(raw, eps)
+            guesses = list(enumerate_type_guesses(raw, eps, 1, E3))
+            assert guesses == list(enumerate_type_guesses(rounded, eps, 1, E3))
+            for guess in guesses[:10]:
+                lifted = adjust_release_times_typed(raw, guess, eps)
+                assert lifted.jobs == adjust_release_times_typed(rounded, guess, eps).jobs
+            nonempty += len(guesses) > 1
+        assert nonempty
+
+    def test_solvers_never_round_an_instance(self, monkeypatch):
+        def no_rounding(*args):
+            raise AssertionError("an instance was rounded")
+
+        monkeypatch.setattr("prec_sched.bounded.round_processing", no_rounding)
+        for raw in unrounded_corpus():
+            bounded = make_instance([(job.p, job.r + 1, job.w) for job in raw.jobs], raw.prec)
+            for eps in (1, Fraction(1, 2), Fraction(1, 4)):
+                result = solve_bounded(bounded, eps, 1, E3, mode="typed")
+                assert is_feasible(result.schedule, bounded)
+                result = decompose_and_solve(raw, eps, bounded_mode="typed")
+                assert is_feasible(result.schedule, raw)
 
 
 class TestSolveBounded:
@@ -454,11 +500,11 @@ class TestSolveBounded:
             solve_bounded(instance, 1, 2, E3, mode="guesswork")
 
     def test_nonpositive_epsilon_rejected_in_every_mode(self, monkeypatch):
-        # typed mode used to round with base 1 + eps <= 1, which never ends
-        def no_rounding(*args):
-            raise AssertionError("processing times rounded with a nonpositive epsilon")
+        # typed mode used to classify with base 1 + eps <= 1, which never ends
+        def no_classes(*args):
+            raise AssertionError("sizes classified with a nonpositive epsilon")
 
-        monkeypatch.setattr("prec_sched.bounded.round_processing", no_rounding)
+        monkeypatch.setattr("prec_sched.bounded._pow_ceil", no_classes)
         instance = make_instance([(8, 6, 2)])
         for mode in ("exhaustive", "typed", "empty-guess"):
             for eps in (0, -1):
@@ -471,9 +517,12 @@ class TestSolveBounded:
         instance = make_instance([(8, 6, 2)])
         with pytest.raises(ValueError, match="epsilon must be positive"):
             round_processing(instance, eps)
-        rounded = round_processing(instance, 1)
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            adjust_release_times_typed(rounded, EMPTY_GUESS, eps)
+            list(enumerate_type_guesses(instance, eps, 6, 21))
+        rounded = round_processing(instance, 1)
+        for given in (rounded, instance):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                adjust_release_times_typed(given, EMPTY_GUESS, eps)
 
     @pytest.mark.parametrize("beta", [0, -1, math.inf, Fraction(10**400)])
     def test_beta_must_be_positive_and_finite(self, beta):

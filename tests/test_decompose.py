@@ -531,11 +531,11 @@ class TestOffsetPruning:
             evaluated += len(result.evaluated)
         assert evaluated == 43
         assert (len(solves), len(partitioned)) == (57, 417)
-        # a block is built only when it is solved, its warm cuts only when
-        # it solves an LP (the other 14 are chains), and its value, read for
-        # the offset's bound, the solve order and every bound part-way, is
-        # computed once per partitioned block
-        assert builds == {"instance": 57, "warm": 43, "value": len(partitioned)}
+        # a block is built, with its warm cuts, only when it is solved (the
+        # 14 chains among them build cuts they never read), and its value,
+        # read for the offset's bound, the solve order and every bound
+        # part-way, is computed once per partitioned block
+        assert builds == {"instance": 57, "warm": 57, "value": len(partitioned)}
 
     def test_losing_offset_abandoned_part_way(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=7, p_max=8, r_max=56, family="chains"))
