@@ -42,11 +42,13 @@ each job's key: the jobs (p_j, r_j) keyed by id in the exhaustive mode,
 whose stream also checks precedence; the eligible size classes
 ((1+eps)^i, the class's smallest release) in the typed mode, where a
 job's key is its class index i, an int. Rounding keeps every job in its
-class, so the typed stream and lift classify the instance they are given,
-the block's own, once per distinct size (_pow_ceil caches the exact powers
-and their floats across blocks), and the typed lift applies the rounding:
-each lifted job's size, and its floor unless guessed early, is the float
-of its class's power.
+class, so no rounded instance is built: the typed stream and lift each
+read one size table of the instance they are given, the block's own,
+mapping each distinct size to its class i, the exact power (1+eps)^i and
+that power's float (_pow_ceil caches them across blocks). The typed lift
+applies the rounding: each lifted job's size, and its floor unless
+guessed early, is its class's float power. A guessed class's interval
+takes the exact (1+eps)^i, as a guess may name a class no job has.
 """
 
 from __future__ import annotations
@@ -219,37 +221,10 @@ def _pow_ceil(p, eps: Fraction) -> tuple[int, Fraction, float]:
     return i, v, float(v)
 
 
-@dataclass(frozen=True)
-class _SizeClasses:
-    """The jobs' size classes at eps: job j is in class index[j], and
-    class i has the exact size power[i] = (1+eps)^i, whose float is
-    size[i]."""
-
-    index: tuple[int, ...]
-    power: dict[int, Fraction]
-    size: dict[int, float]
-
-
-def _size_classes(instance: Instance, eps: Fraction) -> _SizeClasses:
-    """The jobs' size classes, by _pow_ceil once per distinct size."""
-    of_size = {p: _pow_ceil(p, eps) for p in {job.p for job in instance.jobs}}
-    return _SizeClasses(
-        tuple(of_size[job.p][0] for job in instance.jobs),
-        {i: power for i, power, _ in of_size.values()},
-        {i: size for i, _, size in of_size.values()},
-    )
-
-
-def round_processing(instance: Instance, epsilon) -> Instance:
-    """Round every processing time up to the next power of (1 + eps).
-
-    The rounded jobs keep their classes, so the typed guess stream and
-    lift give the same results on the result as on `instance`; the
-    solver runs them on `instance` and never builds it."""
-    classes = _size_classes(instance, _check_arguments(epsilon))
-    return instance.with_jobs(
-        tuple(Job(classes.power[i], job.r, job.w) for i, job in zip(classes.index, instance.jobs))
-    )
+def _size_table(instance: Instance, eps: Fraction) -> dict:
+    """Each distinct size p of the instance -> _pow_ceil(p, eps): its class
+    i, the exact power (1+eps)^i and that power's float."""
+    return {p: _pow_ceil(p, eps) for p in {job.p for job in instance.jobs}}
 
 
 def enumerate_type_guesses(
@@ -271,17 +246,15 @@ def enumerate_type_guesses(
     in enumerate_guesses.
     """
     eps = _check_arguments(epsilon, beta, L=L)
-    classes = _size_classes(instance, eps)
-    r_min: dict = {}  # class -> smallest release
-    for i, job in zip(classes.index, instance.jobs):
-        r_min[i] = min(r_min.get(i, job.r), job.r)
+    table = _size_table(instance, eps)
+    classes: dict = {}  # class -> (power, smallest release)
+    for job in instance.jobs:
+        i, power, _ = table[job.p]
+        r_min = classes[i][1] if i in classes else job.r
+        classes[i] = power, min(r_min, job.r)
     Lf = Fraction(L)
     hi = (1 + eps) ** 2 * Fraction(beta) * Lf
-    items = {}
-    for i in sorted(r_min):
-        power = classes.power[i]
-        if Lf < power < hi:
-            items[i] = (power, Fraction(r_min[i]))
+    items = {i: (v, Fraction(r)) for i, (v, r) in sorted(classes.items()) if Lf < v < hi}
     yield from _guesses(items, dict.fromkeys(items, 0), eps, beta, stats)
 
 
@@ -296,10 +269,12 @@ def adjust_release_times_typed(instance: Instance, guess: Guess, epsilon) -> Ins
     class i. An instance and its rounding give the same lifted instance.
     """
     eps = _check_arguments(epsilon)
-    classes = _size_classes(instance, eps)
+    table = _size_table(instance, eps)
+    key_of = [table[job.p][0] for job in instance.jobs]
+    p = [table[job.p][2] for job in instance.jobs]
+    # exact, not read from the table: a guess may name a class no job has
     sizes = [(1 + eps) ** i for i in guess.keys]
-    p = [classes.size[i] for i in classes.index]
-    return _lift(instance, classes.index, guess, sizes, p)
+    return _lift(instance, key_of, guess, sizes, p)
 
 
 @dataclass(frozen=True)

@@ -82,15 +82,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """Breakpoints t_i = e^(a(i-3)+b), i = 1..q, with Cmax <= t_q."""
+    """Breakpoints t_i = e^(a(i-3)+b), i = 1..q = len(breakpoints), Cmax <= t_q."""
 
     a: float
     b: float
     breakpoints: tuple[float, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.breakpoints)
 
     def t(self, i: int) -> float:
         """t_i by formula, valid beyond the stored range (e.g. t_{q+1})."""

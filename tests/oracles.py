@@ -9,6 +9,7 @@ two sides is a meaningful check rather than the same code run twice.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -243,6 +244,18 @@ def job_types(instance, epsilon) -> tuple:
             i += 1
         types.append(i)
     return tuple(types)
+
+
+def round_processing(instance, epsilon):
+    """The instance with each processing time rounded up to its class's
+    power (1 + eps)**i, i from job_types, as an exact rational; releases,
+    weights and precedence unchanged. The typed lift is checked against
+    this rounding."""
+    base = 1 + frac(epsilon)
+    types = job_types(instance, epsilon)
+    return instance.with_jobs(
+        tuple(dataclasses.replace(job, p=base**i) for i, job in zip(types, instance.jobs))
+    )
 
 
 def enumerate_type_guesses_ref(instance, epsilon, L, beta):

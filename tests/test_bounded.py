@@ -28,7 +28,6 @@ from prec_sched import (
     lp_ls,
     make_instance,
     normalize_release_times,
-    round_processing,
     schedule_cost,
     solve_bounded,
 )
@@ -42,6 +41,7 @@ from .oracles import (
     job_types,
     log2_ceil,
     naive_adjust,
+    round_processing,
 )
 
 E3 = math.e**3
@@ -331,6 +331,19 @@ class TestAdjustReleaseTimesTyped:
                 assert [job.p for job in adjusted.jobs] == [float(base**i) for i in types]
 
 
+    def test_guess_of_a_class_no_job_has(self):
+        # at eps 1 the jobs are in classes 3 and 0; class 5's guessed
+        # interval [3, 3 + 2^5] still pushes job 0's floor 8 to its right
+        # end, 35, and the guessed start floors no job
+        instance = make_instance([(8, 2, 1), (1, 50, 1), (1, 40, 2)])
+        guess = Guess((5,), (Fraction(3),))
+        adjusted = adjust_release_times_typed(instance, guess, 1)
+        floors = [Fraction(8), Fraction(50), Fraction(40)]
+        assert naive_adjust(instance, floors, [(3, 35)]) == [35, 50, 40]
+        assert [job.r for job in adjusted.jobs] == [35, 50, 40]
+        assert [job.p for job in adjusted.jobs] == [8.0, 1.0, 1.0]
+
+
 def unrounded_corpus():
     """Seeded instances of four generator families, each with its
     precedence and without."""
@@ -356,11 +369,7 @@ class TestTypedModeNeedsNoRounding:
             nonempty += len(guesses) > 1
         assert nonempty
 
-    def test_solvers_never_round_an_instance(self, monkeypatch):
-        def no_rounding(*args):
-            raise AssertionError("an instance was rounded")
-
-        monkeypatch.setattr("prec_sched.bounded.round_processing", no_rounding)
+    def test_solvers_never_round_an_instance(self):
         for raw in unrounded_corpus():
             bounded = make_instance([(job.p, job.r + 1, job.w) for job in raw.jobs], raw.prec)
             for eps in (1, Fraction(1, 2), Fraction(1, 4)):
@@ -513,10 +522,8 @@ class TestSolveBounded:
 
     @pytest.mark.parametrize("eps", [0, Fraction(-1, 2), -1])
     def test_rounding_and_typed_lift_reject_nonpositive_epsilon(self, eps):
-        # rounding multiplied by 1 + eps <= 1 and never reached the size
+        # classifying by powers of 1 + eps <= 1 never reached the size
         instance = make_instance([(8, 6, 2)])
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            round_processing(instance, eps)
         with pytest.raises(ValueError, match="epsilon must be positive"):
             list(enumerate_type_guesses(instance, eps, 6, 21))
         rounded = round_processing(instance, 1)
@@ -555,8 +562,6 @@ class TestSolveBounded:
                 list(enumerate_guesses(instance, eps, 21))
             with pytest.raises(ValueError, match=floor):
                 list(enumerate_type_guesses(instance, eps, 6, 21))
-            with pytest.raises(ValueError, match=floor):
-                round_processing(instance, eps)
             with pytest.raises(ValueError, match=floor):
                 adjust_release_times_typed(instance, EMPTY_GUESS, eps)
         result = solve_bounded(instance, Fraction(1, 127), 6, 21)

@@ -29,7 +29,6 @@ from prec_sched import (
     is_feasible,
     make_instance,
     partition_jobs,
-    round_processing,
     schedule_cost,
     solve_bounded,
     solve_lp,
@@ -46,7 +45,7 @@ from prec_sched.harness import FAMILIES
 from prec_sched.lp import wspt_value
 from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
-from .oracles import partition_signature
+from .oracles import partition_signature, round_processing
 
 
 def fake_lp(completion):
@@ -58,7 +57,7 @@ def fake_lp(completion):
 class TestGrids:
     def test_unit_scale_breakpoints(self):
         grid = build_grid(1, 0.0, 1.0)
-        assert grid.q == 3
+        assert len(grid.breakpoints) == 3
         assert grid.breakpoints == pytest.approx(
             (math.exp(-6), math.exp(-3), 1.0)
         )
@@ -66,7 +65,7 @@ class TestGrids:
 
     def test_offset_shifts_and_shrinks(self):
         grid = build_grid(1, 3.0, 1.0)
-        assert grid.q == 2
+        assert len(grid.breakpoints) == 2
         assert grid.breakpoints == pytest.approx((math.exp(-3), 1.0))
 
     def test_scale_arguments_validated(self):
@@ -122,15 +121,15 @@ class TestGrids:
 
     def test_index_of_outside_the_range_rejected(self):
         grid = build_grid(1, 0.3, 60.0)
-        lo, hi = grid.breakpoints[0], grid.breakpoints[-1]
-        assert (grid.index_of(lo), grid.index_of(hi)) == (1, grid.q)
-        for c in (0.0, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), grid.t(grid.q + 1)):
+        lo, hi, q = grid.breakpoints[0], grid.breakpoints[-1], len(grid.breakpoints)
+        assert (grid.index_of(lo), grid.index_of(hi)) == (1, q)
+        for c in (0.0, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), grid.t(q + 1)):
             with pytest.raises(ValueError, match="outside the grid"):
                 grid.index_of(c)
 
     def test_floor_is_three_breakpoints(self):
         grid = build_grid(Fraction(1, 2), 1.1, 60.0)
-        for i in range(1, grid.q + 2):
+        for i in range(1, len(grid.breakpoints) + 2):
             assert grid.floor(i) == 3.0 * grid.t(i)
 
 
@@ -596,6 +595,50 @@ class TestOffsetPruning:
         slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
         assert result.bounds == (sum(sub.value for sub in subs) - slack,)
         assert 0 < result.bounds[0] <= result.cost
+
+
+# Instances a seeded local search found by maximizing cost / OPT in
+# exhaustive mode (ROADMAP item 5): name -> (instance, eps, OPT). Costs in
+# exhaustive, typed and empty-guess mode: 1,349, 1,349 and 1,129 on the
+# first, 472, 268 and 472 on the second.
+ADVERSARIAL = {
+    "six jobs at eps 1/2": (
+        make_instance(
+            [(4, 7, 1), (19, 0, 2), (3, 6, 0), (9, 6, 4), (7, 19, 14), (4, 18, 8)],
+            [(1, 2), (1, 4), (2, 3), (4, 5)],
+        ),
+        Fraction(1, 2),
+        856,
+    ),
+    "three jobs at eps 1": (
+        make_instance([(3, 10, 1), (1, 14, 17), (13, 5, 0)], [(0, 1)]),
+        Fraction(1),
+        268,
+    ),
+}
+
+
+class TestAdversarialInstances:
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_within_two_one_plus_eps_squared(self, name, mode):
+        instance, eps, opt = ADVERSARIAL[name]
+        assert exact_opt(instance)[0] == opt
+        result = decompose_and_solve(instance, eps, bounded_mode=mode)
+        assert is_feasible(result.schedule, instance)
+        assert result.cost <= 2 * (1 + eps) ** 2 * opt + 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: each block keeps the guess of least cost before "
+        "tighten, and only that winner is tightened, so a guess that tightens "
+        "better can lose",
+    )
+    def test_exhaustive_costs_no_more_than_empty_guess(self):
+        instance, eps, _ = ADVERSARIAL["six jobs at eps 1/2"]
+        exhaustive = decompose_and_solve(instance, eps, bounded_mode="exhaustive")
+        empty = decompose_and_solve(instance, eps, bounded_mode="empty-guess")
+        assert exhaustive.cost <= empty.cost
 
 
 class TestNumericTypes:

@@ -26,7 +26,6 @@ from prec_sched import (
     lp_ls,
     make_instance,
     order_from_lp,
-    round_processing,
     schedule_cost,
     solve_lp,
     tighten,
@@ -34,7 +33,7 @@ from prec_sched import (
 from prec_sched.decompose import build_grid, partition_jobs
 from .auditors import check_busy_interval_bounds, check_ls_property
 from .conftest import random_instance
-from .oracles import reference_list_schedule
+from .oracles import reference_list_schedule, round_processing
 
 TOL = 1e-6
 
