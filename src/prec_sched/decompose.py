@@ -34,26 +34,43 @@ of the job before it less tol (list_schedule, for one, starts a job up
 to its block's tol before its release). Delaying the k-th job in start
 order (k = 1..n) by k tol removes both slacks and adds at most delta = n
 tol to any completion time, so the cost is at least the sum of the block
-values less delta sum_j w_j.
+values less delta sum_j w_j: the offset's block bound.
 
-Offsets are evaluated in (bound, index) order, each one's blocks in
-descending value, ties by index. Before each block, the tightened costs
-of the blocks solved plus the values of the others, less the same slack,
-bound the offset's cost, as each unsolved block's cost is at least its
-value less its share of the slack. Once that bound exceeds the best cost
-so far by more than the relative margin SKIP_REL, the offset cannot win
-by (cost, index), and it is abandoned, its other blocks unsolved. One
+Offsets are evaluated in (block bound, index) order, each one's blocks
+in descending value, ties by index. Before each block, the tightened
+costs of the blocks solved plus the values of the others, less the same
+slack, bound the offset's cost, as each unsolved block's cost is at least
+its value less its share of the slack. Once that bound exceeds the best
+cost so far by more than the relative margin SKIP_REL, the offset cannot
+win by (cost, index), and it is abandoned, its other blocks unsolved. One
 abandoned before its first block ends the search: every later offset's
 bound is at least its own, and the best cost never rises. The union's
 cost is the sum of its blocks' costs up to float reassociation, which
 SKIP_REL covers with the rounding of the bounds, so the schedule, cost,
 offset, grid and block outcomes are exactly those of evaluating every
-offset in full. Random mode runs the same search on its one offset,
-which is never abandoned, as no best cost precedes it.
+offset in full.
+
+The search usually ends after a few offsets, so it partitions an offset
+and computes its block bound only when the offset may come next. Every
+offset first gets a cheap bound, which needs only b and the LP
+completions (_cheap_bounds): sum_j w_j (max(r_j, f_j) + p_j) less the
+slack, f_j at most the floor 3 t_i of the interval C_j falls in. In the
+preemptive WSPT schedule M_j >= r'_j + p_j/2, r'_j = max(r_j, 3 t_i) the
+lifted release, so the cheap bound is at most the block bound. A heap
+holds one entry per offset, keyed by (bound, kind, index): at first its
+cheap bound, kind 0. Popping a cheap entry partitions the offset and
+pushes it back with its block bound, kind 1; popping a block-bound entry
+evaluates the offset. Each key in the heap is at most its offset's block
+bound, and on equal bounds a cheap entry pops first, so the block-bound
+entries come out in (block bound, index) order, that of the search over
+every offset's block bound. Random mode draws one offset, which is never
+abandoned, as no best cost precedes it: it is partitioned and solved with
+no bound and no value, its blocks in index order.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import random
@@ -76,6 +93,14 @@ TAU_B_REL = 1e-9
 # by this relative margin, which covers float rounding in the bounds and the
 # costs; the tolerance schedules are checked to is subtracted in the bounds
 SKIP_REL = 1e-6
+# the cheap bound takes, for an LP completion time within this fraction of
+# the scale a above a breakpoint, the floor of the interval below, so that
+# float rounding never puts it above the grid's; its sum is shrunk by
+# CHEAP_REL, which covers the rounding of the sum and of the WSPT values
+NEAR_REL = 1e-9
+CHEAP_REL = 1e-9
+# heap key kinds: on equal bounds a cheap entry pops before a block bound
+CHEAP, EXACT = 0, 1
 
 log = logging.getLogger(__name__)
 
@@ -234,6 +259,38 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
+def _cheap_bounds(
+    instance: Instance, lp: LpSolution, a: float, candidates, slack: float
+) -> list[float]:
+    """Per offset b, a lower bound on its block bound with no grid built:
+    sum_j w_j (max(r_j, f_j) + p_j), shrunk by the relative margin
+    CHEAP_REL, less the slack.
+
+    f_j = 3 e^(a m + b), m = floor(ln C_j / a - b / a - NEAR_REL), is the
+    floor of the interval C_j falls in, by the expression the grid
+    evaluates, or, for C_j within NEAR_REL a above a breakpoint in log
+    terms, the lower interval's floor: rounding may put such a C_j on
+    either side of the grid's breakpoint, and the lower floor is never
+    above the grid's.
+    """
+    p, r, w = instance.floats
+    fixed = sum(wj * pj for wj, pj in zip(w, p))
+    scaled = [math.log(c) / a for c in lp.completion]
+    lowest, highest = min(scaled), max(scaled)
+    bounds = []
+    for b in candidates:
+        shift = b / a + NEAR_REL
+        # f by m, for every m a job can take; x // 1.0 is floor(x), a float
+        low, high = math.floor(lowest - shift), math.floor(highest - shift)
+        floors = {float(m): 3.0 * math.exp(a * m + b) for m in range(low, high + 1)}
+        total = fixed
+        for x, rj, wj in zip(scaled, r, w):
+            f = floors[(x - shift) // 1.0]
+            total += wj * (f if f > rj else rj)
+        bounds.append(total * (1.0 - CHEAP_REL) - slack)
+    return bounds
+
+
 @dataclass(frozen=True)
 class IntervalOutcome:
     """Diagnostics for the block of grid interval `index`, which spans
@@ -250,14 +307,18 @@ class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
     The winning offset is grid.b, and the grid bounds each block. `bounds`
-    holds one lower bound per entry of `candidates`, in either mode: the
-    values of its blocks (SubInstance.value) less the slack, so 0.0 for
-    the empty instance, which has no blocks. `evaluated` holds the
-    candidate indices with at least one block solved, in the order they
-    were; the first of the others was abandoned before its first block,
-    its block bound already above the best cost, and the rest were not
-    reached. An evaluated offset other than the winner may have been
-    abandoned part-way. Neither enters to_dict.
+    maps the index in `candidates` of each offset whose block bound the
+    search computed to that bound: the values of its blocks
+    (SubInstance.value) less the slack. The search computes it only for
+    an offset that may come next in (block bound, index) order (see the
+    module docstring), so it covers the evaluated offsets and maybe a few
+    more, and it is empty in random mode and for the empty instance, which
+    need no bound. `evaluated` holds the candidate indices with at least
+    one block solved, in the order they were; the first of the others was
+    abandoned before its first block, its block bound already above the
+    best cost, and the rest were not reached. An evaluated offset other
+    than the winner may have been abandoned part-way. Neither enters
+    to_dict.
     """
 
     schedule: Schedule
@@ -266,7 +327,7 @@ class DecomposeResult:
     candidates: tuple[float, ...]
     intervals: tuple[IntervalOutcome, ...]
     lp: LpSolution
-    bounds: tuple[float, ...]
+    bounds: dict[int, float]
     evaluated: tuple[int, ...]
 
     def to_dict(self, instance: Instance) -> dict:
@@ -297,20 +358,23 @@ def _solve_partition(
     """Solve one partition's blocks and unite their schedules: the union,
     its cost and the block outcomes in interval order.
 
-    The blocks are solved in descending value (SubInstance.value), ties by
-    index. Before each, if the costs of the blocks solved plus the values
-    of the others exceed `limit`, the others are left unsolved: the union
-    is then None, its cost that sum, and the outcomes those of the blocks
-    solved, possibly none.
+    With a finite `limit`, the blocks are solved in descending value
+    (SubInstance.value), ties by index. Before each, if the costs of the
+    blocks solved plus the values of the others exceed `limit`, the others
+    are left unsolved: the union is then None, its cost that sum, and the
+    outcomes those of the blocks solved, possibly none. With none, every
+    block is solved, in index order, and no value is computed.
     """
     tol = instance.tol()
     start = [0.0] * instance.n
     outcomes = {}
     spent = 0.0
-    for sub in sorted(subs, key=lambda sub: (-sub.value, sub.index)):
-        rest = sum(other.value for other in subs if other.index not in outcomes)
-        if spent + rest > limit:
-            return None, spent + rest, tuple(outcomes[i] for i in sorted(outcomes))
+    bounded = limit < math.inf
+    for sub in sorted(subs, key=lambda sub: (-sub.value, sub.index)) if bounded else subs:
+        if bounded:
+            rest = sum(other.value for other in subs if other.index not in outcomes)
+            if spent + rest > limit:
+                return None, spent + rest, tuple(outcomes[i] for i in sorted(outcomes))
         floor, ceiling = sub.floor, grid.floor(sub.index + 1)
         res = solve_bounded(
             sub.instance,
@@ -371,8 +435,8 @@ def decompose_and_solve(
     Returns
     -------
     DecomposeResult
-        Schedule plus offset, grid, per-block diagnostics, the LP, and
-        each offset's bound and the evaluation order.
+        Schedule plus offset, grid, per-block diagnostics, the LP, the
+        block bounds computed and the evaluation order.
     """
     # reject bad arguments before the parent LP, the costliest step here
     a = _scale_of(epsilon)
@@ -382,32 +446,48 @@ def decompose_and_solve(
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
-            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
+            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, {}, (0,)
         )
     cmax = max(lp.completion)
+    slack = instance.n * instance.tol() * sum(instance.floats[2])
     if mode == "random":
         rng = random.Random(seed)
         candidates = (rng.uniform(0.0, a),)
+        heap = [(-math.inf, EXACT, 0)]  # never abandoned, so it needs no bound
     else:
         candidates = derandomize_b(lp, a)
-    grids = [build_grid(eps, b, cmax) for b in candidates]
-    partitions = [partition_jobs(instance, lp, grid) for grid in grids]
-    slack = instance.n * instance.tol() * sum(instance.floats[2])
-    bounds = tuple(sum(sub.value for sub in subs) - slack for subs in partitions)
+        cheap = _cheap_bounds(instance, lp, a, candidates, slack)
+        heap = [(bound, CHEAP, i) for i, bound in enumerate(cheap)]
+        heapq.heapify(heap)
 
+    blocks = {}  # index -> (grid, partition), for the offsets popped
+    bounds = {}
     best = None  # (cost, index, union, outcomes)
     evaluated = []
-    for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
+    while heap:
+        key, kind, i = heapq.heappop(heap)
+        if i not in blocks:
+            grid = build_grid(eps, candidates[i], cmax)
+            blocks[i] = grid, partition_jobs(instance, lp, grid)
+        grid, subs = blocks[i]
+        if kind == CHEAP:
+            bounds[i] = sum(sub.value for sub in subs) - slack
+            if bounds[i] < key:
+                raise InvariantViolationError(
+                    f"offset {i}: cheap bound {key!r} exceeds its block bound {bounds[i]!r}"
+                )
+            heapq.heappush(heap, (bounds[i], EXACT, i))
+            continue
         limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
         union, cost, outcomes = _solve_partition(
-            instance, grids[i], partitions[i], eps, bounded_mode, budget, limit
+            instance, grid, subs, eps, bounded_mode, budget, limit
         )
         if outcomes:
             evaluated.append(i)
         if union is None:
             log.debug(
                 "offset %d (b = %r) abandoned after %d of %d blocks: bound %r, best cost %r",
-                i, candidates[i], len(outcomes), len(partitions[i]), cost - slack, best[0],
+                i, candidates[i], len(outcomes), len(subs), cost - slack, best[0],
             )
             if not outcomes:  # every later offset's bound is at least this one's
                 break
@@ -415,9 +495,9 @@ def decompose_and_solve(
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
     log.debug(
-        "evaluated %d of %d offsets; offset %d (b = %r) won at cost %r",
-        len(evaluated), len(candidates), i, candidates[i], cost,
+        "evaluated %d of %d offsets (%d bounded); offset %d (b = %r) won at cost %r",
+        len(evaluated), len(candidates), len(bounds), i, candidates[i], cost,
     )
     return DecomposeResult(
-        union, cost, grids[i], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
+        union, cost, blocks[i][0], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
     )

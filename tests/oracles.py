@@ -5,6 +5,8 @@ deliberately different style from the package (matrix powering instead
 of DFS, permutation enumeration instead of a subset DP, one-rule-at-a-
 time fixpoint loops instead of staged passes), so agreement between the
 two sides is a meaningful check rather than the same code run twice.
+The eager offset search is the exception: it runs the package's own
+block solver, and differs only in the order of its work.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
+
+from prec_sched.decompose import (
+    SKIP_REL,
+    DecomposeResult,
+    _solve_partition,
+    build_grid,
+    derandomize_b,
+    partition_jobs,
+)
+from prec_sched.lp import solve_lp
 
 
 def frac(x) -> Fraction:
@@ -393,3 +406,41 @@ def partition_signature(C, a, b):
         return i
 
     return tuple(index(c) for c in C)
+
+
+def decompose_eager(instance, epsilon, mode="derandomized", seed=None, bounded_mode="exhaustive"):
+    """decompose_and_solve on a nonempty instance with every candidate
+    offset partitioned and given its block bound before any block is
+    solved, then evaluated in (bound, index) order, abandoning an offset
+    once it cannot win and stopping at the first abandoned before its
+    first block. Its `bounds` holds every candidate's bound."""
+    eps = Fraction(epsilon)
+    a = 3.0 / float(eps)
+    lp = solve_lp(instance)
+    cmax = max(lp.completion)
+    if mode == "random":
+        candidates = (random.Random(seed).uniform(0.0, a),)
+    else:
+        candidates = derandomize_b(lp, a)
+    grids = [build_grid(eps, b, cmax) for b in candidates]
+    partitions = [partition_jobs(instance, lp, grid) for grid in grids]
+    slack = instance.n * instance.tol() * sum(instance.floats[2])
+    bounds = [sum(sub.value for sub in subs) - slack for subs in partitions]
+    best = None  # (cost, index, union, outcomes)
+    evaluated = []
+    for i in sorted(range(len(candidates)), key=lambda i: (bounds[i], i)):
+        limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
+        union, cost, outcomes = _solve_partition(
+            instance, grids[i], partitions[i], eps, bounded_mode, None, limit
+        )
+        if outcomes:
+            evaluated.append(i)
+        if union is None:
+            if not outcomes:
+                break
+        elif best is None or (cost, i) < best[:2]:
+            best = cost, i, union, outcomes
+    cost, i, union, outcomes = best
+    return DecomposeResult(
+        union, cost, grids[i], candidates, outcomes, lp, dict(enumerate(bounds)), tuple(evaluated)
+    )

@@ -39,13 +39,14 @@ from prec_sched.decompose import (
     EPS_MAX,
     SKIP_REL,
     IntervalGrid,
+    _cheap_bounds,
     _solve_partition,
 )
 from prec_sched.harness import FAMILIES
 from prec_sched.lp import wspt_value
 from .auditors import exact_contribution, grid_floor_values, guess_traces, subproblem_optimum_sum
 from .conftest import random_bounded_instance, random_instance
-from .oracles import partition_signature, round_processing
+from .oracles import decompose_eager, partition_signature, round_processing
 
 
 def fake_lp(completion):
@@ -312,10 +313,10 @@ class TestDecomposeAndSolve:
             assert result.cost == 0.0
             assert result.schedule.start == ()
             assert result.intervals == ()
-            # the shape every other result has: a = 3/epsilon, and the lone
-            # offset's bound is the sum of no block values, less no slack
+            # the shape every other result has, a = 3/epsilon; with no
+            # block to solve, no offset needs a bound
             assert result.grid == IntervalGrid(a, 0.0, ())
-            assert result.candidates == (0.0,) and result.bounds == (0.0,)
+            assert result.candidates == (0.0,) and result.bounds == {}
             doc = {"start": [], "cost": "0.0", "b": 0.0, "t": [], "intervals": []}
             assert result.to_dict(empty) == doc
 
@@ -445,11 +446,17 @@ class TestOffsetPruning:
         grids = [build_grid(epsilon, b, cmax) for b in result.candidates]
         partitions = [partition_jobs(instance, result.lp, grid) for grid in grids]
         slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
+        bounds = [sum(sub.value for sub in subs) - slack for subs in partitions]
+        # only an offset that may come next gets its bound, and random mode's
+        # lone offset needs none
+        assert set(result.evaluated) <= set(result.bounds) or offsets == "random"
+        assert offsets == "derandomized" or result.bounds == {}
+        for i, bound in result.bounds.items():
+            assert bound == bounds[i]
         runs = []
         for i, (grid, subs) in enumerate(zip(grids, partitions)):
             union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
-            assert result.bounds[i] <= cost
-            assert result.bounds[i] == sum(sub.value for sub in subs) - slack
+            assert bounds[i] <= cost
             # each block's value less the whole slack bounds its own cost
             assert [sub.index for sub in subs] == [outcome.index for outcome in outcomes]
             for sub, outcome in zip(subs, outcomes):
@@ -461,7 +468,7 @@ class TestOffsetPruning:
         )
         assert i in result.evaluated
         # the search stops at the first offset abandoned before its first block
-        order = sorted(range(len(grids)), key=lambda k: (result.bounds[k], k))
+        order = sorted(range(len(grids)), key=lambda k: (bounds[k], k))
         assert list(result.evaluated) == order[: len(result.evaluated)]
 
     def test_offsets_skipped_on_chains(self, caplog):
@@ -472,19 +479,21 @@ class TestOffsetPruning:
         assert (len(result.evaluated), len(result.candidates)) == (1, 8)
         assert result.cost == 2934.0
         assert result.grid.b == pytest.approx(1.2195077, abs=1e-7)
-        assert len(result.bounds) == len(result.candidates)
-        order = [(result.bounds[i], i) for i in result.evaluated]
-        assert order == sorted(order)
         messages = [rec.getMessage() for rec in caplog.records]
         (i,) = result.evaluated
-        # the next offset loses before its first block, and so do the rest
-        _, k = min((result.bounds[k], k) for k in range(8) if k != i)
+        # the next offset loses before its first block, and so do the rest;
+        # only these two get a block bound, as the cheap bound of every
+        # other is above the next one's block bound
+        eager = decompose_eager(instance, 1, bounded_mode="empty-guess")
+        _, k = min((eager.bounds[k], k) for k in range(8) if k != i)
+        assert result.bounds == {i: eager.bounds[i], k: eager.bounds[k]}
         assert [line for line in messages if "abandoned" in line] == [
             f"offset {k} (b = {result.candidates[k]!r}) abandoned after 0 of 2 blocks: "
             f"bound {result.bounds[k]!r}, best cost 2934.0"
         ]
         assert messages[-1] == (
-            f"evaluated 1 of 8 offsets; offset {i} (b = {result.grid.b!r}) won at cost 2934.0"
+            f"evaluated 1 of 8 offsets (2 bounded); offset {i} (b = {result.grid.b!r}) "
+            "won at cost 2934.0"
         )
 
     def test_block_bound_skips_every_loser_on_an_antichain(self):
@@ -523,13 +532,18 @@ class TestOffsetPruning:
             return subs
 
         monkeypatch.setattr("prec_sched.decompose.partition_jobs", partition)
-        evaluated = 0
+        evaluated = bounded = candidates = 0
         for seed in range(20):
             config = GeneratorConfig(n=14, seed=seed, p_max=8, r_max=56, family="chains")
             result = decompose_and_solve(generate(config), 1, bounded_mode="empty-guess")
             evaluated += len(result.evaluated)
+            bounded += len(result.bounds)
+            candidates += len(result.candidates)
         assert evaluated == 43
-        assert (len(solves), len(partitioned)) == (57, 417)
+        # an offset is partitioned, and its blocks valued, only when its
+        # cheap bound comes up: 74 of the 217 offsets
+        assert (bounded, candidates) == (74, 217)
+        assert (len(solves), len(partitioned)) == (57, 129)
         # a block is built, with its warm cuts, only when it is solved (the
         # 14 chains among them build cuts they never read), and its value,
         # read for the offset's bound, the solve order and every bound
@@ -581,20 +595,117 @@ class TestOffsetPruning:
     def test_random_mode_evaluates_its_one_offset(self):
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
         assert result.evaluated == (0,)
-        assert len(result.bounds) == 1
-        assert result.bounds[0] <= result.cost
+        assert result.bounds == {}
 
-    def test_random_mode_bound_is_its_blocks_values_less_the_slack(self):
-        # the same search as over many offsets, though one offset is never
-        # abandoned
-        instance = random_instance(3, 6)
-        result = decompose_and_solve(instance, 1, mode="random", seed=5)
-        assert result.evaluated == (0,)
-        grid = build_grid(1, result.grid.b, max(result.lp.completion))
-        subs = partition_jobs(instance, result.lp, grid)
-        slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
-        assert result.bounds == (sum(sub.value for sub in subs) - slack,)
-        assert 0 < result.bounds[0] <= result.cost
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_mode_computes_no_value(self, mode, monkeypatch):
+        # one offset is never abandoned, so neither it nor its blocks need
+        # a bound; its blocks solve in index order, to the same result
+        instance = generate(GeneratorConfig(n=10, seed=2, family="uniform"))
+        eager = decompose_eager(instance, 1, mode="random", seed=1, bounded_mode=mode)
+        assert len(eager.intervals) == 3
+
+        def no_value(*args):
+            raise AssertionError("random mode computed a WSPT value")
+
+        monkeypatch.setattr("prec_sched.decompose.wspt_value", no_value)
+        result = decompose_and_solve(instance, 1, mode="random", seed=1, bounded_mode=mode)
+        assert result.bounds == {}
+        assert result.to_dict(instance) == eager.to_dict(instance)
+        assert (result.evaluated, result.intervals) == (eager.evaluated, eager.intervals)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
+    @pytest.mark.parametrize("family", ["uniform", "p_le_r", "chains", "antichain"])
+    def test_lazy_search_matches_the_eager_one(self, family, epsilon):
+        # partitioning and bounding an offset only when it may come next
+        # changes nothing but which bounds are computed
+        rng = random.Random(f"{family}/{epsilon}")
+        for mode in MODES:
+            for offsets in ("derandomized", "random"):
+                for _ in range(2):
+                    n = rng.randint(6, 10 if mode == "exhaustive" else 14)
+                    seed = rng.getrandbits(32)
+                    instance = generate(GeneratorConfig(n=n, seed=seed, family=family))
+                    kwargs = {"mode": offsets, "seed": seed, "bounded_mode": mode}
+                    result = decompose_and_solve(instance, epsilon, **kwargs)
+                    eager = decompose_eager(instance, epsilon, **kwargs)
+                    assert result.to_dict(instance) == eager.to_dict(instance)
+                    assert (result.grid, result.evaluated, result.intervals) == (
+                        eager.grid, eager.evaluated, eager.intervals
+                    )
+                    assert set(result.evaluated) <= set(result.bounds) or offsets == "random"
+                    for i, bound in result.bounds.items():
+                        assert bound == eager.bounds[i]
+
+    @staticmethod
+    def block_bounds(instance, lp, epsilon, candidates):
+        """Each offset's block bound, from its grid and partition."""
+        slack = instance.n * instance.tol() * sum(instance.floats[2])
+        cmax = max(lp.completion)
+        return [
+            sum(sub.value for sub in partition_jobs(instance, lp, build_grid(epsilon, b, cmax)))
+            - slack
+            for b in candidates
+        ]
+
+    @staticmethod
+    def cheap_bounds(instance, lp, epsilon, candidates):
+        slack = instance.n * instance.tol() * sum(instance.floats[2])
+        return _cheap_bounds(instance, lp, 3.0 / float(epsilon), candidates, slack)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
+    def test_cheap_bound_never_above_the_block_bound(self, epsilon):
+        offsets = 0
+        for family in FAMILIES:
+            for seed in range(8):
+                instance = generate(GeneratorConfig(n=5 + 2 * seed, seed=seed, family=family))
+                lp = solve_lp(instance)
+                candidates = derandomize_b(lp, 3.0 / float(epsilon))
+                cheap = self.cheap_bounds(instance, lp, epsilon, candidates)
+                exact = self.block_bounds(instance, lp, epsilon, candidates)
+                assert all(c <= e for c, e in zip(cheap, exact))
+                offsets += len(candidates)
+        assert offsets > 200
+
+    @pytest.mark.parametrize(
+        "jobs, epsilon",
+        [
+            # completions at least e^a = 3.04 apart: one job per interval
+            ([(3, 0, 7), (5, 37, 3), (2, 331, 11), (7, 2999, 5), (1, 9200, 13)], Fraction(27, 10)),
+            # the sum of w_j (r'_j + p_j) rounds one ulp above the WSPT
+            # value at b = ln 4, where the two jobs' intervals differ
+            ([(2, 3, 66), (9, 9, 48)], Fraction(1, 2)),
+        ],
+    )
+    def test_cheap_bound_where_wspt_never_preempts(self, jobs, epsilon):
+        # each job runs uninterrupted from its lifted release, so the two
+        # bounds are equal in exact arithmetic, and only the rounding of
+        # their sums differs
+        instance = make_instance(jobs)
+        lp = solve_lp(instance)
+        candidates = derandomize_b(lp, 3.0 / float(epsilon))
+        cheap = self.cheap_bounds(instance, lp, epsilon, candidates)
+        exact = self.block_bounds(instance, lp, epsilon, candidates)
+        for c, e in zip(cheap, exact):
+            assert c <= e
+            assert c == pytest.approx(e, rel=1e-8)
+
+    def test_cheap_bound_next_to_a_breakpoint(self):
+        # one job whose LP completion sits on a breakpoint of b's grid or a
+        # few ulps to either side: the grid may put it in either interval,
+        # and the cheap bound must take a floor no higher than the grid's
+        instance = make_instance([(1, 0, 1)])
+        for b in (0.0, 0.3, 1.0, 2.9):
+            for k in range(1, 5):
+                c = math.exp(3 * k + b)
+                for _ in range(4):
+                    c = math.nextafter(c, 0.0)
+                for _ in range(9):
+                    lp = fake_lp([c])
+                    (cheap,) = self.cheap_bounds(instance, lp, 1, [b])
+                    (exact,) = self.block_bounds(instance, lp, 1, [b])
+                    assert cheap <= exact
+                    c = math.nextafter(c, math.inf)
 
 
 # Instances a seeded local search found by maximizing cost / OPT in
