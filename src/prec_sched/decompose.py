@@ -36,41 +36,34 @@ order (k = 1..n) by k tol removes both slacks and adds at most delta = n
 tol to any completion time, so the cost is at least the sum of the block
 values less delta sum_j w_j: the offset's block bound.
 
-Offsets are evaluated in (block bound, index) order, each one's blocks
-in descending value, ties by index. Before each block, the tightened
-costs of the blocks solved plus the values of the others, less the same
-slack, bound the offset's cost, as each unsolved block's cost is at least
-its value less its share of the slack. Once that bound exceeds the best
-cost so far by more than the relative margin SKIP_REL, the offset cannot
-win by (cost, index), and it is abandoned, its other blocks unsolved. One
-abandoned before its first block ends the search: every later offset's
-bound is at least its own, and the best cost never rises. The union's
-cost is the sum of its blocks' costs up to float reassociation, which
-SKIP_REL covers with the rounding of the bounds, so the schedule, cost,
-offset, grid and block outcomes are exactly those of evaluating every
-offset in full.
+Each offset also has a floor bound, read from its partition: the sum
+over its blocks and their jobs of w_j (max(r_j, floor) + p_j), less the
+same slack. In the preemptive WSPT schedule M_j >= r'_j + p_j/2, r'_j =
+max(r_j, floor) the lifted release, so in exact arithmetic the floor
+bound is at most the block bound, and so at most the cost. It needs no
+WSPT sweep, and every run checks it: an offset solved in full that costs
+less than its floor bound raises.
 
-The search usually ends after a few offsets, so it partitions an offset
-and computes its block bound only when the offset may come next. Every
-offset first gets a cheap bound, which needs only b and the LP
-completions (_cheap_bounds): sum_j w_j (max(r_j, f_j) + p_j) less the
-slack, f_j at most the floor 3 t_i of the interval C_j falls in. In the
-preemptive WSPT schedule M_j >= r'_j + p_j/2, r'_j = max(r_j, 3 t_i) the
-lifted release, so the cheap bound is at most the block bound. A heap
-holds one entry per offset, keyed by (bound, kind, index): at first its
-cheap bound, kind 0. Popping a cheap entry partitions the offset and
-pushes it back with its block bound, kind 1; popping a block-bound entry
-evaluates the offset. Each key in the heap is at most its offset's block
-bound, and on equal bounds a cheap entry pops first, so the block-bound
-entries come out in (block bound, index) order, that of the search over
-every offset's block bound. Random mode draws one offset, which is never
-abandoned, as no best cost precedes it: it is partitioned and solved with
-no bound and no value, its blocks in index order.
+Offsets are tried in one pass in (floor bound, index) order, each one's
+blocks in descending value, ties by index. Before each block, the
+tightened costs of the blocks solved plus the values of the others, less
+the slack, bound the offset's cost, as each unsolved block's cost is at
+least its value less its share of the slack. Once that bound exceeds the
+best cost so far by more than the relative margin SKIP_REL, the offset
+cannot win by (cost, index), and it is abandoned, its other blocks
+unsolved; one abandoned before its first block is skipped. The pass
+stops at the first offset whose floor bound exceeds the same limit: every
+later offset's floor bound is at least as high, and the best cost never
+rises. The union's cost is the sum of its blocks' costs up to float
+reassociation, which SKIP_REL covers with the rounding of the bounds, so
+the schedule, cost, offset, grid and block outcomes are exactly those of
+evaluating every offset in full. Random mode runs the same pass on its
+one offset, which is never abandoned, as no best cost precedes it: its
+blocks are solved in index order, and no value is computed.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import random
@@ -93,14 +86,6 @@ TAU_B_REL = 1e-9
 # by this relative margin, which covers float rounding in the bounds and the
 # costs; the tolerance schedules are checked to is subtracted in the bounds
 SKIP_REL = 1e-6
-# the cheap bound takes, for an LP completion time within this fraction of
-# the scale a above a breakpoint, the floor of the interval below, so that
-# float rounding never puts it above the grid's; its sum is shrunk by
-# CHEAP_REL, which covers the rounding of the sum and of the WSPT values
-NEAR_REL = 1e-9
-CHEAP_REL = 1e-9
-# heap key kinds: on equal bounds a cheap entry pops before a block bound
-CHEAP, EXACT = 0, 1
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +158,8 @@ class SubInstance:
     in grid interval `index`, with bounds L = floor = 3 t_i and beta = e^a
     the grid holds. Its instance and warm cuts are built from `parent` and
     `cuts` when it is solved, and the block solver runs on that instance,
-    in every mode; a block never solved costs its membership and value.
+    in every mode; a block never solved costs its membership, and its
+    value if its offset is tried.
     """
 
     jobs: tuple[int, ...]
@@ -259,36 +245,12 @@ def derandomize_b(lp: LpSolution, a: float) -> tuple[float, ...]:
     return tuple(sorted(cands))
 
 
-def _cheap_bounds(
-    instance: Instance, lp: LpSolution, a: float, candidates, slack: float
-) -> list[float]:
-    """Per offset b, a lower bound on its block bound with no grid built:
-    sum_j w_j (max(r_j, f_j) + p_j), shrunk by the relative margin
-    CHEAP_REL, less the slack.
-
-    f_j = 3 e^(a m + b), m = floor(ln C_j / a - b / a - NEAR_REL), is the
-    floor of the interval C_j falls in, by the expression the grid
-    evaluates, or, for C_j within NEAR_REL a above a breakpoint in log
-    terms, the lower interval's floor: rounding may put such a C_j on
-    either side of the grid's breakpoint, and the lower floor is never
-    above the grid's.
-    """
+def _floor_bound(instance: Instance, subs: list[SubInstance]) -> float:
+    """The sum over the blocks and their jobs of w_j (max(r_j, floor) +
+    p_j): in exact arithmetic at most the sum of the blocks' values (see
+    the module docstring), with no WSPT sweep."""
     p, r, w = instance.floats
-    fixed = sum(wj * pj for wj, pj in zip(w, p))
-    scaled = [math.log(c) / a for c in lp.completion]
-    lowest, highest = min(scaled), max(scaled)
-    bounds = []
-    for b in candidates:
-        shift = b / a + NEAR_REL
-        # f by m, for every m a job can take; x // 1.0 is floor(x), a float
-        low, high = math.floor(lowest - shift), math.floor(highest - shift)
-        floors = {float(m): 3.0 * math.exp(a * m + b) for m in range(low, high + 1)}
-        total = fixed
-        for x, rj, wj in zip(scaled, r, w):
-            f = floors[(x - shift) // 1.0]
-            total += wj * (f if f > rj else rj)
-        bounds.append(total * (1.0 - CHEAP_REL) - slack)
-    return bounds
+    return sum(w[j] * (max(r[j], sub.floor) + p[j]) for sub in subs for j in sub.jobs)
 
 
 @dataclass(frozen=True)
@@ -307,18 +269,13 @@ class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
     The winning offset is grid.b, and the grid bounds each block. `bounds`
-    maps the index in `candidates` of each offset whose block bound the
-    search computed to that bound: the values of its blocks
-    (SubInstance.value) less the slack. The search computes it only for
-    an offset that may come next in (block bound, index) order (see the
-    module docstring), so it covers the evaluated offsets and maybe a few
-    more, and it is empty in random mode and for the empty instance, which
-    need no bound. `evaluated` holds the candidate indices with at least
-    one block solved, in the order they were; the first of the others was
-    abandoned before its first block, its block bound already above the
-    best cost, and the rest were not reached. An evaluated offset other
-    than the winner may have been abandoned part-way. Neither enters
-    to_dict.
+    holds each candidate's floor bound, in the order of `candidates` (see
+    the module docstring), and (0.0,) for the empty instance. `evaluated`
+    holds the candidate indices with at least one block solved, in the
+    order they were, a subsequence of (floor bound, index) order; the
+    others were abandoned before their first block or never tried. An
+    evaluated offset other than the winner may have been abandoned
+    part-way. Neither enters to_dict.
     """
 
     schedule: Schedule
@@ -327,7 +284,7 @@ class DecomposeResult:
     candidates: tuple[float, ...]
     intervals: tuple[IntervalOutcome, ...]
     lp: LpSolution
-    bounds: dict[int, float]
+    bounds: tuple[float, ...]
     evaluated: tuple[int, ...]
 
     def to_dict(self, instance: Instance) -> dict:
@@ -427,7 +384,8 @@ def decompose_and_solve(
     mode : {"derandomized", "random"}
         derandomized tries one offset per reachable partition and keeps
         the cheapest result, abandoning an offset, before its first block
-        or part-way, once its bound shows it cannot win; random draws a
+        or part-way, once its bound shows it cannot win, and stopping at
+        the first whose floor bound shows none left can; random draws a
         single offset from `seed`.
     bounded_mode, budget :
         Passed through to solve_bounded for each block.
@@ -435,8 +393,8 @@ def decompose_and_solve(
     Returns
     -------
     DecomposeResult
-        Schedule plus offset, grid, per-block diagnostics, the LP, the
-        block bounds computed and the evaluation order.
+        Schedule plus offset, grid, per-block diagnostics, the LP, each
+        offset's floor bound and the evaluation order.
     """
     # reject bad arguments before the parent LP, the costliest step here
     a = _scale_of(epsilon)
@@ -446,58 +404,50 @@ def decompose_and_solve(
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
-            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, {}, (0,)
+            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
         )
     cmax = max(lp.completion)
-    slack = instance.n * instance.tol() * sum(instance.floats[2])
     if mode == "random":
-        rng = random.Random(seed)
-        candidates = (rng.uniform(0.0, a),)
-        heap = [(-math.inf, EXACT, 0)]  # never abandoned, so it needs no bound
+        candidates = (random.Random(seed).uniform(0.0, a),)
     else:
         candidates = derandomize_b(lp, a)
-        cheap = _cheap_bounds(instance, lp, a, candidates, slack)
-        heap = [(bound, CHEAP, i) for i, bound in enumerate(cheap)]
-        heapq.heapify(heap)
+    grids = [build_grid(eps, b, cmax) for b in candidates]
+    partitions = [partition_jobs(instance, lp, grid) for grid in grids]
+    slack = instance.n * instance.tol() * sum(instance.floats[2])
+    bounds = tuple(_floor_bound(instance, subs) - slack for subs in partitions)
 
-    blocks = {}  # index -> (grid, partition), for the offsets popped
-    bounds = {}
     best = None  # (cost, index, union, outcomes)
     evaluated = []
-    while heap:
-        key, kind, i = heapq.heappop(heap)
-        if i not in blocks:
-            grid = build_grid(eps, candidates[i], cmax)
-            blocks[i] = grid, partition_jobs(instance, lp, grid)
-        grid, subs = blocks[i]
-        if kind == CHEAP:
-            bounds[i] = sum(sub.value for sub in subs) - slack
-            if bounds[i] < key:
-                raise InvariantViolationError(
-                    f"offset {i}: cheap bound {key!r} exceeds its block bound {bounds[i]!r}"
-                )
-            heapq.heappush(heap, (bounds[i], EXACT, i))
-            continue
+    for rank, i in enumerate(sorted(range(len(candidates)), key=lambda i: (bounds[i], i))):
         limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
+        if bounds[i] > limit:  # every later offset's floor bound is at least this one's
+            log.debug(
+                "offset %d (b = %r) ends the search: floor bound %r, best cost %r, "
+                "%d of %d offsets never tried",
+                i, candidates[i], bounds[i], best[0], len(candidates) - rank, len(candidates),
+            )
+            break
         union, cost, outcomes = _solve_partition(
-            instance, grid, subs, eps, bounded_mode, budget, limit
+            instance, grids[i], partitions[i], eps, bounded_mode, budget, limit
         )
         if outcomes:
             evaluated.append(i)
         if union is None:
             log.debug(
                 "offset %d (b = %r) abandoned after %d of %d blocks: bound %r, best cost %r",
-                i, candidates[i], len(outcomes), len(subs), cost - slack, best[0],
+                i, candidates[i], len(outcomes), len(partitions[i]), cost - slack, best[0],
             )
-            if not outcomes:  # every later offset's bound is at least this one's
-                break
+        elif cost < bounds[i]:
+            raise InvariantViolationError(
+                f"offset {i}: cost {cost!r} below its floor bound {bounds[i]!r}"
+            )
         elif best is None or (cost, i) < best[:2]:
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
     log.debug(
-        "evaluated %d of %d offsets (%d bounded); offset %d (b = %r) won at cost %r",
-        len(evaluated), len(candidates), len(bounds), i, candidates[i], cost,
+        "evaluated %d of %d offsets; offset %d (b = %r) won at cost %r",
+        len(evaluated), len(candidates), i, candidates[i], cost,
     )
     return DecomposeResult(
-        union, cost, blocks[i][0], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
+        union, cost, grids[i], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
     )

@@ -413,7 +413,7 @@ def decompose_eager(instance, epsilon, mode="derandomized", seed=None, bounded_m
     offset partitioned and given its block bound before any block is
     solved, then evaluated in (bound, index) order, abandoning an offset
     once it cannot win and stopping at the first abandoned before its
-    first block. Its `bounds` holds every candidate's bound."""
+    first block. Its `bounds` holds every candidate's block bound."""
     eps = Fraction(epsilon)
     a = 3.0 / float(eps)
     lp = solve_lp(instance)
@@ -442,5 +442,5 @@ def decompose_eager(instance, epsilon, mode="derandomized", seed=None, bounded_m
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
     return DecomposeResult(
-        union, cost, grids[i], candidates, outcomes, lp, dict(enumerate(bounds)), tuple(evaluated)
+        union, cost, grids[i], candidates, outcomes, lp, tuple(bounds), tuple(evaluated)
     )

@@ -39,7 +39,7 @@ from prec_sched.decompose import (
     EPS_MAX,
     SKIP_REL,
     IntervalGrid,
-    _cheap_bounds,
+    _floor_bound,
     _solve_partition,
 )
 from prec_sched.harness import FAMILIES
@@ -313,10 +313,10 @@ class TestDecomposeAndSolve:
             assert result.cost == 0.0
             assert result.schedule.start == ()
             assert result.intervals == ()
-            # the shape every other result has, a = 3/epsilon; with no
-            # block to solve, no offset needs a bound
+            # the shape every other result has, a = 3/epsilon: one offset,
+            # whose floor bound is that of no block
             assert result.grid == IntervalGrid(a, 0.0, ())
-            assert result.candidates == (0.0,) and result.bounds == {}
+            assert result.candidates == (0.0,) and result.bounds == (0.0,)
             doc = {"start": [], "cost": "0.0", "b": 0.0, "t": [], "intervals": []}
             assert result.to_dict(empty) == doc
 
@@ -446,17 +446,16 @@ class TestOffsetPruning:
         grids = [build_grid(epsilon, b, cmax) for b in result.candidates]
         partitions = [partition_jobs(instance, result.lp, grid) for grid in grids]
         slack = instance.n * instance.tol() * sum(float(job.w) for job in instance.jobs)
-        bounds = [sum(sub.value for sub in subs) - slack for subs in partitions]
-        # only an offset that may come next gets its bound, and random mode's
-        # lone offset needs none
-        assert set(result.evaluated) <= set(result.bounds) or offsets == "random"
-        assert offsets == "derandomized" or result.bounds == {}
-        for i, bound in result.bounds.items():
-            assert bound == bounds[i]
+        p, r, w = instance.floats
+        # one floor bound per candidate, read from its partition
+        assert len(result.bounds) == len(result.candidates)
         runs = []
         for i, (grid, subs) in enumerate(zip(grids, partitions)):
+            floor = sum(w[j] * (max(r[j], sub.floor) + p[j]) for sub in subs for j in sub.jobs)
+            assert result.bounds[i] == pytest.approx(floor - slack, rel=1e-12)
             union, cost, outcomes = _solve_partition(instance, grid, subs, epsilon, mode, None)
-            assert bounds[i] <= cost
+            assert result.bounds[i] <= cost
+            assert sum(sub.value for sub in subs) - slack <= cost
             # each block's value less the whole slack bounds its own cost
             assert [sub.index for sub in subs] == [outcome.index for outcome in outcomes]
             for sub, outcome in zip(subs, outcomes):
@@ -467,9 +466,10 @@ class TestOffsetPruning:
             cost, result.candidates[i], start, outcomes
         )
         assert i in result.evaluated
-        # the search stops at the first offset abandoned before its first block
-        order = sorted(range(len(grids)), key=lambda k: (bounds[k], k))
-        assert list(result.evaluated) == order[: len(result.evaluated)]
+        # offsets are tried in (floor bound, index) order, some skipped
+        order = sorted(range(len(grids)), key=lambda k: (result.bounds[k], k))
+        ranks = [order.index(k) for k in result.evaluated]
+        assert ranks == sorted(set(ranks))
 
     def test_offsets_skipped_on_chains(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=3, p_max=8, r_max=56, family="chains"))
@@ -480,21 +480,22 @@ class TestOffsetPruning:
         assert result.cost == 2934.0
         assert result.grid.b == pytest.approx(1.2195077, abs=1e-7)
         messages = [rec.getMessage() for rec in caplog.records]
-        (i,) = result.evaluated
-        # the next offset loses before its first block, and so do the rest;
-        # only these two get a block bound, as the cheap bound of every
-        # other is above the next one's block bound
+        # the winner has the lowest floor bound; the next offset's floor
+        # bound is within the limit, but its block bound, read before its
+        # first block, is not, so it is skipped; the third one's floor bound
+        # is above the limit, and it ends the search
+        i, k, stop = sorted(range(8), key=lambda k: (result.bounds[k], k))[:3]
+        assert result.evaluated == (i,)
         eager = decompose_eager(instance, 1, bounded_mode="empty-guess")
-        _, k = min((eager.bounds[k], k) for k in range(8) if k != i)
-        assert result.bounds == {i: eager.bounds[i], k: eager.bounds[k]}
         assert [line for line in messages if "abandoned" in line] == [
             f"offset {k} (b = {result.candidates[k]!r}) abandoned after 0 of 2 blocks: "
-            f"bound {result.bounds[k]!r}, best cost 2934.0"
+            f"bound {eager.bounds[k]!r}, best cost 2934.0"
         ]
-        assert messages[-1] == (
-            f"evaluated 1 of 8 offsets (2 bounded); offset {i} (b = {result.grid.b!r}) "
-            "won at cost 2934.0"
-        )
+        assert messages[-2:] == [
+            f"offset {stop} (b = {result.candidates[stop]!r}) ends the search: floor bound "
+            f"{result.bounds[stop]!r}, best cost 2934.0, 6 of 8 offsets never tried",
+            f"evaluated 1 of 8 offsets; offset {i} (b = {result.grid.b!r}) won at cost 2934.0",
+        ]
 
     def test_block_bound_skips_every_loser_on_an_antichain(self):
         # the block bound ignores precedence, so an antichain loses nothing
@@ -532,23 +533,20 @@ class TestOffsetPruning:
             return subs
 
         monkeypatch.setattr("prec_sched.decompose.partition_jobs", partition)
-        evaluated = bounded = candidates = 0
+        evaluated = candidates = 0
         for seed in range(20):
             config = GeneratorConfig(n=14, seed=seed, p_max=8, r_max=56, family="chains")
             result = decompose_and_solve(generate(config), 1, bounded_mode="empty-guess")
             evaluated += len(result.evaluated)
-            bounded += len(result.bounds)
             candidates += len(result.candidates)
-        assert evaluated == 43
-        # an offset is partitioned, and its blocks valued, only when its
-        # cheap bound comes up: 74 of the 217 offsets
-        assert (bounded, candidates) == (74, 217)
-        assert (len(solves), len(partitioned)) == (57, 129)
+        assert (evaluated, candidates) == (43, 217)
+        # every offset is partitioned, for its floor bound, into 417 blocks
+        assert (len(solves), len(partitioned)) == (57, 417)
         # a block is built, with its warm cuts, only when it is solved (the
         # 14 chains among them build cuts they never read), and its value,
-        # read for the offset's bound, the solve order and every bound
-        # part-way, is computed once per partitioned block
-        assert builds == {"instance": 57, "warm": 57, "value": len(partitioned)}
+        # read for the solve order and every bound before a block, only
+        # when its offset's floor bound lets the offset be tried
+        assert builds == {"instance": 57, "warm": 57, "value": 72}
 
     def test_losing_offset_abandoned_part_way(self, caplog):
         instance = generate(GeneratorConfig(n=14, seed=7, p_max=8, r_max=56, family="chains"))
@@ -595,12 +593,14 @@ class TestOffsetPruning:
     def test_random_mode_evaluates_its_one_offset(self):
         result = decompose_and_solve(random_instance(3, 6), 1, mode="random", seed=5)
         assert result.evaluated == (0,)
-        assert result.bounds == {}
+        (bound,) = result.bounds
+        assert bound <= result.cost
 
     @pytest.mark.parametrize("mode", MODES)
     def test_random_mode_computes_no_value(self, mode, monkeypatch):
-        # one offset is never abandoned, so neither it nor its blocks need
-        # a bound; its blocks solve in index order, to the same result
+        # one offset is never abandoned, so its blocks need no value; they
+        # solve in index order, to the same result, and its floor bound,
+        # which needs no sweep, is still checked against its cost
         instance = generate(GeneratorConfig(n=10, seed=2, family="uniform"))
         eager = decompose_eager(instance, 1, mode="random", seed=1, bounded_mode=mode)
         assert len(eager.intervals) == 3
@@ -610,15 +610,16 @@ class TestOffsetPruning:
 
         monkeypatch.setattr("prec_sched.decompose.wspt_value", no_value)
         result = decompose_and_solve(instance, 1, mode="random", seed=1, bounded_mode=mode)
-        assert result.bounds == {}
+        assert len(result.bounds) == 1
         assert result.to_dict(instance) == eager.to_dict(instance)
         assert (result.evaluated, result.intervals) == (eager.evaluated, eager.intervals)
 
     @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
     @pytest.mark.parametrize("family", ["uniform", "p_le_r", "chains", "antichain"])
     def test_lazy_search_matches_the_eager_one(self, family, epsilon):
-        # partitioning and bounding an offset only when it may come next
-        # changes nothing but which bounds are computed
+        # trying offsets in floor-bound order, and valuing a block only when
+        # it may be solved, finds the winner the eager search over every
+        # block bound finds
         rng = random.Random(f"{family}/{epsilon}")
         for mode in MODES:
             for offsets in ("derandomized", "random"):
@@ -630,83 +631,57 @@ class TestOffsetPruning:
                     result = decompose_and_solve(instance, epsilon, **kwargs)
                     eager = decompose_eager(instance, epsilon, **kwargs)
                     assert result.to_dict(instance) == eager.to_dict(instance)
-                    assert (result.grid, result.evaluated, result.intervals) == (
-                        eager.grid, eager.evaluated, eager.intervals
-                    )
-                    assert set(result.evaluated) <= set(result.bounds) or offsets == "random"
-                    for i, bound in result.bounds.items():
-                        assert bound == eager.bounds[i]
+                    assert (result.grid, result.intervals) == (eager.grid, eager.intervals)
 
-    @staticmethod
-    def block_bounds(instance, lp, epsilon, candidates):
-        """Each offset's block bound, from its grid and partition."""
-        slack = instance.n * instance.tol() * sum(instance.floats[2])
-        cmax = max(lp.completion)
-        return [
-            sum(sub.value for sub in partition_jobs(instance, lp, build_grid(epsilon, b, cmax)))
-            - slack
-            for b in candidates
+    # instances on which preemptive WSPT never preempts, by the epsilon they
+    # run at: each job runs uninterrupted from its lifted release, so the
+    # floor bound equals the block bound in exact arithmetic, and only the
+    # rounding of their sums differs
+    NEVER_PREEMPTS = {
+        # completions at least e^a = 3.04 apart: one job per interval
+        Fraction(27, 10): [(3, 0, 7), (5, 37, 3), (2, 331, 11), (7, 2999, 5), (1, 9200, 13)],
+        # at b = ln 4 the two jobs fall in different intervals
+        Fraction(1, 2): [(2, 3, 66), (9, 9, 48)],
+    }
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(27, 10)])
+    def test_floor_bound_never_above_the_cost(self, epsilon):
+        # every candidate, solved in full with no limit, costs at least its
+        # floor bound
+        cases = [
+            (generate(GeneratorConfig(n=5 + 2 * seed, seed=seed, family=family)), False)
+            for family in FAMILIES
+            for seed in range(8)
         ]
-
-    @staticmethod
-    def cheap_bounds(instance, lp, epsilon, candidates):
-        slack = instance.n * instance.tol() * sum(instance.floats[2])
-        return _cheap_bounds(instance, lp, 3.0 / float(epsilon), candidates, slack)
-
-    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
-    def test_cheap_bound_never_above_the_block_bound(self, epsilon):
+        if epsilon in self.NEVER_PREEMPTS:
+            cases.append((make_instance(self.NEVER_PREEMPTS[epsilon]), True))
         offsets = 0
-        for family in FAMILIES:
-            for seed in range(8):
-                instance = generate(GeneratorConfig(n=5 + 2 * seed, seed=seed, family=family))
-                lp = solve_lp(instance)
-                candidates = derandomize_b(lp, 3.0 / float(epsilon))
-                cheap = self.cheap_bounds(instance, lp, epsilon, candidates)
-                exact = self.block_bounds(instance, lp, epsilon, candidates)
-                assert all(c <= e for c, e in zip(cheap, exact))
-                offsets += len(candidates)
-        assert offsets > 200
+        for instance, never_preempts in cases:
+            result = decompose_and_solve(instance, epsilon, bounded_mode="typed")
+            cmax = max(result.lp.completion)
+            slack = instance.n * instance.tol() * sum(instance.floats[2])
+            for b, bound in zip(result.candidates, result.bounds):
+                grid = build_grid(epsilon, b, cmax)
+                subs = partition_jobs(instance, result.lp, grid)
+                _, cost, _ = _solve_partition(instance, grid, subs, epsilon, "typed", None)
+                assert bound <= cost
+                if never_preempts:
+                    block_bound = sum(sub.value for sub in subs) - slack
+                    assert bound == pytest.approx(block_bound, rel=1e-8)
+                offsets += 1
+        assert offsets > 100
 
-    @pytest.mark.parametrize(
-        "jobs, epsilon",
-        [
-            # completions at least e^a = 3.04 apart: one job per interval
-            ([(3, 0, 7), (5, 37, 3), (2, 331, 11), (7, 2999, 5), (1, 9200, 13)], Fraction(27, 10)),
-            # the sum of w_j (r'_j + p_j) rounds one ulp above the WSPT
-            # value at b = ln 4, where the two jobs' intervals differ
-            ([(2, 3, 66), (9, 9, 48)], Fraction(1, 2)),
-        ],
-    )
-    def test_cheap_bound_where_wspt_never_preempts(self, jobs, epsilon):
-        # each job runs uninterrupted from its lifted release, so the two
-        # bounds are equal in exact arithmetic, and only the rounding of
-        # their sums differs
-        instance = make_instance(jobs)
-        lp = solve_lp(instance)
-        candidates = derandomize_b(lp, 3.0 / float(epsilon))
-        cheap = self.cheap_bounds(instance, lp, epsilon, candidates)
-        exact = self.block_bounds(instance, lp, epsilon, candidates)
-        for c, e in zip(cheap, exact):
-            assert c <= e
-            assert c == pytest.approx(e, rel=1e-8)
+    @pytest.mark.parametrize("offsets", ["derandomized", "random"])
+    def test_a_floor_bound_above_the_cost_raises(self, offsets, monkeypatch):
+        # the floor bound stops the search, so every offset solved in full
+        # checks it, in both modes
+        def raised(*args):
+            return _floor_bound(*args) + 1e9
 
-    def test_cheap_bound_next_to_a_breakpoint(self):
-        # one job whose LP completion sits on a breakpoint of b's grid or a
-        # few ulps to either side: the grid may put it in either interval,
-        # and the cheap bound must take a floor no higher than the grid's
-        instance = make_instance([(1, 0, 1)])
-        for b in (0.0, 0.3, 1.0, 2.9):
-            for k in range(1, 5):
-                c = math.exp(3 * k + b)
-                for _ in range(4):
-                    c = math.nextafter(c, 0.0)
-                for _ in range(9):
-                    lp = fake_lp([c])
-                    (cheap,) = self.cheap_bounds(instance, lp, 1, [b])
-                    (exact,) = self.block_bounds(instance, lp, 1, [b])
-                    assert cheap <= exact
-                    c = math.nextafter(c, math.inf)
-
+        monkeypatch.setattr("prec_sched.decompose._floor_bound", raised)
+        instance = generate(GeneratorConfig(n=8, seed=1, family="chains"))
+        with pytest.raises(InvariantViolationError, match="below its floor bound"):
+            decompose_and_solve(instance, 1, mode=offsets, seed=1, bounded_mode="empty-guess")
 
 # Instances a seeded local search found by maximizing cost / OPT in
 # exhaustive mode (ROADMAP item 5): name -> (instance, eps, OPT). Costs in
