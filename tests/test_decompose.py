@@ -633,43 +633,48 @@ class TestOffsetPruning:
                     assert result.to_dict(instance) == eager.to_dict(instance)
                     assert (result.grid, result.intervals) == (eager.grid, eager.intervals)
 
-    # instances on which preemptive WSPT never preempts, by the epsilon they
-    # run at: each job runs uninterrupted from its lifted release, so the
-    # floor bound equals the block bound in exact arithmetic, and only the
-    # rounding of their sums differs
-    NEVER_PREEMPTS = {
-        # completions at least e^a = 3.04 apart: one job per interval
-        Fraction(27, 10): [(3, 0, 7), (5, 37, 3), (2, 331, 11), (7, 2999, 5), (1, 9200, 13)],
-        # at b = ln 4 the two jobs fall in different intervals
-        Fraction(1, 2): [(2, 3, 66), (9, 9, 48)],
-    }
+    @staticmethod
+    def floor_bounds_below_costs(instance, epsilon):
+        """Solve every candidate of `instance` in full, with no limit, and
+        check each costs at least its floor bound; return (candidate count,
+        block bounds, floor bounds)."""
+        result = decompose_and_solve(instance, epsilon, bounded_mode="typed")
+        cmax = max(result.lp.completion)
+        slack = instance.n * instance.tol() * sum(instance.floats[2])
+        block_bounds = []
+        for b, bound in zip(result.candidates, result.bounds):
+            grid = build_grid(epsilon, b, cmax)
+            subs = partition_jobs(instance, result.lp, grid)
+            _, cost, _ = _solve_partition(instance, grid, subs, epsilon, "typed", None)
+            assert bound <= cost
+            block_bounds.append(sum(sub.value for sub in subs) - slack)
+        return len(result.candidates), block_bounds, result.bounds
 
-    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(27, 10)])
+    @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2)])
     def test_floor_bound_never_above_the_cost(self, epsilon):
-        # every candidate, solved in full with no limit, costs at least its
-        # floor bound
-        cases = [
-            (generate(GeneratorConfig(n=5 + 2 * seed, seed=seed, family=family)), False)
-            for family in FAMILIES
-            for seed in range(8)
-        ]
-        if epsilon in self.NEVER_PREEMPTS:
-            cases.append((make_instance(self.NEVER_PREEMPTS[epsilon]), True))
         offsets = 0
-        for instance, never_preempts in cases:
-            result = decompose_and_solve(instance, epsilon, bounded_mode="typed")
-            cmax = max(result.lp.completion)
-            slack = instance.n * instance.tol() * sum(instance.floats[2])
-            for b, bound in zip(result.candidates, result.bounds):
-                grid = build_grid(epsilon, b, cmax)
-                subs = partition_jobs(instance, result.lp, grid)
-                _, cost, _ = _solve_partition(instance, grid, subs, epsilon, "typed", None)
-                assert bound <= cost
-                if never_preempts:
-                    block_bound = sum(sub.value for sub in subs) - slack
-                    assert bound == pytest.approx(block_bound, rel=1e-8)
-                offsets += 1
+        for family in FAMILIES:
+            for seed in range(8):
+                instance = generate(GeneratorConfig(n=5 + 2 * seed, seed=seed, family=family))
+                offsets += self.floor_bounds_below_costs(instance, epsilon)[0]
         assert offsets > 100
+
+    @pytest.mark.parametrize(
+        "jobs, epsilon",
+        [
+            # completions at least e^a = 3.04 apart: one job per interval
+            ([(3, 0, 7), (5, 37, 3), (2, 331, 11), (7, 2999, 5), (1, 9200, 13)], Fraction(27, 10)),
+            # at b = ln 4 the two jobs fall in different intervals
+            ([(2, 3, 66), (9, 9, 48)], Fraction(1, 2)),
+        ],
+    )
+    def test_floor_bound_where_wspt_never_preempts(self, jobs, epsilon):
+        # each job runs uninterrupted from its lifted release, so the floor
+        # bound equals the block bound in exact arithmetic, and only the
+        # rounding of their sums differs
+        _, block_bounds, bounds = self.floor_bounds_below_costs(make_instance(jobs), epsilon)
+        for bound, block_bound in zip(bounds, block_bounds):
+            assert bound == pytest.approx(block_bound, rel=1e-8)
 
     @pytest.mark.parametrize("offsets", ["derandomized", "random"])
     def test_a_floor_bound_above_the_cost_raises(self, offsets, monkeypatch):
