@@ -657,7 +657,7 @@ class TestOffsetPruning:
             for seed in range(8):
                 instance = generate(GeneratorConfig(n=5 + 2 * seed, seed=seed, family=family))
                 offsets += self.floor_bounds_below_costs(instance, epsilon)[0]
-        assert offsets > 100
+        assert offsets > 200
 
     @pytest.mark.parametrize(
         "jobs, epsilon",
