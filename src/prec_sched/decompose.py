@@ -419,7 +419,7 @@ def decompose_and_solve(
     best = None  # (cost, index, union, outcomes)
     evaluated = []
     for rank, i in enumerate(sorted(range(len(candidates)), key=lambda i: (bounds[i], i))):
-        limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL) + slack
+        limit = math.inf if best is None else best[0] * (1.0 + SKIP_REL)
         if bounds[i] > limit:  # every later offset's floor bound is at least this one's
             log.debug(
                 "offset %d (b = %r) ends the search: floor bound %r, best cost %r, "
@@ -428,7 +428,7 @@ def decompose_and_solve(
             )
             break
         union, cost, outcomes = _solve_partition(
-            instance, grids[i], partitions[i], eps, bounded_mode, budget, limit
+            instance, grids[i], partitions[i], eps, bounded_mode, budget, limit + slack
         )
         if outcomes:
             evaluated.append(i)

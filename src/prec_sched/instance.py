@@ -308,10 +308,10 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     start, which lies at or after the completion of every job visited
     earlier, and a predecessor always starts before its successor, so no
     job visited earlier can move again. Starts and cost never increase;
-    idempotent. The jobs' intervals stay in one sorted list that a moved
-    job leaves and re-enters by bisection, so no job sorts the others. A
-    job moved to its release takes the release as the instance holds it,
-    a float on the block instances the pipeline tightens.
+    idempotent. By the same argument a job not yet visited never blocks
+    the one being placed, so the sorted list the scan bisects holds only
+    the jobs placed. A job moved to its release takes the release as the
+    instance holds it, a float on the block instances the pipeline tightens.
     """
     tol = instance.tol()
     start = list(schedule.start)
@@ -319,21 +319,22 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     preds: list[list[int]] = [[] for _ in range(instance.n)]
     for h, k in instance.cover:
         preds[k].append(h)
-    # every job's (start, end, id), kept sorted as jobs move
-    intervals = sorted((start[k], start[k] + p[k], k) for k in range(instance.n))
+    placed: list[tuple[float, float]] = []  # (start, end) of each job visited
     for j in sorted(range(instance.n), key=lambda i: (start[i], i)):
         lb = instance.jobs[j].r
         for h in preds[j]:
             lb = max(lb, start[h] + p[h])
-        del intervals[bisect_left(intervals, (start[j], start[j] + p[j], j))]
-        for s_k, c_k, _ in intervals:  # jump over every job the candidate overlaps
+        # placed jobs overlap by at most tol < 1 <= p, so of those that start
+        # before lb only the last can reach past it
+        first = max(bisect_left(placed, (lb,)) - 1, 0)
+        for s_k, c_k in placed[first:]:  # jump over every job the candidate overlaps
             if lb + p[j] <= s_k + tol:
                 break
             if lb < c_k - tol:
                 lb = c_k
         if lb < start[j] - tol:
             start[j] = lb
-        insort(intervals, (start[j], start[j] + p[j], j))
+        insort(placed, (start[j], start[j] + p[j]))
     return Schedule(tuple(start))
 
 

@@ -20,6 +20,7 @@ from prec_sched import (
     feasibility_violations,
     generate,
     is_feasible,
+    list_schedule,
     load_instance,
     make_instance,
     normalize_release_times,
@@ -27,6 +28,8 @@ from prec_sched import (
     tighten,
     validate,
 )
+from prec_sched.instance import lift_releases
+
 from .auditors import feasibility_violations_pairwise
 from .conftest import dag_variants, random_feasible_schedule, random_instance, run_python
 from .oracles import (
@@ -416,6 +419,47 @@ class TestTighten:
             instance = random_instance(seed, 5)
             _, witness = brute_force_opt(instance)
             assert tighten(Schedule(witness), instance).start == pytest.approx(witness)
+
+    def test_scan_starts_at_the_lower_bound(self):
+        # the scan bisects the jobs placed so far to the job's lower bound and
+        # steps back one, to the last placed job that starts before it
+        inside = make_instance([(4, 0, 1), (2, 1, 1)])
+        at_start = make_instance([(2, 0, 1), (3, 2, 1), (1, 2, 1)])
+        overlap = make_instance([(2, 0, 1), (2, 0, 1), (1, 2, 1), (1, 3, 1)])
+        tol = overlap.tol()
+        cases = [
+            # job 1's release lies inside job 0: it jumps to job 0's end
+            (inside, (0.0, 10.0), (0.0, 4.0)),
+            # job 2's release is job 1's start, which job 0 ends at
+            (at_start, (0.0, 2.0, 20.0), (0.0, 2.0, 5.0)),
+            # jobs 0 and 1 overlap by just under tol; job 2's release is job
+            # 0's end and job 3's lies inside job 1: both go past job 1
+            (
+                overlap,
+                (0.0, 2.0 - 0.9 * tol, 30.0, 40.0),
+                (0.0, 2.0 - 0.9 * tol, 4.0 - 0.9 * tol, 5.0 - 0.9 * tol),
+            ),
+        ]
+        for instance, before, after in cases:
+            tight = tighten(Schedule(before), instance)
+            assert tight.start == after
+            assert tight.start == tighten_ref(instance, before)
+            assert is_feasible(tight, instance)
+
+    def test_matches_reference_on_list_schedules_of_raised_releases(self):
+        # the pipeline's input: a block list-scheduled on releases raised
+        # above its own, then tightened on the block's releases
+        for seed in range(12):
+            rng = random.Random(seed)
+            n = 10 * (seed + 1)
+            instance = random_instance(seed, n, r_max=4 * n, density=0.03)
+            raised = lift_releases(instance, [job.r + rng.randint(0, 2 * n) for job in instance.jobs])
+            lifted = instance.with_jobs(tuple(Job(job.p, r, job.w) for job, r in zip(instance.jobs, raised)))
+            order = sorted(range(n), key=lambda j: (instance.masks[j].bit_count(), rng.random()))
+            schedule = list_schedule(lifted, order)
+            tight = tighten(schedule, instance)
+            assert is_feasible(tight, instance)
+            assert tight.start == pytest.approx(tighten_ref(instance, schedule.start))
 
 
 class TestJsonInterface:
