@@ -1,11 +1,12 @@
 """Exact optimum for small instances, used as ground truth in tests.
 
-Dynamic program over subsets of completed jobs. A state is the set of
-jobs already placed; since cost depends on when the set finishes, each
-subset keeps a Pareto frontier of (makespan, cost) pairs instead of a
-single value. Appending job j to a state with makespan m starts it at
-max(m, r_j), which per fixed order is optimal (delaying any start only
-raises completion times), so scanning all orders via subsets is exact.
+Dynamic program over ideals, the job sets that hold the predecessors of
+each of their jobs: the only sets of placed jobs a feasible order reaches.
+Since cost depends on when the set finishes, each ideal keeps a Pareto
+frontier of (makespan, cost) pairs instead of a single value. Appending
+job j at makespan m starts it at max(m, r_j), which per fixed order is
+optimal (delaying any start only raises completion times), so scanning
+all orders via ideals is exact. A dense order has few ideals.
 
 Inputs with integer times stay in exact integer arithmetic throughout,
 which lets tests compare against brute force with ==.
@@ -13,10 +14,12 @@ which lets tests compare against brute force with ==.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .instance import Instance, Schedule
 
 EXACT_CAP = 12
-# no cap admits more jobs: 2^n frontiers (n = 18, an antichain: 9 s, 150 MB)
+# no cap admits more jobs: an antichain has all 2^n ideals (n = 18: 4-8 s, 65 MB)
 EXACT_MAX = 18
 
 
@@ -49,9 +52,9 @@ def exact_opt(instance: Instance, cap: int = EXACT_CAP):
     Parameters
     ----------
     instance : Instance
-        Validated; n must not exceed cap (state count is 2^n).
+        Validated; n must not exceed cap (up to 2^n ideals, for an antichain).
     cap : int
-        Job-count limit for the subset dynamic program, at least 0;
+        Job-count limit for the ideal dynamic program, at least 0;
         limits above EXACT_MAX count as EXACT_MAX.
 
     Returns
@@ -64,29 +67,29 @@ def exact_opt(instance: Instance, cap: int = EXACT_CAP):
     cap = min(cap, EXACT_MAX)
     if n > cap:
         raise ValueError(f"exact solver is capped at n = {cap} (got {n})")
-    if n == 0:
-        return 0, Schedule(())
     preds_mask = instance.masks
     p = [job.p for job in instance.jobs]
     r = [job.r for job in instance.jobs]
     w = [job.w for job in instance.jobs]
 
-    frontiers: list[list[_Entry]] = [[] for _ in range(1 << n)]
-    frontiers[0].append(_Entry(0, 0, None, None, None))
-    full = (1 << n) - 1
-    # ascending masks: every subset is final before any superset reads it
-    for mask in range(full):
-        fr = frontiers[mask]
-        if not fr:
-            continue
-        free = [j for j in range(n) if not mask >> j & 1 and preds_mask[j] & mask == preds_mask[j]]
-        for e in fr:
-            for j in free:
-                s = e.makespan if e.makespan > r[j] else r[j]
-                done = s + p[j]
-                _insert(frontiers[mask | 1 << j], _Entry(done, e.cost + w[j] * done, e, j, s))
+    # layer: the ideals of k jobs, each with its frontier. An ideal feeds a
+    # frontier of the next layer through one job only, so in ascending mask
+    # order every frontier is fed as by an ascending scan of all 2^n
+    # subsets, and _insert keeps the same entries
+    layer = {0: [_Entry(0, 0, None, None, None)]}
+    for _ in range(n):
+        nxt: dict[int, list[_Entry]] = defaultdict(list)
+        for mask in sorted(layer):
+            for j in range(n):
+                if not mask >> j & 1 and preds_mask[j] & mask == preds_mask[j]:
+                    to = nxt[mask | 1 << j]
+                    for e in layer[mask]:
+                        s = e.makespan if e.makespan > r[j] else r[j]
+                        done = s + p[j]
+                        _insert(to, _Entry(done, e.cost + w[j] * done, e, j, s))
+        layer = nxt
 
-    best = min(frontiers[full], key=lambda f: f.cost)
+    best = min(layer[(1 << n) - 1], key=lambda f: f.cost)
     start = [0] * n
     e = best
     while e.job is not None:

@@ -118,6 +118,54 @@ def brute_force_opt(instance):
     return best, best_start
 
 
+@dataclasses.dataclass
+class _SubsetEntry:
+    makespan: object
+    cost: object
+    parent: object
+    job: object
+    start: object
+
+
+def _pareto_insert(frontier: list, e: _SubsetEntry) -> None:
+    # sorted by makespan ascending; a point no better in both is dropped
+    if any(f.makespan <= e.makespan and f.cost <= e.cost for f in frontier):
+        return
+    frontier[:] = [f for f in frontier if not (e.makespan <= f.makespan and e.cost <= f.cost)]
+    frontier.append(e)
+    frontier.sort(key=lambda f: f.makespan)
+
+
+def exact_opt_subsets(instance):
+    """The exact dynamic program as a scan of all 2^n job subsets in
+    ascending mask order, every subset keeping a Pareto frontier of
+    (makespan, cost) points; returns (cost, start tuple).
+
+    The order in which a frontier receives its points fixes which of
+    several optimal schedules comes back, so this pins exact_opt's
+    schedule, not only its cost.
+    """
+    n = instance.n
+    preds = instance.masks
+    frontiers = [[] for _ in range(1 << n)]
+    frontiers[0].append(_SubsetEntry(0, 0, None, None, None))
+    for mask in range((1 << n) - 1):
+        free = [j for j in range(n) if not mask >> j & 1 and preds[j] & mask == preds[j]]
+        for e in frontiers[mask]:
+            for j in free:
+                job = instance.jobs[j]
+                s = e.makespan if e.makespan > job.r else job.r
+                done = s + job.p
+                _pareto_insert(frontiers[mask | 1 << j], _SubsetEntry(done, e.cost + job.w * done, e, j, s))
+    best = min(frontiers[-1], key=lambda f: f.cost)
+    start = [0] * n
+    e = best
+    while e.job is not None:
+        start[e.job] = e.start
+        e = e.parent
+    return best.cost, tuple(start)
+
+
 def reference_list_schedule(instance, order):
     """Second implementation of the available-job scheduler.
 

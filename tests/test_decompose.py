@@ -732,6 +732,27 @@ class TestAdversarialInstances:
         assert exhaustive.cost <= empty.cost
 
 
+class TestDenseFortyJobInstances:
+    """The guarantee on the instances of the sched_uniform benchmark shape:
+    40 jobs with dense precedence have few ideals, so the exact solver
+    reaches them once its job ceiling is lifted."""
+
+    @pytest.mark.parametrize("mode", ["derandomized", "random"])
+    def test_within_two_one_plus_eps_squared(self, mode, monkeypatch):
+        monkeypatch.setattr("prec_sched.exact.EXACT_MAX", 40)
+        eps = Fraction(1)
+        for seed in range(20):
+            config = GeneratorConfig(n=40, seed=seed, p_max=8, r_max=160, prec_density=0.9)
+            instance = generate(config)
+            opt, _ = exact_opt(instance, cap=40)
+            result = decompose_and_solve(
+                instance, eps, mode=mode, seed=seed if mode == "random" else None, bounded_mode="typed"
+            )
+            assert is_feasible(result.schedule, instance)
+            assert result.cost <= 2 * (1 + eps) ** 2 * opt + 1e-6, seed
+            assert result.lp.value <= opt + 1e-6, seed
+
+
 class TestNumericTypes:
     """Guesses stay exact rationals; every schedule and cost after the
     lift is float."""

@@ -4,20 +4,28 @@ timing within a fixed order, contribution accounting, and the job cap."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from prec_sched import (
+    GeneratorConfig,
     Schedule,
     exact_opt,
     feasibility_violations,
+    generate,
     make_instance,
     schedule_cost,
 )
 from prec_sched.exact import EXACT_CAP, EXACT_MAX
+from prec_sched.harness import FAMILIES
 from .auditors import exact_contribution
 from .conftest import random_instance
-from .oracles import brute_force_opt
+from .oracles import brute_force_opt, exact_opt_subsets
+
+
+def unit_chain(n):
+    return make_instance([(1, 0, 1)] * n, prec=[(i, i + 1) for i in range(n - 1)])
 
 
 class TestExactOpt:
@@ -75,8 +83,8 @@ class TestExactOpt:
             exact_opt(instance)
 
     def test_no_cap_admits_more_than_the_ceiling(self):
-        # refused before the 2^n frontiers are allocated; the benchmark's
-        # exact check needs n = 14
+        # refused before any frontier is built, for an antichain of 21 jobs
+        # would have 2^21 ideals; the benchmark's exact check needs n = 14
         assert 14 <= EXACT_MAX < 21
         instance = make_instance([(1, 0, 1)] * 21)
         with pytest.raises(ValueError, match=f"capped at n = {EXACT_MAX} \\(got 21\\)"):
@@ -94,6 +102,41 @@ class TestExactOpt:
         for instance in (make_instance([(1, 0, 1)] * 3), make_instance([])):
             with pytest.raises(ValueError, match="cap must be at least 0, got -3"):
                 exact_opt(instance, cap=-3)
+
+
+class TestIdealWalk:
+    """The walk over ideals returns the cost and the schedule of a scan of
+    every subset, and holds only the ideals it reaches."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_cost_and_starts_as_the_subset_scan(self, family):
+        for n in range(1, 13 if family == "antichain" else 15):
+            for seed in range(8):
+                instance = generate(GeneratorConfig(n=n, seed=seed, family=family))
+                cost, schedule = exact_opt(instance, cap=14)
+                assert (cost, schedule.start) == exact_opt_subsets(instance), (n, seed)
+
+    def test_same_cost_and_starts_on_an_18_job_chain(self):
+        instance = unit_chain(18)
+        cost, schedule = exact_opt(instance, cap=18)
+        assert (cost, schedule.start) == exact_opt_subsets(instance)
+        assert schedule.start == tuple(range(18))
+
+    @pytest.mark.parametrize(
+        "instance",
+        [unit_chain(18), generate(GeneratorConfig(n=18, seed=0, prec_density=0.9, r_max=72))],
+        ids=["unit chain", "dense uniform"],
+    )
+    def test_dense_order_allocates_little(self, instance):
+        # the chain has 19 ideals of 2^18 subsets; a frontier for every
+        # subset would take about 17 MB
+        tracemalloc.start()
+        try:
+            exact_opt(instance, cap=18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestExactContribution:
