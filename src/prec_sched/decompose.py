@@ -7,7 +7,7 @@ subproblem whose jobs may not start before 3 t_i, which makes it bounded
 with L = 3 t_i and beta = e^(3/eps): its release times are at least L by
 construction, and any tight schedule for it finishes by 3 t_{i+1} =
 beta L. That containment (asserted on every run) means the subproblem
-schedules never overlap, so the final schedule is simply their union.
+schedules never overlap, so their union is a schedule of the instance.
 
 The offset b is drawn uniformly from [0, a], or derandomized: the
 partition as a function of b only changes where some breakpoint crosses
@@ -60,6 +60,19 @@ the schedule, cost, offset, grid and block outcomes are exactly those of
 evaluating every offset in full. Random mode runs the same pass on its
 one offset, which is never abandoned, as no best cost precedes it: its
 blocks are solved in index order, and no value is computed.
+
+The winning union is then tightened once on the parent instance, whose
+releases are the original ones, not the lifted floors: each job moves
+left as far as its release, its predecessors and the jobs already
+placed allow (see tighten), so a job need no longer wait for its block's
+floor where the machine is idle before it. tighten never moves a job
+right, so no completion time rises and the tightened cost is at most the
+union's, which the paper's 2(1+eps)^2 bound covers; every run checks
+that the tightened schedule is feasible for the parent and costs no
+more than the union. Everything above reads the untightened union: the
+containment and feasibility checks, the floor-bound check, the search
+by union cost and its stop rule, none of which holds for a schedule
+whose jobs sit before their blocks' floors.
 """
 
 from __future__ import annotations
@@ -268,6 +281,10 @@ class IntervalOutcome:
 class DecomposeResult:
     """The winning offset's schedule and diagnostics.
 
+    `union` is the winning offset's union of block schedules, each block
+    inside its interval; `schedule` is that union tightened on the
+    instance, and `cost` its cost, at most the union's. The intervals'
+    costs are block costs and sum to the union's cost, not to `cost`.
     The winning offset is grid.b, and the grid bounds each block. `bounds`
     holds each candidate's floor bound, in the order of `candidates` (see
     the module docstring), and (0.0,) for the empty instance. `evaluated`
@@ -280,6 +297,7 @@ class DecomposeResult:
 
     schedule: Schedule
     cost: float
+    union: Schedule
     grid: IntervalGrid
     candidates: tuple[float, ...]
     intervals: tuple[IntervalOutcome, ...]
@@ -364,6 +382,23 @@ def _solve_partition(
     return union, schedule_cost(union, instance), tuple(outcomes[i] for i in sorted(outcomes))
 
 
+def _tighten_union(instance: Instance, union: Schedule, cost: float) -> tuple[Schedule, float]:
+    """The union, of cost `cost`, tightened on the instance's own
+    releases, with float starts (tighten moves a job to its integer
+    release), and its cost; raises if that schedule is infeasible or
+    costs more than the union."""
+    tight = Schedule(tuple(float(s) for s in tighten(union, instance).start))
+    violations = feasibility_violations(tight, instance)
+    if violations:
+        raise InvariantViolationError(f"tightened union infeasible: {violations[0]}")
+    tight_cost = schedule_cost(tight, instance)
+    if tight_cost > cost + instance.tol() * sum(instance.floats[2]):
+        raise InvariantViolationError(
+            f"tightened union costs {tight_cost!r}, more than the union's {cost!r}"
+        )
+    return tight, tight_cost
+
+
 def decompose_and_solve(
     instance: Instance,
     epsilon,
@@ -372,7 +407,7 @@ def decompose_and_solve(
     bounded_mode: str = "exhaustive",
     budget: Optional[int] = None,
 ) -> DecomposeResult:
-    """Full pipeline: LP once, partition per offset, solve blocks, unite.
+    """Full pipeline: LP once, partition per offset, solve blocks, unite, tighten.
 
     Parameters
     ----------
@@ -393,8 +428,9 @@ def decompose_and_solve(
     Returns
     -------
     DecomposeResult
-        Schedule plus offset, grid, per-block diagnostics, the LP, each
-        offset's floor bound and the evaluation order.
+        The winning union tightened on the instance and its cost, plus
+        the union itself, offset, grid, per-block diagnostics, the LP,
+        each offset's floor bound and the evaluation order.
     """
     # reject bad arguments before the parent LP, the costliest step here
     a = _scale_of(epsilon)
@@ -404,7 +440,7 @@ def decompose_and_solve(
     lp = solve_lp(instance)
     if instance.n == 0:
         return DecomposeResult(
-            Schedule(()), 0.0, IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
+            Schedule(()), 0.0, Schedule(()), IntervalGrid(a, 0.0, ()), (0.0,), (), lp, (0.0,), (0,)
         )
     cmax = max(lp.completion)
     if mode == "random":
@@ -448,6 +484,8 @@ def decompose_and_solve(
         "evaluated %d of %d offsets; offset %d (b = %r) won at cost %r",
         len(evaluated), len(candidates), i, candidates[i], cost,
     )
+    schedule, tight_cost = _tighten_union(instance, union, cost)
     return DecomposeResult(
-        union, cost, grids[i], tuple(candidates), outcomes, lp, bounds, tuple(evaluated)
+        schedule, tight_cost, union, grids[i], tuple(candidates), outcomes, lp, bounds,
+        tuple(evaluated),
     )

@@ -21,6 +21,7 @@ from prec_sched.decompose import (
     SKIP_REL,
     DecomposeResult,
     _solve_partition,
+    _tighten_union,
     build_grid,
     derandomize_b,
     partition_jobs,
@@ -489,6 +490,8 @@ def decompose_eager(instance, epsilon, mode="derandomized", seed=None, bounded_m
         elif best is None or (cost, i) < best[:2]:
             best = cost, i, union, outcomes
     cost, i, union, outcomes = best
+    schedule, tight_cost = _tighten_union(instance, union, cost)
     return DecomposeResult(
-        union, cost, grids[i], candidates, outcomes, lp, tuple(bounds), tuple(evaluated)
+        schedule, tight_cost, union, grids[i], candidates, outcomes, lp, tuple(bounds),
+        tuple(evaluated),
     )

@@ -236,9 +236,13 @@ def test_blocks_contained_in_their_intervals(pipeline_runs_100):
             floor, ceiling = res.grid.floor(iv.index), res.grid.floor(iv.index + 1)
             for j in iv.jobs:
                 checked += 1
-                s = res.schedule.start[j]
+                s = res.union.start[j]
                 if s < floor - tol or s + inst.jobs[j].p > ceiling + tol:
                     violations.append((pos, iv.index, j, s))
+        # the reported schedule is the union tightened: no job moves right
+        for j, (s, u) in enumerate(zip(res.schedule.start, res.union.start)):
+            if s > u:
+                violations.append((pos, "moved right", j, s, u))
     ok = not violations and checked > 0
     verdict(5, ok, "every solved block stays inside its assigned interval")
     assert ok, (

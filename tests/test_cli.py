@@ -421,7 +421,7 @@ class TestBench:
         [
             (
                 ("--n", "8", "--trials", "4", "--seed", "3"),
-                "d0d3ef9fc6391bfa9cbcdcf1ef303d0612b528bee364734f3bca8e47a9d9c25e",
+                "c0b597f2bfb031fea847e0c894e81dc1e600eeeba3ccd412124c63fdf2cd573a",
             ),
             (
                 ("--family", "p_le_r", "--family", "chains", "--n", "12",
