@@ -23,9 +23,10 @@ in topological order reaches their least fixpoint: once a job's
 predecessors hold their least releases, its own is the first value at
 or above its floor and theirs outside every guessed interval, and no
 later job can move it. Lifting never loses feasible schedules of the
-guessed optimum, and candidates are scored against the original release
-times, so wrong guesses only produce worse candidates, never unsound
-ones.
+guessed optimum, and candidates are tightened (see instance.tighten),
+then scored, on the original release times, so wrong guesses only
+produce worse candidates, never unsound ones, and the solver returns a
+tight schedule.
 
 A fast mode rounds processing times up to powers of (1+eps) and guesses
 per rounded-size class instead of per job. Guesses are exact rationals
@@ -64,7 +65,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import listsched
 from .errors import InvariantViolationError, SchedulingError, ValidationError
-from .instance import Instance, Job, Schedule, is_feasible, lift_releases, schedule_cost
+from .instance import Instance, Job, Schedule, is_feasible, lift_releases, schedule_cost, tighten
 from .listsched import lp_ls
 
 log = logging.getLogger(__name__)
@@ -279,9 +280,9 @@ def adjust_release_times_typed(instance: Instance, guess: Guess, epsilon) -> Ins
 
 @dataclass(frozen=True)
 class BoundedResult:
-    """Best schedule, its cost on the original releases, guesses run and
-    failed, and the winning guess, whose keys are job ids or size classes
-    by the mode the caller chose."""
+    """Best tightened schedule, its cost on the original releases, guesses
+    run and failed, and the winning guess, whose keys are job ids or size
+    classes by the mode the caller chose."""
 
     schedule: Schedule
     cost: float
@@ -299,7 +300,7 @@ def solve_bounded(
     budget: Optional[int] = None,
     warm: Iterable[Iterable[int]] = (),
 ) -> BoundedResult:
-    """Best LP-then-list-schedule result over a stream of guesses.
+    """Best tightened LP-then-list-schedule result over a stream of guesses.
 
     Parameters
     ----------
@@ -327,12 +328,13 @@ def solve_bounded(
     Returns
     -------
     BoundedResult
-        Cost is measured against the original release times; ties keep
-        the earliest guess in stream order, and `best_guess` is that
-        Guess, keyed by size class in the typed mode and by job id
-        otherwise. Guesses whose LP fails are logged and skipped; if
-        every guess fails, SchedulingError. On a chain no guess fails in
-        the LP, as none is solved (see below).
+        The best guess's list schedule, tightened on the instance, and
+        its cost against the original release times, by which guesses
+        are compared; ties keep the earliest guess in stream order, and
+        `best_guess` is that Guess, keyed by size class in the typed mode
+        and by job id otherwise. Guesses whose LP fails are logged and
+        skipped; if every guess fails, SchedulingError. On a chain no
+        guess fails in the LP, as none is solved (see below).
 
     On a chain, an instance whose order is total (one job included), each
     lifted guess is list-scheduled in chain order without an LP: only one
@@ -383,6 +385,7 @@ def solve_bounded(
             raise InvariantViolationError(
                 "schedule from lifted releases is infeasible for the original instance"
             )
+        schedule = tighten(schedule, instance)
         cost = schedule_cost(schedule, instance)
         if best is None or cost < best[0]:
             best = cost, schedule, g

@@ -45,21 +45,22 @@ WSPT sweep, and every run checks it: an offset solved in full that costs
 less than its floor bound raises.
 
 Offsets are tried in one pass in (floor bound, index) order, each one's
-blocks in descending value, ties by index. Before each block, the
-tightened costs of the blocks solved plus the values of the others, less
-the slack, bound the offset's cost, as each unsolved block's cost is at
-least its value less its share of the slack. Once that bound exceeds the
-best cost so far by more than the relative margin SKIP_REL, the offset
-cannot win by (cost, index), and it is abandoned, its other blocks
-unsolved; one abandoned before its first block is skipped. The pass
-stops at the first offset whose floor bound exceeds the same limit: every
-later offset's floor bound is at least as high, and the best cost never
-rises. The union's cost is the sum of its blocks' costs up to float
-reassociation, which SKIP_REL covers with the rounding of the bounds, so
-the schedule, cost, offset, grid and block outcomes are exactly those of
-evaluating every offset in full. Random mode runs the same pass on its
-one offset, which is never abandoned, as no best cost precedes it: its
-blocks are solved in index order, and no value is computed.
+blocks in descending value, ties by index. Before each block, the costs
+the block solver returned for the blocks solved, each its tight
+schedule's, plus the values of the others, less the slack, bound the
+offset's cost, as each unsolved block's cost is at least its value less
+its share of the slack. Once that bound exceeds the best cost so far by
+more than the relative margin SKIP_REL, the offset cannot win by (cost,
+index), and it is abandoned, its other blocks unsolved; one abandoned
+before its first block is skipped. The pass stops at the first offset
+whose floor bound exceeds the same limit: every later offset's floor
+bound is at least as high, and the best cost never rises. The union's
+cost is the sum of its blocks' costs up to float reassociation, which
+SKIP_REL covers with the rounding of the bounds, so the schedule, cost,
+offset, grid and block outcomes are exactly those of evaluating every
+offset in full. Random mode runs the same pass on its one offset, which
+is never abandoned, as no best cost precedes it: its blocks are solved
+in index order, and no value is computed.
 
 The winning union is then tightened once on the parent instance, whose
 releases are the original ones, not the lifted floors: each job moves
@@ -69,7 +70,7 @@ floor where the machine is idle before it. tighten never moves a job
 right, so no completion time rises and the tightened cost is at most the
 union's, which the paper's 2(1+eps)^2 bound covers; every run checks
 that the tightened schedule is feasible for the parent and costs no
-more than the union. Everything above reads the untightened union: the
+more than the union. Everything above reads the union before this: the
 containment and feasibility checks, the floor-bound check, the search
 by union cost and its stop rule, none of which holds for a schedule
 whose jobs sit before their blocks' floors.
@@ -330,8 +331,8 @@ def _solve_partition(
     budget: Optional[int],
     limit: float = math.inf,
 ) -> tuple[Optional[Schedule], float, tuple[IntervalOutcome, ...]]:
-    """Solve one partition's blocks and unite their schedules: the union,
-    its cost and the block outcomes in interval order.
+    """Unite one partition's blocks as solve_bounded returns them: the
+    union, its cost and the block outcomes in interval order.
 
     With a finite `limit`, the blocks are solved in descending value
     (SubInstance.value), ties by index. Before each, if the costs of the
@@ -360,19 +361,17 @@ def _solve_partition(
             budget=budget,
             warm=sub.warm,
         )
-        tight = tighten(res.schedule, sub.instance)
-        lo = min(tight.start)
-        hi = max(s + job.p for s, job in zip(tight.start, sub.instance.jobs))
+        lo = min(res.schedule.start)
+        hi = max(s + job.p for s, job in zip(res.schedule.start, sub.instance.jobs))
         if lo < floor - tol or hi > ceiling + tol:
             raise InvariantViolationError(
                 f"block {sub.index} escaped its interval: spans [{lo}, {hi}] "
                 f"vs [{floor}, {ceiling}]"
             )
         for pos, j in enumerate(sub.jobs):
-            start[j] = tight.start[pos]
-        cost = schedule_cost(tight, sub.instance)
-        outcomes[sub.index] = IntervalOutcome(sub.index, sub.jobs, cost, res.guesses_tried)
-        spent += cost
+            start[j] = res.schedule.start[pos]
+        outcomes[sub.index] = IntervalOutcome(sub.index, sub.jobs, res.cost, res.guesses_tried)
+        spent += res.cost
     union = Schedule(tuple(start))
     violations = feasibility_violations(union, instance)
     if violations:
@@ -384,10 +383,9 @@ def _solve_partition(
 
 def _tighten_union(instance: Instance, union: Schedule, cost: float) -> tuple[Schedule, float]:
     """The union, of cost `cost`, tightened on the instance's own
-    releases, with float starts (tighten moves a job to its integer
-    release), and its cost; raises if that schedule is infeasible or
+    releases, and its cost; raises if that schedule is infeasible or
     costs more than the union."""
-    tight = Schedule(tuple(float(s) for s in tighten(union, instance).start))
+    tight = tighten(union, instance)
     violations = feasibility_violations(tight, instance)
     if violations:
         raise InvariantViolationError(f"tightened union infeasible: {violations[0]}")

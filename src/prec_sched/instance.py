@@ -310,8 +310,7 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
     job visited earlier can move again. Starts and cost never increase;
     idempotent. By the same argument a job not yet visited never blocks
     the one being placed, so the sorted list the scan bisects holds only
-    the jobs placed. A job moved to its release takes the release as the
-    instance holds it, a float on the block instances the pipeline tightens.
+    the jobs placed. A moved start is a float, even at an integer release.
     """
     tol = instance.tol()
     start = list(schedule.start)
@@ -333,7 +332,7 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
             if lb < c_k - tol:
                 lb = c_k
         if lb < start[j] - tol:
-            start[j] = lb
+            start[j] = float(lb)
         insort(placed, (start[j], start[j] + p[j]))
     return Schedule(tuple(start))
 

@@ -30,6 +30,7 @@ from prec_sched import (
     normalize_release_times,
     schedule_cost,
     solve_bounded,
+    tighten,
 )
 from prec_sched.bounded import MODES, _pow_ceil
 from .auditors import grid_shift, guess_traces
@@ -389,20 +390,37 @@ class TestSolveBounded:
         assert result.guesses_tried == 1
         assert result.guesses_failed == 0
 
-    def test_single_job_grid_start_recovers_optimum(self):
-        # empty guess lifts the release to p = 8 and pays 16w; the guessed
-        # start at the release keeps the true optimum 14w
-        instance = make_instance([(8, 6, 2)])
-        result = solve_bounded(instance, Fraction(1, 4), 6, E3)
-        assert result.cost == 28.0
-        assert result.best_guess == Guess((0,), (Fraction(6),))
+    # two jobs on which only a guessed early start reaches the optimum 211,
+    # even once each guess's schedule is tightened: the empty guess lifts
+    # job 0 to its size 11, so job 1 goes first, and tightened that costs 215
+    TWO_JOBS = make_instance([(11, 8, 4), (8, 11, 5)])
+
+    def test_two_job_grid_start_recovers_optimum(self):
+        # the guessed start 33/4 keeps job 0 first; scored untightened, at
+        # 33/4, it cost 213.25, and tighten moves it to its release 8
+        result = solve_bounded(self.TWO_JOBS, Fraction(1, 4), 6, 21)
+        assert result.cost == 211.0 == exact_opt(self.TWO_JOBS)[0]
+        assert result.schedule.start == (8.0, 19.0)
+        assert result.best_guess == Guess((0,), (Fraction(33, 4),))
+        empty = solve_bounded(self.TWO_JOBS, Fraction(1, 4), 6, 21, mode="empty-guess")
+        assert empty.cost == 215.0
+
+    def test_typed_guess_is_scored_after_tighten(self):
+        # untightened, the class guess's schedule lost to the empty guess's
+        # (220.25...); tightened, it reaches the optimum and the empty guess 215
+        result = solve_bounded(self.TWO_JOBS, Fraction(1, 4), 6, 21, mode="typed")
+        assert result.cost == 211.0
+        assert result.schedule.start == (8.0, 19.0)
+        assert result.best_guess == Guess((11,), (Fraction(146484375, 16777216),))
 
     def test_tie_keeps_earliest_guess_in_stream_order(self):
+        # every guess tightens to starts 2 and 6, so the empty guess, first
+        # in the stream, wins the three-way tie
         instance = make_instance([(4, 2, 1), (4, 2, 1)])
         result = solve_bounded(instance, Fraction(1, 2), 2, E3)
         assert result.cost == 16.0
         assert result.guesses_tried == 3  # empty, {0}@2, {1}@2
-        assert result.best_guess == Guess((0,), (Fraction(2),))
+        assert result.best_guess == EMPTY_GUESS
 
     def test_empty_guess_mode_two_approximates_lp(self):
         # with p <= r no job can be early, so one LP pass suffices; on a
@@ -442,14 +460,16 @@ class TestSolveBounded:
             assert is_feasible(result.schedule, instance)
 
     def test_typed_mode_on_single_job(self):
+        # the empty guess starts the job at its rounded size 729/64 and the
+        # class guess at 729/128; tighten moves either to the release 2, so
+        # both reach the optimum and the empty guess, first, wins the tie
         instance = make_instance([(8, 2, 1)])
         result = solve_bounded(instance, Fraction(1, 2), 2, E3, mode="typed")
         assert result.guesses_tried == 2
         assert is_feasible(result.schedule, instance)
-        # best guess starts the job at 729/128; cost uses the original p
-        assert result.cost == pytest.approx(729 / 128 + 8, abs=1e-6)
-        opt, _ = exact_opt(instance)
-        assert result.cost <= 2 * (1 + 0.5) ** 2 * opt + 1e-6
+        assert result.schedule.start == (2.0,)
+        assert result.cost == 10.0 == exact_opt(instance)[0]
+        assert result.best_guess == EMPTY_GUESS
 
     def test_release_below_l_rejected(self):
         instance = make_instance([(2, 1, 1)])
@@ -609,11 +629,12 @@ class TestChainBlocks:
         monkeypatch.undo()
         assert len(traces) == result.guesses_tried
         assert result.guesses_failed == 0
-        # each guess gets the schedule the LP path gives it, so the best does too
+        # each guess gets the schedule the LP path gives it, so the best does
+        # too, once tightened
         for _, adjusted, run in traces:
             assert run.schedule == lp_ls(adjusted).schedule
-        best = min(traces, key=lambda trace: schedule_cost(trace[2].schedule, instance))
-        assert result.schedule == best[2].schedule
+        tight = [tighten(run.schedule, instance) for _, _, run in traces]
+        assert result.schedule == min(tight, key=lambda s: schedule_cost(s, instance))
 
     def test_chains_try_a_nonempty_guess(self):
         for instance in self.CHAINS.values():

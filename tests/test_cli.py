@@ -238,21 +238,17 @@ class TestExact:
 
 class TestBounded:
     @pytest.mark.parametrize(
-        "mode, start, cost, tried, guess",
+        "mode, tried, guess",
         [
-            ("exhaustive", "6.0", "28.0", 2, {"jobs": [0], "starts": ["6"]}),
-            (
-                "typed",
-                "6.984919309616089",
-                "29.969838619232178",
-                2,
-                {"types": [10], "starts": ["29296875/4194304"]},
-            ),
-            ("empty-guess", "8.0", "32.0", 1, {"jobs": [], "starts": []}),
+            ("exhaustive", 2, {"jobs": [], "starts": []}),
+            ("typed", 2, {"types": [], "starts": []}),
+            ("empty-guess", 1, {"jobs": [], "starts": []}),
         ],
         ids=["exhaustive", "typed", "empty-guess"],
     )
-    def test_single_job_guess(self, capsys, tmp_path, mode, start, cost, tried, guess):
+    def test_single_job_guess(self, capsys, tmp_path, mode, tried, guess):
+        # bounded prints the tightened schedule: whatever the guess, the one
+        # job moves to its release 6, so the empty guess, first, wins the tie
         path = write_doc(tmp_path, {"jobs": [{"p": 8, "r": 6, "w": 2}], "prec": []})
         code, out, _ = run(
             capsys, "bounded", path, "--L", "6", "--beta", "21", "--epsilon", "1/4",
@@ -260,7 +256,37 @@ class TestBounded:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["start"] == [start]
+        assert doc["start"] == ["6.0"]
+        assert doc["cost"] == "28.0"
+        assert doc["guesses_tried"] == tried
+        assert doc["best_guess"] == guess
+
+    @pytest.mark.parametrize(
+        "mode, start, cost, tried, guess",
+        [
+            ("exhaustive", ["8.0", "19.0"], "211.0", 2, {"jobs": [0], "starts": ["33/4"]}),
+            (
+                "typed",
+                ["8.0", "19.0"],
+                "211.0",
+                2,
+                {"types": [11], "starts": ["146484375/16777216"]},
+            ),
+            ("empty-guess", ["19.0", "11.0"], "215.0", 1, {"jobs": [], "starts": []}),
+        ],
+        ids=["exhaustive", "typed", "empty-guess"],
+    )
+    def test_two_job_guess(self, capsys, tmp_path, mode, start, cost, tried, guess):
+        # only a guessed early start keeps job 0 first, at the optimum 211
+        jobs = [{"p": 11, "r": 8, "w": 4}, {"p": 8, "r": 11, "w": 5}]
+        path = write_doc(tmp_path, {"jobs": jobs, "prec": []})
+        code, out, _ = run(
+            capsys, "bounded", path, "--L", "6", "--beta", "21", "--epsilon", "1/4",
+            "--mode", mode,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["start"] == start
         assert doc["cost"] == cost
         assert doc["guesses_tried"] == tried
         assert doc["best_guess"] == guess

@@ -383,6 +383,13 @@ class TestTighten:
         instance = make_instance([(1, 0, 1)])
         assert tighten(Schedule((5.0,)), instance).start == (0.0,)
 
+    def test_moved_start_is_a_float(self):
+        # an integer release is stored as a float, so float starts stay float
+        instance = make_instance([(2, 3, 1), (1, 0, 1)], [(0, 1)])
+        tight = tighten(Schedule((7.0, 12.0)), instance)
+        assert tight.start == (3.0, 5.0)
+        assert [type(s) for s in tight.start] == [float, float]
+
     def test_second_job_slides_to_completion(self):
         instance = make_instance([(2, 0, 1), (2, 0, 1)])
         assert tighten(Schedule((0.0, 7.0)), instance).start == (0.0, 2.0)

@@ -15,7 +15,7 @@ import pytest
 from prec_sched.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-SINGLE = {"jobs": [{"p": 8, "r": 6, "w": 2}]}
+TWO = {"jobs": [{"p": 11, "r": 8, "w": 4}, {"p": 8, "r": 11, "w": 5}]}
 
 
 def section(title):
@@ -54,10 +54,10 @@ def run_cli(argv):
 
 @pytest.fixture
 def example_dir(tmp_path, monkeypatch):
-    # the CLI section's instance is ref.json; single.json is the one-job
+    # the CLI section's instance is ref.json; two.json is the two-job
     # instance the bounded example runs on
     (tmp_path / "ref.json").write_text(blocks(section("CLI"), "json")[0])
-    (tmp_path / "single.json").write_text(json.dumps(SINGLE))
+    (tmp_path / "two.json").write_text(json.dumps(TWO))
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
