@@ -331,7 +331,7 @@ def tighten(schedule: Schedule, instance: Instance) -> Schedule:
                 break
             if lb < c_k - tol:
                 lb = c_k
-        if lb < start[j] - tol:
+        if lb < start[j]:
             start[j] = float(lb)
         insort(placed, (start[j], start[j] + p[j]))
     return Schedule(tuple(start))

@@ -390,6 +390,13 @@ class TestTighten:
         assert tight.start == (3.0, 5.0)
         assert [type(s) for s in tight.start] == [float, float]
 
+    def test_moves_a_job_however_little_it_gains(self):
+        # a start within tol past the release, as a block floor a hair above
+        # an integer release leaves it, still moves to the release
+        instance = make_instance([(2, 13, 1)])
+        tight = tighten(Schedule((13 + instance.tol() / 2,)), instance)
+        assert tight.start == (13.0,)
+
     def test_second_job_slides_to_completion(self):
         instance = make_instance([(2, 0, 1), (2, 0, 1)])
         assert tighten(Schedule((0.0, 7.0)), instance).start == (0.0, 2.0)
