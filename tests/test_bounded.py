@@ -396,8 +396,8 @@ class TestSolveBounded:
     TWO_JOBS = make_instance([(11, 8, 4), (8, 11, 5)])
 
     def test_two_job_grid_start_recovers_optimum(self):
-        # the guessed start 33/4 keeps job 0 first; scored untightened, at
-        # 33/4, it cost 213.25, and tighten moves it to its release 8
+        # the guessed start 33/4 keeps job 0 first, and tighten moves it to
+        # its release 8
         result = solve_bounded(self.TWO_JOBS, Fraction(1, 4), 6, 21)
         assert result.cost == 211.0 == exact_opt(self.TWO_JOBS)[0]
         assert result.schedule.start == (8.0, 19.0)
@@ -406,8 +406,8 @@ class TestSolveBounded:
         assert empty.cost == 215.0
 
     def test_typed_guess_is_scored_after_tighten(self):
-        # untightened, the class guess's schedule lost to the empty guess's
-        # (220.25...); tightened, it reaches the optimum and the empty guess 215
+        # the class guess's list schedule costs more than the empty guess's
+        # (220.25...); only tightened does it win, at the optimum
         result = solve_bounded(self.TWO_JOBS, Fraction(1, 4), 6, 21, mode="typed")
         assert result.cost == 211.0
         assert result.schedule.start == (8.0, 19.0)

@@ -698,8 +698,7 @@ class TestOffsetPruning:
 
 # Instances a seeded local search found by maximizing cost / OPT in
 # exhaustive mode (ROADMAP item 5): name -> (instance, eps, OPT). Costs in
-# exhaustive, typed and empty-guess mode: 1,129 in each on the first (1,349,
-# 1,349 and 1,129 while blocks scored their guesses before tighten), 472,
+# exhaustive, typed and empty-guess mode: 1,129 in each on the first, 472,
 # 268 and 472 on the second.
 ADVERSARIAL = {
     "six jobs at eps 1/2": (
@@ -729,8 +728,8 @@ class TestAdversarialInstances:
         assert result.cost <= 2 * (1 + eps) ** 2 * opt + 1e-6
 
     def test_exhaustive_costs_no_more_than_empty_guess(self):
-        # each block scores its guesses after tighten; scored before it, a
-        # guess that tightened worse won its block, and exhaustive cost 1,349
+        # a block that scored its guesses before tighten kept one that
+        # tightened worse here (1,349 against 1,129)
         instance, eps, _ = ADVERSARIAL["six jobs at eps 1/2"]
         exhaustive = decompose_and_solve(instance, eps, bounded_mode="exhaustive")
         empty = decompose_and_solve(instance, eps, bounded_mode="empty-guess")
@@ -742,8 +741,8 @@ class TestAdversarialInstances:
         # so the best union, costs no more than in empty-guess mode. The cost
         # once the union is tightened on the instance is not monotone (545
         # against 527 on antichain n = 9, seed 1, eps 1/2), so only the union
-        # is held. Scored before tighten, antichain n = 9, seed 7, eps 1/4
-        # gave 219 against 217
+        # is held. Scoring before tighten breaks it on antichain n = 9,
+        # seed 7, eps 1/4 (219 against 217)
         for family in ("uniform", "p_le_r", "chains", "antichain"):
             for n in (3, 5, 7, 9):
                 for seed in range(8):
