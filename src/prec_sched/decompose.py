@@ -46,21 +46,21 @@ less than its floor bound raises.
 
 Offsets are tried in one pass in (floor bound, index) order, each one's
 blocks in descending value, ties by index. Before each block, the costs
-the block solver returned for the blocks solved, each its tight
-schedule's, plus the values of the others, less the slack, bound the
-offset's cost, as each unsolved block's cost is at least its value less
-its share of the slack. Once that bound exceeds the best cost so far by
-more than the relative margin SKIP_REL, the offset cannot win by (cost,
-index), and it is abandoned, its other blocks unsolved; one abandoned
-before its first block is skipped. The pass stops at the first offset
-whose floor bound exceeds the same limit: every later offset's floor
-bound is at least as high, and the best cost never rises. The union's
-cost is the sum of its blocks' costs up to float reassociation, which
-SKIP_REL covers with the rounding of the bounds, so the schedule, cost,
-offset, grid and block outcomes are exactly those of evaluating every
-offset in full. Random mode runs the same pass on its one offset, which
-is never abandoned, as no best cost precedes it: its blocks are solved
-in index order, and no value is computed.
+of the blocks solved, as solve_bounded returns them, plus the values of
+the others, less the slack, bound the offset's cost, as each unsolved
+block's cost is at least its value less its share of the slack. Once
+that bound exceeds the best cost so far by more than the relative margin
+SKIP_REL, the offset cannot win by (cost, index), and it is abandoned,
+its other blocks unsolved; one abandoned before its first block is
+skipped. The pass stops at the first offset whose floor bound exceeds
+the same limit: every later offset's floor bound is at least as high,
+and the best cost never rises. The union's cost is the sum of its
+blocks' costs up to float reassociation, which SKIP_REL covers with the
+rounding of the bounds, so the schedule, cost, offset, grid and block
+outcomes are exactly those of evaluating every offset in full. Random
+mode runs the same pass on its one offset, which is never abandoned, as
+no best cost precedes it: its blocks are solved in index order, and no
+value is computed.
 
 The winning union is then tightened once on the parent instance, whose
 releases are the original ones, not the lifted floors: each job moves
@@ -70,7 +70,7 @@ floor where the machine is idle before it. tighten never moves a job
 right, so no completion time rises and the tightened cost is at most the
 union's, which the paper's 2(1+eps)^2 bound covers; every run checks
 that the tightened schedule is feasible for the parent and costs no
-more than the union. Everything above reads the union before this: the
+more than the union. Everything above reads the union as united: the
 containment and feasibility checks, the floor-bound check, the search
 by union cost and its stop rule, none of which holds for a schedule
 whose jobs sit before their blocks' floors.
