@@ -215,10 +215,10 @@ class SubInstance:
         deduplicated and sorted, of two or more jobs: valid cuts for the
         block's LPs once make_cut recomputes their rhs, as every subset
         inequality holds for every schedule; solve_lp bounds each column by
-        its singleton cut. The parent's n singleton cuts, first in its
-        cuts, restrict to no such subset and are skipped."""
+        its singleton cut. Cuts of one job restrict to no such subset and
+        are skipped."""
         ids = {j: pos for pos, j in enumerate(self.jobs)}
-        cuts = self.cuts[self.parent.n:]
+        cuts = (cut for cut in self.cuts if len(cut.jobs) > 1)
         restricted = {tuple(ids[j] for j in cut.jobs if j in ids) for cut in cuts}
         return tuple(sorted(subset for subset in restricted if len(subset) > 1))
 

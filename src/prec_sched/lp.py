@@ -34,13 +34,14 @@ ships and that scipy.optimize.linprog itself calls
 file, unregistered (see _load_binding), so importing it does not run
 scipy.optimize; where the file cannot be found or loaded, it imports the
 binding through scipy.optimize. numpy still loads at the first LP, as
-the binding's array arguments need it. The model is solved with
-linprog's options for method="highs", feasibility tightened to 1e-9, so
-residual noise on already-added rows stays far below tau, presolve off,
-and one thread: the dual simplex these LPs take is serial, and with the
-default (0), which derives a thread count from the machine's cores, each
-run costs more (about 3 to 8 us more on a two-column model on 2 cores).
-Each thread keeps one HiGHS solver, given those options once, and each
+the binding's array arguments need it. HiGHS gets only the settings that
+differ from its defaults: feasibility tightened to 1e-9, so residual
+noise on already-added rows stays far below tau, presolve off, no
+output, and one thread: the dual simplex these LPs take, HiGHS's default
+strategy, is serial, and with the default (0), which derives a thread
+count from the machine's cores, each run costs more (about 3 to 8 us
+more on a two-column model on 2 cores).
+Each thread keeps one HiGHS solver, given those settings once, and each
 LP clears its model. The model starts as its n columns (bounded
 below by the singleton cuts, the weights as costs); every row then goes
 in through addRows: the first batch holds the precedence rows and the
@@ -111,30 +112,26 @@ except ImportError as exc:
         "prec_sched needs scipy >= 1.15: the LP rounds call the HiGHS binding "
         "scipy.optimize._highspy._core, which older scipy releases do not ship"
     ) from exc
-HighsDebugLevel = _core.HighsDebugLevel
 HighsModelStatus = _core.HighsModelStatus
 HighsOptions = _core.HighsOptions
 HighsStatus = _core.HighsStatus
 _Highs = _core._Highs
 kHighsInf = _core.kHighsInf
-simplex_constants = _core.simplex_constants
 
 TAU_LP = 1e-7
 N_EXHAUSTIVE = 18
 
-# the options scipy.optimize.linprog(method="highs") sets, with feasibility
-# tightened: inner-solve residuals must stay two orders below TAU_LP,
-# otherwise a cut the solver considers satisfied can look violated to the
-# separation oracle and get re-added forever. Presolve is off: a hot-started
-# round skips it anyway, and on the first round of these small LPs it costs
-# more than it saves. One thread: see the module docstring
+# only the settings that change a solve, each away from HiGHS's default.
+# Presolve is off: a hot-started round skips it anyway, and on the first
+# round of these small LPs it costs more than it saves. One thread: see the
+# module docstring. No output: the solver logs nothing, to any stream.
+# Feasibility is tightened: inner-solve residuals must stay two orders below
+# TAU_LP, otherwise a cut the solver considers satisfied can look violated
+# to the separation oracle and get re-added forever
 _HIGHS_OPTIONS = {
     "presolve": "off",
     "threads": 1,
-    "simplex_strategy": simplex_constants.SimplexStrategy.kSimplexStrategyDual,
-    "highs_debug_level": HighsDebugLevel.kHighsDebugLevelNone,
     "output_flag": False,
-    "log_to_console": False,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }

@@ -595,6 +595,16 @@ class TestReusedSolver:
     def test_solver_runs_on_one_thread(self):
         assert prec_sched.lp._HIGHS_OPTIONS["threads"] == 1
 
+    def test_options_are_only_those_away_from_the_defaults(self):
+        # HiGHS is given only what changes a solve; the dual simplex and no
+        # debugging are the binding's defaults, on every HiGHS tested
+        defaults = prec_sched.lp.HighsOptions()
+        for name, value in prec_sched.lp._HIGHS_OPTIONS.items():
+            assert getattr(defaults, name) != value, name
+        core = prec_sched.lp._core
+        assert defaults.simplex_strategy == core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        assert defaults.highs_debug_level == core.HighsDebugLevel.kHighsDebugLevelNone
+
     @pytest.mark.parametrize("first", ["linprog", "two-thread run"])
     def test_lp_after_another_highs_run_on_its_thread(self, first):
         # HiGHS keeps one scheduler per thread, and a run refuses a thread
